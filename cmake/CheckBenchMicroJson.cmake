@@ -121,6 +121,15 @@ function(parse_scaled value out_mant out_exp)
   set(${out_exp} "${exp}" PARENT_SCOPE)
 endfunction()
 
+# The machine's load when the gate fails: a loaded host measures low, so
+# a regression reported next to a high load average is suspect.
+set(load_note "")
+if(EXISTS /proc/loadavg)
+  file(READ /proc/loadavg loadavg)
+  string(STRIP "${loadavg}" loadavg)
+  set(load_note "; /proc/loadavg at check time: ${loadavg}")
+endif()
+
 # Fails when `new` < `prev` * (100 - pct) / 100 (items/second: lower is
 # worse).
 function(check_ratio name new prev pct)
@@ -133,7 +142,8 @@ function(check_ratio name new prev pct)
   if(diff LESS -1)
     message(FATAL_ERROR
       "${JSON_FILE} perf gate: '${name}' collapsed from ${prev} to ${new} "
-      "items/s (more than 10x below the previous history entry)")
+      "items/s (more than 10x below the previous history entry"
+      "${load_note})")
   endif()
   # |diff| <= 1: align exponents, then compare new*100 vs prev*(100-pct).
   # Mantissas are < 1e9, so the largest product is < 1e12 — well inside
@@ -149,7 +159,7 @@ function(check_ratio name new prev pct)
     message(FATAL_ERROR
       "${JSON_FILE} perf gate: '${name}' regressed more than ${pct}% "
       "(${prev} -> ${new} items/s vs the previous history entry; set "
-      "SPARDL_BENCH_GATE_PCT to tune the threshold)")
+      "SPARDL_BENCH_GATE_PCT to tune the threshold${load_note})")
   endif()
 endfunction()
 

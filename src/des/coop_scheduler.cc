@@ -1,5 +1,6 @@
 #include "des/coop_scheduler.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "common/logging.h"
@@ -28,21 +29,24 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
   engine_ = engine;
   slots_.clear();
   slots_.resize(static_cast<size_t>(num_workers));
+  runnable_.clear();
+  woken_.clear();
+  wake_all_ = false;
   const size_t stack_bytes = FiberStackBytes();
   for (int rank = 0; rank < num_workers; ++rank) {
     slots_[static_cast<size_t>(rank)].fiber = std::make_unique<Fiber>(
         [rank, &body] { body(rank); }, stack_bytes);
+    runnable_.push_back(rank);
   }
   g_current_scheduler = this;
   int done = 0;
   while (done < num_workers) {
     // Run every runnable worker once, in rank order. A worker returns
-    // control only by blocking (state -> kWaiting) or finishing.
-    bool progressed = false;
-    for (int rank = 0; rank < num_workers; ++rank) {
+    // control only by blocking (state -> kWaiting) or finishing; `Wake`
+    // only marks, so the list cannot grow during the round.
+    std::sort(runnable_.begin(), runnable_.end());
+    for (const int rank : runnable_) {
       WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
-      if (slot.state != State::kRunnable) continue;
-      progressed = true;
       current_ = rank;
       slot.fiber->Resume();
       current_ = -1;
@@ -51,9 +55,9 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
         ++done;
       }
     }
+    runnable_.clear();
     if (done >= num_workers) break;
     if (WakeReadyWaiters()) continue;
-    if (progressed) continue;  // fresh blocks may have changed state
     if (engine_ != nullptr && PumpEngine()) continue;
     DiagnoseDeadlock();
   }
@@ -80,35 +84,64 @@ void CoopScheduler::Wait(const std::function<bool()>& pred,
   slot.state = State::kRunnable;
 }
 
+void CoopScheduler::Wake(int rank) {
+  SPARDL_DCHECK(rank >= 0 && rank < static_cast<int>(slots_.size()));
+  if (slots_[static_cast<size_t>(rank)].state == State::kWaiting) {
+    woken_.push_back(rank);  // may repeat: each entry costs one check
+  }
+}
+
+void CoopScheduler::WakeAll() { wake_all_ = true; }
+
 bool CoopScheduler::WakeReadyWaiters() {
   // Predicates are evaluated lock-free: every fiber shares this OS
   // thread, so nothing mutates predicate state concurrently.
-  bool woke = false;
-  for (WorkerSlot& slot : slots_) {
-    if (slot.state != State::kWaiting) continue;
-    if ((*slot.pred)()) {
+  const auto try_wake = [this](int rank) {
+    WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
+    if (slot.state == State::kWaiting && (*slot.pred)()) {
       slot.state = State::kRunnable;
-      woke = true;
+      runnable_.push_back(rank);
     }
+  };
+  if (wake_all_) {
+    wake_all_ = false;
+    for (int rank = 0; rank < static_cast<int>(slots_.size()); ++rank) {
+      try_wake(rank);
+    }
+  } else {
+    for (const int rank : woken_) try_wake(rank);
   }
-  return woke;
+  woken_.clear();
+  return !runnable_.empty();
 }
 
 bool CoopScheduler::PumpEngine() {
   // Every worker is blocked, so this is exactly the engine's quiescent
   // cut — the same point the thread backend pumps at, hence the same
   // deterministic (time, key) event order. Pumping pauses as soon as a
-  // resolution makes some waiter runnable: that worker may inject new,
+  // resolution makes its receiver runnable: that worker may inject new,
   // earlier-keyed flows that must precede later queue entries.
+  const uint64_t p = slots_.size();
   std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
   while (!engine_->QueueEmptyLocked()) {
     const uint64_t resolved = engine_->PumpOneLocked();
-    if (resolved != 0 && WakeReadyWaiters()) return true;
+    if (resolved == 0) continue;
+    // The key's upper half is src*P + dst: only dst waits on this flow.
+    Wake(static_cast<int>((resolved >> 32) % p));
+    if (WakeReadyWaiters()) return true;
   }
   return false;
 }
 
 void CoopScheduler::DiagnoseDeadlock() {
+  // Terminal path only, so the full scan is free: a waiter that is in
+  // fact ready means some state change skipped its `Wake` — a scheduler
+  // bug, not an SPMD deadlock.
+  for (size_t rank = 0; rank < slots_.size(); ++rank) {
+    const WorkerSlot& slot = slots_[rank];
+    SPARDL_CHECK(slot.state != State::kWaiting || !(*slot.pred)())
+        << "scheduler missed a wake-up for worker " << rank;
+  }
   std::string detail;
   int shown = 0;
   for (size_t rank = 0; rank < slots_.size(); ++rank) {

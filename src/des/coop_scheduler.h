@@ -18,13 +18,31 @@ class EventEngine;
 /// execution for large clusters (P = 1024–4096 on one machine).
 ///
 /// Scheduling model. Workers run in rank order; a worker keeps the
-/// carrier thread until it blocks (`Wait`) or finishes. When no worker
-/// is runnable the scheduler (1) wakes every waiter whose predicate now
-/// holds, in rank order, and otherwise (2) pumps the event engine until
-/// a resolution readies some waiter. If neither helps, the SPMD program
-/// is deadlocked and the scheduler aborts immediately with every
-/// waiter's diagnostic — the cooperative analogue of the thread
-/// backend's wall-clock watchdog, minus the 120 s wait.
+/// carrier thread until it blocks (`Wait`) or finishes. Each round
+/// resumes the sorted list of runnable ranks. When it is empty the
+/// scheduler (1) re-checks the predicates of the waiters some event has
+/// marked with `Wake`/`WakeAll` and makes the ready ones runnable, and
+/// otherwise (2) pumps the event engine until a resolution readies some
+/// waiter. If neither helps, the SPMD program is deadlocked and the
+/// scheduler aborts immediately with every waiter's diagnostic — the
+/// cooperative analogue of the thread backend's wall-clock watchdog,
+/// minus the 120 s wait.
+///
+/// Targeted wake-ups. A predicate is only re-evaluated after an event
+/// that can make it true, so one message costs O(1) scheduler work, not
+/// a scan of all P waiters. There are four such events, and each names
+/// whom it releases:
+///   - the engine resolves a flow: `PumpEngine` wakes its receiver;
+///   - a packet lands in a busy-until mailbox: `Network::Post` wakes
+///     the destination;
+///   - a barrier or clock-sync round completes: its last arriver calls
+///     `WakeAll` (every other worker is a participant);
+///   - a protocol violation: `Network::InterruptWaiters` calls `WakeAll`.
+/// A new wait site whose predicate can become true some other way must
+/// add the matching `Wake`; a missed one aborts at the stall with
+/// "scheduler missed a wake-up" rather than a false deadlock report.
+/// Because every ready waiter is marked, the woken set at each decision
+/// point equals a full scan's, and so does the schedule.
 ///
 /// Determinism. The carrier is one OS thread, so the interleaving is a
 /// pure function of the SPMD program: no wall-clock or scheduler
@@ -61,6 +79,16 @@ class CoopScheduler {
   void Wait(const std::function<bool()>& pred,
             const std::function<std::string()>& describe);
 
+  /// Marks `rank` as possibly ready: its predicate is re-checked at the
+  /// next decision point. Call after any state change that can make
+  /// that worker's wait predicate true. A no-op unless `rank` is waiting
+  /// (a runnable worker checks its predicate before it waits).
+  void Wake(int rank);
+
+  /// Marks every waiter as possibly ready (one full predicate scan at
+  /// the next decision point). For events that release all workers.
+  void WakeAll();
+
   /// The scheduler driving the calling thread's current fiber, or null
   /// on a plain OS thread — the branch every blocking site takes
   /// between cooperative yield and condition-variable wait.
@@ -78,17 +106,22 @@ class CoopScheduler {
     const std::function<std::string()>* describe = nullptr;
   };
 
-  /// Moves every waiter whose predicate holds to runnable (rank order).
-  /// Returns true if any worker woke.
+  /// Moves every marked waiter whose predicate holds to runnable (all
+  /// waiters after `WakeAll`). Returns true if any worker woke.
   bool WakeReadyWaiters();
 
   /// Pumps engine events until some waiter's predicate holds (or the
   /// queue drains). Returns true if a waiter is now runnable.
   bool PumpEngine();
 
+  /// Aborts with every waiter's diagnostic, or with "scheduler missed a
+  /// wake-up" if some waiter's predicate in fact holds.
   [[noreturn]] void DiagnoseDeadlock();
 
   std::vector<WorkerSlot> slots_;
+  std::vector<int> runnable_;  // ranks to resume next round
+  std::vector<int> woken_;     // waiters marked by `Wake`
+  bool wake_all_ = false;
   EventEngine* engine_ = nullptr;
   int current_ = -1;  // rank of the running fiber, -1 in the scheduler
 };

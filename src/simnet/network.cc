@@ -12,6 +12,24 @@
 
 namespace spardl {
 
+namespace {
+
+// On the cooperative backend a wait ends only when someone says whom an
+// event can release (see CoopScheduler); on threads the cv notify does it.
+void WakeFiber(int rank) {
+  if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+    scheduler->Wake(rank);
+  }
+}
+
+void WakeAllFibers() {
+  if (CoopScheduler* scheduler = CoopScheduler::Current()) {
+    scheduler->WakeAll();
+  }
+}
+
+}  // namespace
+
 size_t PayloadWords(const Payload& payload) {
   struct Visitor {
     size_t operator()(const SparseVector& v) const { return v.WireWords(); }
@@ -102,6 +120,7 @@ void Network::ThrowIfInterrupted() const {
 }
 
 void Network::InterruptWaiters() {
+  WakeAllFibers();
   if (engine_) {
     std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
     engine_->NotifyAllLocked();
@@ -132,6 +151,7 @@ void Network::Post(int src, int dst, Packet packet) {
   SPARDL_DCHECK(src >= 0 && src < size_);
   SPARDL_DCHECK(dst >= 0 && dst < size_);
   Mailbox& box = BoxFor(src, dst);
+  ++queued_packets_;
   if (engine_) {
     // Inject the flow at *send* time: its route and logical injection time
     // are fully known here, and charging from the sender side is what
@@ -148,6 +168,7 @@ void Network::Post(int src, int dst, Packet packet) {
     box.queue.push_back(std::move(packet));
   }
   box.cv.notify_all();
+  WakeFiber(dst);
 }
 
 Network::Delivered Network::RecvPacket(int src, int dst, int tag,
@@ -175,6 +196,7 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
     const auto it = find_tag();
     Delivered delivered{std::move(*it), 0.0};
     box.queue.erase(it);
+    --queued_packets_;
     const double arrival =
         engine_->TakeArrivalLocked(delivered.packet.flow);
     // Traversal overlaps receiver compute; consumption waits for whichever
@@ -223,6 +245,7 @@ Packet Network::Take(int src, int dst, int tag) {
       if (it->tag == tag) {
         Packet packet = std::move(*it);
         box.queue.erase(it);
+        --queued_packets_;
         return packet;
       }
     }
@@ -265,6 +288,7 @@ void Network::BarrierWait() {
     const uint64_t my_generation = barrier_generation_;
     if (arrive()) {
       engine_->NotifyAllLocked();
+      WakeAllFibers();
       return;
     }
     engine_->BlockUntil(
@@ -281,6 +305,7 @@ void Network::BarrierWait() {
   const uint64_t my_generation = barrier_generation_;
   if (arrive()) {
     barrier_cv_.notify_all();
+    WakeAllFibers();
     return;
   }
   const auto released = [&] {
@@ -315,6 +340,7 @@ double Network::MaxClockSync(int rank, double value) {
     const uint64_t my_generation = sync_generation_;
     if (publish()) {
       engine_->NotifyAllLocked();
+      WakeAllFibers();
       return sync_result_;
     }
     engine_->BlockUntil(
@@ -329,6 +355,7 @@ double Network::MaxClockSync(int rank, double value) {
   const uint64_t my_generation = sync_generation_;
   if (publish()) {
     sync_cv_.notify_all();
+    WakeAllFibers();
     return sync_result_;
   }
   const auto latched = [&] {
@@ -348,22 +375,7 @@ double Network::MaxClockSync(int rank, double value) {
 }
 
 bool Network::AllMailboxesEmpty() const {
-  const size_t count = MailboxCount();
-  if (engine_) {
-    std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
-    for (size_t i = 0; i < count; ++i) {
-      const Mailbox* box = mailboxes_[i].load(std::memory_order_acquire);
-      if (box != nullptr && !box->queue.empty()) return false;
-    }
-    return true;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    Mailbox* box = mailboxes_[i].load(std::memory_order_acquire);
-    if (box == nullptr) continue;
-    std::lock_guard<lockcheck::OrderedMutex> lock(box->mutex);
-    if (!box->queue.empty()) return false;
-  }
-  return true;
+  return queued_packets_.load() == 0;
 }
 
 void Network::ResetSimState() {

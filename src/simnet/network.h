@@ -226,6 +226,11 @@ class Network {
   /// P^2 lazily-populated slots (see `BoxFor`); null until first touch.
   /// Owned: the destructor deletes every created box.
   std::unique_ptr<std::atomic<Mailbox*>[]> mailboxes_;
+  /// Packets posted and not yet received, over all mailboxes: makes
+  /// `AllMailboxesEmpty` O(1) instead of a walk over P^2 slots. Atomic
+  /// because thread-backend workers post and receive under different
+  /// mailbox mutexes.
+  std::atomic<int64_t> queued_packets_{0};
 
   // Reusable barrier (generation-counted; std::barrier needs a fixed
   // completion type, a hand-rolled one is simpler to reuse).

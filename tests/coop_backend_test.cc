@@ -4,7 +4,9 @@
 // thread backend on the same workload, protocol diagnosis intact, and a
 // bounded deadlock diagnosis (the scheduler aborts with a waiter dump the
 // moment no fiber can run and no event can be pumped, instead of hanging
-// on parked threads).
+// on parked threads). Wake-ups are targeted: a waiter's predicate is
+// re-checked only after an event names it, so the scheduler's work per
+// message is O(1) at any P, and a missed wake aborts loudly.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 
 #include "baselines/registry.h"
 #include "common/logging.h"
+#include "des/coop_scheduler.h"
 #include "dl/grad_profile.h"
 #include "simnet/cluster.h"
 #include "sparse/sparse_vector.h"
@@ -292,6 +295,67 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedOnBusyEngine) {
         });
       },
       "collective deadlock");
+}
+
+// Targeted wake-ups, pinned by work instead of wall clock: P fibers pass a
+// token around a ring for a few laps, each holder waking only its
+// successor. Every round then releases one fiber, so a scheduler that
+// re-scanned all waiters per decision would evaluate ~P^2 * laps / 2
+// predicates; the targeted one evaluates each waiter's a constant number
+// of times per wait.
+TEST(CoopSchedulerTest, RingTokenEvaluatesPredicatesLinearly) {
+  if (!FiberBackendAvailable()) {
+    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  }
+  constexpr int kWorkers = 1024;
+  constexpr int kLaps = 3;
+  int token = 0;
+  int64_t evaluations = 0;
+  int passes = 0;
+  CoopScheduler scheduler;
+  scheduler.Run(kWorkers, /*engine=*/nullptr, [&](int rank) {
+    for (int lap = 0; lap < kLaps; ++lap) {
+      CoopScheduler::Current()->Wait(
+          [&] {
+            ++evaluations;
+            return token == rank;
+          },
+          [] { return std::string("ring token"); });
+      const int next = (rank + 1) % kWorkers;
+      token = next;
+      ++passes;
+      CoopScheduler::Current()->Wake(next);
+    }
+  });
+  EXPECT_EQ(passes, kWorkers * kLaps);
+  // Per wait: the caller's own check, the scheduler's check after the
+  // wake, and the caller's re-check on resume.
+  EXPECT_LE(evaluations, int64_t{3} * kWorkers * kLaps);
+}
+
+// A predicate flipped behind the scheduler's back (no `Wake`) is a
+// scheduler bug, and the stall must say so instead of blaming the SPMD
+// program with a false "collective deadlock?".
+TEST(CoopSchedulerDeathTest, MissedWakeIsReportedNotCalledDeadlock) {
+  if (!FiberBackendAvailable()) {
+    GTEST_SKIP() << "fiber backend compiled out under TSan";
+  }
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        bool released = false;
+        CoopScheduler scheduler;
+        scheduler.Run(2, /*engine=*/nullptr, [&released](int rank) {
+          if (rank == 0) {
+            CoopScheduler::Current()->Wait(
+                [&released] { return released; },
+                [] { return std::string("side-channel flag"); });
+          } else {
+            released = true;  // the bug under test: no Wake(0)
+          }
+        });
+      },
+      "scheduler missed a wake-up for worker 0");
 }
 
 }  // namespace

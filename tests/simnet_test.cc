@@ -201,5 +201,16 @@ TEST(NetworkTest, MailboxesEmptyAfterBalancedTraffic) {
   EXPECT_TRUE(cluster.network().AllMailboxesEmpty());
 }
 
+TEST(NetworkDeathTest, UnconsumedMessageFailsTheRun) {
+  EXPECT_DEATH(
+      {
+        Cluster cluster(2, CostModel::Free());
+        (void)cluster.Run([](Comm& comm) {
+          if (comm.rank() == 0) comm.Send(1, Payload(int64_t{1}));
+        });
+      },
+      "left unconsumed messages");
+}
+
 }  // namespace
 }  // namespace spardl
