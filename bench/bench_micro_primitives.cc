@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "collectives/sparse_allgather.h"
@@ -41,6 +42,14 @@ SparseVector RandomSparse(size_t n, size_t nnz, uint64_t seed) {
   return out;
 }
 
+// Best-of-repetitions aggregate for the perf-gated kernels: over
+// items_per_second it is the fastest repetition. The tier-1 gate
+// (cmake/RunBenchMicroJson.cmake) records it because on a shared host the
+// fastest of many interleaved repetitions is far steadier than one pass.
+double MaxOf(const std::vector<double>& v) {
+  return *std::max_element(v.begin(), v.end());
+}
+
 void BM_TopKDense(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t k = n / 100;
@@ -55,7 +64,8 @@ void BM_TopKDense(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TopKDense)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
+BENCHMARK(BM_TopKDense)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22)
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_TopKSparse(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
@@ -70,7 +80,8 @@ void BM_TopKSparse(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));
 }
-BENCHMARK(BM_TopKSparse)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_TopKSparse)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_TopKSparseWarm(benchmark::State& state) {
   // The SRS re-sparsification pattern: the same selector repeatedly
@@ -89,7 +100,8 @@ void BM_TopKSparseWarm(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));
 }
-BENCHMARK(BM_TopKSparseWarm)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_TopKSparseWarm)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_MergeSum(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
@@ -103,7 +115,8 @@ void BM_MergeSum(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(a.size() + b.size()));
 }
-BENCHMARK(BM_MergeSum)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_MergeSum)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_SumAll(benchmark::State& state) {
   // P-way merge-sum, the SAG/all-gather reduction primitive. Wide index
@@ -123,7 +136,8 @@ void BM_SumAll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(total));
 }
-BENCHMARK(BM_SumAll)->Arg(3)->Arg(8)->Arg(17);
+BENCHMARK(BM_SumAll)->Arg(3)->Arg(8)->Arg(17)
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_SrsBagLayout(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
