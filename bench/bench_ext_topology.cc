@@ -9,13 +9,10 @@
 // exchanges degrade most gracefully.
 //
 //   $ ./build/bench/bench_ext_topology [--workers N] [--iterations N]
-//         [--topology SPEC] [--engine busy|event]
-//         [--placement contiguous|rack|interleaved]
+//         [--topology SPEC] [--placement contiguous|rack|interleaved]
 //
-// --topology replaces the sweep with one fabric; --engine selects the
-// charge engine for every fabric (event = the deterministic simnet v3
-// discrete-event engine); --placement pins SparDL's team layout for the
-// method table. A second table compares the three placement policies for
+// --topology replaces the sweep with one fabric; --placement pins
+// SparDL's team layout for the method table. A second table compares the three placement policies for
 // SparDL (d = 2) on every multi-rack fabric of the sweep.
 
 #include <cstdio>
@@ -57,9 +54,6 @@ int main(int argc, char** argv) {
         return spec.kind == TopologyKind::kRing ||
                spec.kind == TopologyKind::kTorus;
       });
-    }
-    if (args.engine.has_value()) {
-      for (TopologySpec& fabric : fabrics) fabric.engine = *args.engine;
     }
   }
   if (large_p) {

@@ -52,12 +52,10 @@ int main(int argc, char** argv) {
         options.num_workers = p;
         options.k_ratio = 0.001;
         options.measured_iterations = args.iterations_or(1);
-        TopologySpec spec =
+        options.topology =
             TopologySpec::FatTree(p, /*rack_size=*/8, /*oversubscription=*/
                                   4.0, CostModel::Ethernet(),
                                   /*num_cores=*/2);
-        if (args.engine) spec.engine = *args.engine;
-        options.topology = spec;
         const auto wall_start = std::chrono::steady_clock::now();
         const bench::PerUpdateResult r =
             bench::MeasurePerUpdate(algo, synth, options);

@@ -6,10 +6,10 @@
 // nothing.
 //
 //   $ ./build/bench/bench_fig14_team_impact [--workers N] [--iterations N]
-//         [--topology SPEC] [--engine busy|event]
+//         [--topology SPEC]
 //         [--placement contiguous|rack|interleaved]
 //
-// --topology/--engine rerun the d sweep on a non-flat fabric (the same
+// --topology reruns the d sweep on a non-flat fabric (the same
 // wiring fig9/ext_topology have; the comparison is meaningless if the d
 // sweep silently stays flat), --workers replaces the two paper cluster
 // sizes with one custom P (d = every divisor), and --placement pins the

@@ -18,12 +18,12 @@ namespace {
 
 constexpr const char* kFlagHelp =
     "(supported flags: --workers N, --iterations N, --topology SPEC, "
-    "--engine busy|event, --backend thread|fiber, "
+    "--backend thread|fiber, "
     "--placement contiguous|rack|interleaved, "
     "--trace-out PATH, --metrics-out PATH, --metrics-csv PATH, "
     "--timeseries-out PATH, --protocol-check; env "
     "SPARDL_BENCH_WORKERS, SPARDL_BENCH_ITERATIONS, SPARDL_BENCH_TOPOLOGY, "
-    "SPARDL_BENCH_ENGINE, SPARDL_BENCH_BACKEND, SPARDL_BENCH_PLACEMENT, "
+    "SPARDL_BENCH_BACKEND, SPARDL_BENCH_PLACEMENT, "
     "SPARDL_BENCH_TRACE_OUT, "
     "SPARDL_BENCH_METRICS_OUT, SPARDL_BENCH_METRICS_CSV, "
     "SPARDL_BENCH_TIMESERIES_OUT, SPARDL_BENCH_PROTOCOL_CHECK)";
@@ -143,16 +143,6 @@ ExecBackend ParseBackendOrDie(const std::string& text) {
   std::exit(2);
 }
 
-ChargeEngine ParseEngineOrDie(const std::string& text) {
-  if (text == "busy" || text == "busy-until") return ChargeEngine::kBusyUntil;
-  if (text == "event" || text == "event-ordered") {
-    return ChargeEngine::kEventOrdered;
-  }
-  std::fprintf(stderr, "bad value '%s' for --engine: want busy|event %s\n",
-               text.c_str(), kFlagHelp);
-  std::exit(2);
-}
-
 std::optional<int> EnvInt(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return std::nullopt;
@@ -172,9 +162,6 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
   args.workers = EnvInt("SPARDL_BENCH_WORKERS");
   args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
   args.topology = EnvString("SPARDL_BENCH_TOPOLOGY");
-  if (auto engine = EnvString("SPARDL_BENCH_ENGINE")) {
-    args.engine = ParseEngineOrDie(*engine);
-  }
   if (auto backend = EnvString("SPARDL_BENCH_BACKEND")) {
     args.backend = ParseBackendOrDie(*backend);
   }
@@ -195,8 +182,6 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
       args.iterations = *iters;
     } else if (auto topo = MatchStringFlag("topology", argc, argv, &i)) {
       args.topology = *topo;
-    } else if (auto engine = MatchStringFlag("engine", argc, argv, &i)) {
-      args.engine = ParseEngineOrDie(*engine);
     } else if (auto backend = MatchStringFlag("backend", argc, argv, &i)) {
       args.backend = ParseBackendOrDie(*backend);
     } else if (auto place = MatchStringFlag("placement", argc, argv, &i)) {
@@ -360,29 +345,22 @@ TopologySpec ResolveFabric(const std::optional<TopologySpec>& topology,
 std::optional<TopologySpec> HarnessArgs::TopologyOr(
     std::optional<TopologySpec> fallback, int num_workers,
     CostModel cost) const {
-  std::optional<TopologySpec> spec = fallback;
-  if (topology.has_value()) {
-    auto parsed = TopologySpec::Parse(*topology, num_workers, cost);
-    // Build-validate too (grid/worker-count agreement, parameter ranges),
-    // so a parseable-but-invalid spec is a clean usage error instead of a
-    // CHECK abort mid-run.
-    if (parsed.ok()) {
-      if (auto built = (*parsed).Build(); !built.ok()) {
-        parsed = built.status();
-      }
+  if (!topology.has_value()) return fallback;
+  auto parsed = TopologySpec::Parse(*topology, num_workers, cost);
+  // Build-validate too (grid/worker-count agreement, parameter ranges),
+  // so a parseable-but-invalid spec is a clean usage error instead of a
+  // CHECK abort mid-run.
+  if (parsed.ok()) {
+    if (auto built = (*parsed).Build(); !built.ok()) {
+      parsed = built.status();
     }
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "bad --topology: %s\n",
-                   parsed.status().ToString().c_str());
-      std::exit(2);
-    }
-    spec = *parsed;
   }
-  if (engine.has_value()) {
-    if (!spec.has_value()) spec = TopologySpec::Flat(num_workers, cost);
-    spec->engine = *engine;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bad --topology: %s\n",
+                 parsed.status().ToString().c_str());
+    std::exit(2);
   }
-  return spec;
+  return *parsed;
 }
 
 PerUpdateResult MeasurePerUpdate(const std::string& algo_name,

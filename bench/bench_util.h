@@ -21,7 +21,6 @@ namespace bench {
 ///   --workers=N / --workers N       cluster size override
 ///   --iterations=N / --iterations N measured iterations override
 ///   --topology=SPEC                 fabric override ("fattree:4x8x2", ...)
-///   --engine=busy|event             charge engine override
 ///   --backend=thread|fiber          worker execution backend override
 ///   --placement=POLICY              team layout (contiguous|rack|interleaved)
 ///   --trace-out=PATH                Chrome trace JSON of the last traced run
@@ -30,13 +29,12 @@ namespace bench {
 ///   --timeseries-out=PATH           per-iteration time-series JSON (last run)
 ///
 /// with `SPARDL_BENCH_WORKERS` / `SPARDL_BENCH_ITERATIONS` /
-/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_ENGINE` /
-/// `SPARDL_BENCH_BACKEND` /
+/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_BACKEND` /
 /// `SPARDL_BENCH_PLACEMENT` / `SPARDL_BENCH_TRACE_OUT` /
 /// `SPARDL_BENCH_METRICS_OUT` / `SPARDL_BENCH_METRICS_CSV` /
 /// `SPARDL_BENCH_TIMESERIES_OUT` environment variables as defaults
 /// (flag > env > the bench's built-in value), so CI can run the expensive
-/// harnesses at smoke-tier sizes — and on any fabric/engine/team layout,
+/// harnesses at smoke-tier sizes — and on any fabric/team layout,
 /// with artifacts — without editing code. Unknown `--` flags abort with a
 /// usage message; positional args are left for the bench to interpret.
 ///
@@ -47,9 +45,8 @@ namespace bench {
 struct HarnessArgs {
   std::optional<int> workers;
   std::optional<int> iterations;
-  /// A `TopologySpec::Parse` string (may carry a "+event" suffix).
+  /// A `TopologySpec::Parse` string.
   std::optional<std::string> topology;
-  std::optional<ChargeEngine> engine;
   /// `--backend thread|fiber`: worker execution backend for every
   /// cluster this bench builds (unset = the process default, i.e.
   /// `SPARDL_EXEC_BACKEND` or thread-per-worker).
@@ -74,8 +71,8 @@ struct HarnessArgs {
 
   /// The fabric this run should use: `--topology` (parsed with `workers`
   /// and `cost`) when given, else `fallback` (nullopt = the bench's
-  /// default, usually flat); `--engine` overrides the engine either way.
-  /// Parse errors abort with a usage message.
+  /// default, usually flat). Parse and build errors abort with a usage
+  /// message.
   std::optional<TopologySpec> TopologyOr(
       std::optional<TopologySpec> fallback, int num_workers,
       CostModel cost = CostModel::Ethernet()) const;

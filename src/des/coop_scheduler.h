@@ -33,7 +33,7 @@ class EventEngine;
 /// a scan of all P waiters. There are four such events, and each names
 /// whom it releases:
 ///   - the engine resolves a flow: `PumpEngine` wakes its receiver;
-///   - a packet lands in a busy-until mailbox: `Network::Post` wakes
+///   - a packet lands in a flat-fabric mailbox: `Network::Post` wakes
 ///     the destination;
 ///   - a barrier or clock-sync round completes: its last arriver calls
 ///     `WakeAll` (every other worker is a participant);
@@ -66,8 +66,8 @@ class CoopScheduler {
 
   /// Runs `body(rank)` for every rank in [0, num_workers) to
   /// completion on fibers. `engine` is the fabric's event engine, or
-  /// null on busy-until fabrics (nothing to pump; waiters are only
-  /// released by other workers' actions). Not reentrant.
+  /// null on flat (nothing to pump; waiters are only released by other
+  /// workers' actions). Not reentrant.
   void Run(int num_workers, EventEngine* engine,
            const std::function<void(int)>& body);
 

@@ -85,8 +85,7 @@ uint64_t EventEngine::PumpOneLocked() {
   Flow& flow = it->second;
 
   const LinkId id = flow.path[static_cast<size_t>(flow.hop)];
-  // link_info folds SetNodeScale into alpha/beta, exactly like the
-  // busy-until engine's per-hop loop.
+  // link_info folds SetNodeScale into alpha/beta.
   const LinkInfo link = topology_.link_info(id);
   const double serialize = link.beta * static_cast<double>(flow.words);
   const uint64_t bytes = static_cast<uint64_t>(flow.words) * 4;

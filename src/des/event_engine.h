@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/lockcheck.h"
+#include "obs/trace.h"
 #include "topo/topology.h"
 
 namespace spardl {
@@ -74,10 +75,10 @@ class EventQueue {
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
 };
 
-/// Per-link transmission server: owns the link's busy-until clock and
-/// applies the cut-through hop arithmetic (identical to the busy-until
-/// engine's `Topology::ChargeMessage` inner loop, so the two engines agree
-/// exactly whenever they see the same per-link event order).
+/// Per-link FIFO transmission server: tracks until when the link is
+/// occupied and applies the cut-through hop arithmetic. On an uncontended
+/// path the served hops add up to sum(alpha) + max(beta * words), the
+/// fabric's reference budget.
 class LinkServer {
  public:
   /// Serves one header arriving at `head_in`: the header leaves at
@@ -109,16 +110,16 @@ class LinkServer {
   LinkUsage usage_;
 };
 
-/// The simnet v3 deterministic discrete-event engine.
+/// The deterministic discrete-event engine that charges every non-flat
+/// fabric.
 ///
-/// Motivation: the busy-until engine charges a flow's whole route when its
-/// *receiver* executes `Recv`, so two flows contending for a link queue in
-/// whatever wall-clock order the receiving threads ran — contended times
-/// shift run to run. This engine instead injects a flow when its *sender*
-/// posts it (link occupancy was already anchored at logical send times, so
-/// no receiver-side information is needed) and processes per-hop
-/// transmission events in `(time, flow key)` order from a global
-/// `EventQueue`.
+/// A flow is injected when its *sender* posts it (link occupancy is
+/// anchored at logical send times, so no receiver-side information is
+/// needed), and per-hop transmission events are processed in
+/// `(time, flow key)` order from a global `EventQueue`. Two flows
+/// contending for a link therefore queue in an order fixed by the SPMD
+/// program, never by which receiving thread happened to run first, so
+/// contended times are bit-identical across runs and backends.
 ///
 /// Conservative processing: worker threads run freely between blocking
 /// points; the queue is pumped at *quiescent cuts* — every registered

@@ -48,8 +48,6 @@ std::string_view SegmentKindName(SegmentKind kind) {
       return "link-alpha";
     case SegmentKind::kLinkSerialize:
       return "link-serialize";
-    case SegmentKind::kNetwork:
-      return "network";
     case SegmentKind::kNumSegmentKinds:
       break;
   }
@@ -235,25 +233,24 @@ CriticalPathReport ExtractCriticalPath(const Cluster& cluster) {
           }
           break;
         }
-        // No per-hop record: the closed-form flat fabric still yields an
-        // exact alpha/serialize split; anything else (busy-until engine,
-        // or a flow that resolved before tracing attached) becomes one
-        // opaque network segment. Either way the chain continues at the
-        // send instant when the sender gated delivery, else on this
-        // worker's own earlier timeline.
+        // No per-hop record: only the flat fabric's closed form may get
+        // here, and it still yields an exact alpha/serialize split. The
+        // chain continues at the send instant when the sender gated
+        // delivery, else on this worker's own earlier timeline. Anything
+        // else is a gap in the records and breaks the identity.
+        if (rec.flow != 0 || cluster.network().event_ordered() ||
+            t != leaf.t1) {
+          ok = false;
+          break;
+        }
         const double s0 = rec.sent_at > leaf.t0 ? rec.sent_at : leaf.t0;
         const Topology& topology = cluster.topology();
-        if (rec.flow == 0 && topology.closed_form_charge() &&
-            t == leaf.t1) {
-          const double alpha =
-              topology.base_cost().alpha * topology.NodeScale(w);
-          double mid = s0 + alpha;
-          if (mid > t) mid = t;
-          attribute(mid, t, SegmentKind::kLinkSerialize, w, -1, leaf.phase);
-          attribute(s0, mid, SegmentKind::kLinkAlpha, w, -1, leaf.phase);
-        } else {
-          attribute(s0, t, SegmentKind::kNetwork, w, -1, leaf.phase);
-        }
+        const double alpha =
+            topology.base_cost().alpha * topology.NodeScale(w);
+        double mid = s0 + alpha;
+        if (mid > t) mid = t;
+        attribute(mid, t, SegmentKind::kLinkSerialize, w, -1, leaf.phase);
+        attribute(s0, mid, SegmentKind::kLinkAlpha, w, -1, leaf.phase);
         if (ok && rec.sent_at > leaf.t0) w = rec.src;
         break;
       }
@@ -316,9 +313,7 @@ std::vector<WhatIfResult> EstimateWhatIfs(const CriticalPathReport& report,
     const LinkInfo info = topology.link_info(link);
     return info.tail >= p && info.head >= p;
   };
-  // Each hypothetical maps a segment to its shrunk duration. kNetwork
-  // segments (busy-until engine) are never shrunk — the bound stays
-  // optimistic-but-safe on what was actually attributed.
+  // Each hypothetical maps a segment to its shrunk duration.
   struct Scenario {
     const char* name;
     double (*price)(const CriticalSegment&, bool trunk);

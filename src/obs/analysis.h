@@ -18,17 +18,15 @@ class Cluster;
 ///
 /// `kCompute`/`kOverlapIdle` lie on a worker's own timeline; the three
 /// `kLink*` kinds decompose an event-engine flow into per-hop queueing,
-/// header latency, and (bottleneck) body serialization; `kNetwork` is an
-/// undecomposed network wait — the flat fabric's closed form contributes
-/// alpha/serialize splits without a real LinkId, and the busy-until
-/// engine (which keeps no per-hop records) contributes whole-flow waits.
+/// header latency, and (bottleneck) body serialization. The flat
+/// fabric's closed form contributes alpha/serialize splits without a real
+/// LinkId.
 enum class SegmentKind : uint8_t {
   kCompute = 0,
   kOverlapIdle,
   kLinkQueue,
   kLinkAlpha,
   kLinkSerialize,
-  kNetwork,
   kNumSegmentKinds,
 };
 
@@ -43,7 +41,7 @@ std::string_view SegmentKindName(SegmentKind kind);
 struct CriticalSegment {
   double t0 = 0.0;
   double t1 = 0.0;
-  SegmentKind kind = SegmentKind::kNetwork;
+  SegmentKind kind = SegmentKind::kCompute;
   /// Worker whose wait/compute this interval explains (the receiver, for
   /// link segments).
   int worker = -1;
@@ -92,12 +90,11 @@ struct CriticalPathReport {
 /// Walks the dependency chain backward from the cluster's last clock:
 /// through compute and idle leaves on each worker's timeline, across
 /// barriers to the worker that set the released clock, and through recv
-/// waits into the event engine's per-hop flow records (falling back to
-/// the closed-form alpha/beta split on flat fabrics and to opaque
-/// `kNetwork` waits on the busy-until engine). Requires tracing to have
-/// been enabled for the measured window; returns an empty non-ok report
-/// otherwise. Deterministic: on the event engine the report (and its
-/// JSON) is bit-identical across runs.
+/// waits into the event engine's per-hop flow records (or the closed-form
+/// alpha/beta split on the flat fabric). Requires tracing to have been
+/// enabled for the measured window; returns an empty non-ok report
+/// otherwise. Deterministic: the report (and its JSON) is bit-identical
+/// across runs.
 CriticalPathReport ExtractCriticalPath(const Cluster& cluster);
 
 /// One hypothetical re-pricing of the extracted path.

@@ -165,7 +165,8 @@ RunMetrics CollectRunMetrics(const Cluster& cluster,
   RunMetrics metrics;
   metrics.label = label;
   metrics.topology = cluster.topology().Describe();
-  metrics.engine = cluster.network().event_ordered() ? "event" : "busy";
+  metrics.engine =
+      cluster.network().event_ordered() ? "event" : "closed-form";
   metrics.workers = cluster.size();
   metrics.makespan_seconds = cluster.MaxSimSeconds();
   metrics.total = cluster.TotalStats();

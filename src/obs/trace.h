@@ -85,8 +85,8 @@ struct RecvRecord {
 /// the head enters the queue at `enter`, starts service at `start`
 /// (`start - enter` is queueing), occupies the wire head for the link's
 /// alpha until `head_out`, and the body takes `serialize` seconds to
-/// drain behind it. Links are graph LinkIds (plain int here: topology.h
-/// includes this header).
+/// drain behind it. Links are graph LinkIds (plain int here, so this
+/// header stays independent of topo/).
 struct FlowHop {
   int link = -1;
   double enter = 0.0;
@@ -123,10 +123,9 @@ struct IterationMark {
 ///
 /// Thread safety: `RecordWorker(w, ...)` appends to worker `w`'s own
 /// vector and must only be called from the thread running that worker
-/// (the SPMD ownership the whole simulator is built on). `RecordLink` is
-/// called from whichever thread is charging the fabric and must hold that
-/// engine's mutex (the topology charge mutex or the event-engine mutex —
-/// exactly one is active per network). `Clear` requires no workers
+/// (the SPMD ownership the whole simulator is built on). `RecordLink` and
+/// `RecordFlow` are called from whichever thread is pumping the event
+/// engine and must hold the engine's mutex. `Clear` requires no workers
 /// running.
 class TraceRecorder {
  public:

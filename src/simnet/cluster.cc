@@ -119,7 +119,7 @@ Status Cluster::RunOnThreads(const std::function<void(Comm&)>& worker_fn,
   threads.reserve(comms_.size());
   Network* network = network_.get();
   // Register every worker with the event engine's quiescence detection
-  // (no-op on the busy-until engine) BEFORE any thread starts: if the
+  // (no-op on flat) BEFORE any thread starts: if the
   // engine only learned about workers as their threads got scheduled, the
   // already-started ones could look quiescent and pump contended events
   // ahead of a not-yet-registered worker's earlier-keyed flows — exactly
@@ -216,9 +216,8 @@ void Cluster::ResetClocksAndStats() {
     comm->ResetClock();
     comm->stats().Reset();
   }
-  // Link busy clocks (on either charging engine) must rewind with the
-  // worker clocks, or leftover warm-up occupancy would delay post-reset
-  // flows.
+  // Link busy clocks must rewind with the worker clocks, or leftover
+  // warm-up occupancy would delay post-reset flows.
   network_->ResetSimState();
   // Warm-up spans would otherwise leak into the measured trace.
   if (trace_recorder_) trace_recorder_->Clear();

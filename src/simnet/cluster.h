@@ -125,9 +125,9 @@ class Cluster {
   /// Max per-worker received-messages (the paper's per-worker latency x).
   uint64_t MaxMessagesReceived() const;
 
-  /// Zeroes all clocks and stats — the topology's per-link busy clocks
-  /// and usage counters, and any recorded trace spans (between measured
-  /// phases).
+  /// Zeroes all clocks and stats — the event engine's per-link busy
+  /// clocks and usage counters, and any recorded trace spans (between
+  /// measured phases).
   void ResetClocksAndStats();
 
  private:

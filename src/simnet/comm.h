@@ -98,7 +98,7 @@ class Comm {
   /// clock per the network's topology cost model and returns the payload.
   /// On the default flat fabric this is exactly the legacy α-β charge;
   /// other topologies add per-hop latency and shared-link queueing,
-  /// accounted by whichever `ChargeEngine` the topology selected.
+  /// accounted by the event engine.
   Payload Recv(int src, int tag = 0) {
     SPARDL_DCHECK(src != rank_) << "self-recv";
     if (protocol_ != nullptr) {

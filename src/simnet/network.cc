@@ -54,12 +54,10 @@ Network::Network(int size, CostModel cost_model)
 Network::Network(std::unique_ptr<Topology> topology)
     : topology_(std::move(topology)), size_(topology_->num_workers()) {
   SPARDL_CHECK_GE(size_, 1);
-  // Closed-form fabrics (flat) have no link state to order, so both
-  // engines charge them identically at Recv time — no event engine.
-  if (topology_->charge_engine() == ChargeEngine::kEventOrdered &&
-      !topology_->closed_form_charge()) {
-    engine_ = std::make_unique<EventEngine>(*topology_);
-  }
+  // Flat's closed form has no link state to order; every other fabric is
+  // charged by the event engine.
+  flat_ = dynamic_cast<const FlatTopology*>(topology_.get());
+  if (flat_ == nullptr) engine_ = std::make_unique<EventEngine>(*topology_);
   // Value-initialized: every slot starts null; boxes appear on first
   // touch (see BoxFor). The slot table itself is P^2 * 8 bytes — 134MB
   // at P = 4096 — versus gigabytes for eager Mailbox construction.
@@ -92,17 +90,11 @@ Network::Mailbox& Network::BoxFor(int src, int dst) {
 }
 
 void Network::AttachTraceRecorder(TraceRecorder* recorder) {
-  if (engine_) {
-    // Event mode charges links in PumpOneLocked; the topology's charge
-    // loop never runs, so the engine is the one recording surface.
-    engine_->set_trace_recorder(recorder);
-    return;
-  }
-  topology_->set_trace_recorder(recorder);
+  if (engine_) engine_->set_trace_recorder(recorder);
 }
 
 LinkUsage Network::link_usage(LinkId id) const {
-  return engine_ ? engine_->link_usage(id) : topology_->link_usage(id);
+  return engine_ ? engine_->link_usage(id) : LinkUsage{};
 }
 
 void Network::SetWorkerSlowdown(int rank, double factor) {
@@ -200,14 +192,14 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
     const double arrival =
         engine_->TakeArrivalLocked(delivered.packet.flow);
     // Traversal overlaps receiver compute; consumption waits for whichever
-    // finishes last (same rule as the busy-until engine).
+    // finishes last.
     delivered.delivery_time = std::max(receiver_now, arrival);
     return delivered;
   }
   Delivered delivered{Take(src, dst, tag), 0.0};
   delivered.delivery_time =
-      topology_->ChargeMessage(src, dst, delivered.packet.words,
-                               delivered.packet.sent_at, receiver_now);
+      flat_->ChargeMessage(dst, delivered.packet.words,
+                           delivered.packet.sent_at, receiver_now);
   return delivered;
 }
 
@@ -222,11 +214,6 @@ Network::Delivered Network::RecvPacket(int src, int dst, int tag,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 Packet Network::Take(int src, int dst, int tag) {
-  // Event-mode mailboxes are guarded by the engine mutex and never signal
-  // box.cv — a raw Take there would race and hang. Fail loudly instead.
-  SPARDL_CHECK(engine_ == nullptr)
-      << "Take() bypasses the event engine; use RecvPacket on "
-         "event-ordered fabrics";
   Mailbox& box = BoxFor(src, dst);
   const auto has_tag = [&box, tag] {
     for (const Packet& packet : box.queue) {
@@ -257,8 +244,7 @@ Packet Network::Take(int src, int dst, int tag) {
       // lock-free predicate read is race-free.
       lock.unlock();
       scheduler->Wait([&] { return interrupted() || has_tag(); }, [&] {
-        return StrFormat("Recv dst=%d src=%d tag=%d (busy-until)", dst, src,
-                         tag);
+        return StrFormat("Recv dst=%d src=%d tag=%d (flat)", dst, src, tag);
       });
       lock.lock();
       continue;
@@ -274,9 +260,10 @@ Packet Network::Take(int src, int dst, int tag) {
 #endif
 
 void Network::BarrierWait() {
-  // One state machine for both engines; only the mutex/wait primitive
-  // differs (barrier waiters must count as blocked for the event engine's
-  // quiescence detection, so its wait routes through BlockUntil).
+  // One state machine for both charge paths; only the mutex/wait
+  // primitive differs (barrier waiters must count as blocked for the
+  // event engine's quiescence detection, so its wait routes through
+  // BlockUntil).
   const auto arrive = [&]() -> bool {
     if (++barrier_waiting_ < size_) return false;
     barrier_waiting_ = 0;
@@ -315,7 +302,7 @@ void Network::BarrierWait() {
       scheduler != nullptr) {
     lock.unlock();
     scheduler->Wait(released,
-                    [] { return std::string("BarrierWait (busy-until)"); });
+                    [] { return std::string("BarrierWait (flat)"); });
     lock.lock();
   } else {
     barrier_cv_.wait(lock, released);
@@ -365,7 +352,7 @@ double Network::MaxClockSync(int rank, double value) {
       scheduler != nullptr) {
     lock.unlock();
     scheduler->Wait(latched,
-                    [] { return std::string("MaxClockSync (busy-until)"); });
+                    [] { return std::string("MaxClockSync (flat)"); });
     lock.lock();
   } else {
     sync_cv_.wait(lock, latched);
@@ -381,7 +368,6 @@ bool Network::AllMailboxesEmpty() const {
 void Network::ResetSimState() {
   // Link busy clocks must rewind with the worker clocks, or leftover
   // warm-up occupancy would delay post-reset flows.
-  topology_->ResetLinkClocks();
   if (engine_) engine_->Reset();
 }
 

@@ -18,6 +18,7 @@
 
 namespace spardl {
 
+class FlatTopology;
 class ProtocolChecker;
 
 /// Message payloads the simulated network can carry.
@@ -40,8 +41,8 @@ struct Packet {
   /// Sender's simulated clock when the send was issued.
   double sent_at = 0.0;
   int tag = 0;
-  /// Event-ordered engine only: the flow key assigned at `Post` time
-  /// (0 on the busy-until engine, where charging happens at `Recv`).
+  /// Event engine only: the flow key assigned at `Post` time (0 on the
+  /// flat fabric, whose closed form is charged at `Recv`).
   uint64_t flow = 0;
 };
 
@@ -52,15 +53,14 @@ struct Packet {
 /// and abort the process — a hung collective is always a bug, and a loud
 /// failure beats a silent deadlock in CI.
 ///
-/// Charging engines: when the topology selects
-/// `ChargeEngine::kEventOrdered` (and is not a closed-form fabric like
-/// `FlatTopology`), the network runs a `des::`-style `EventEngine` — flows
-/// are injected at `Post` time, per-hop events are processed in
-/// `(time, flow key)` order, and every blocking operation (receive,
-/// barrier, clock sync) routes through the engine's single mutex so the
-/// last runnable thread pumps the queue. Otherwise the legacy busy-until
-/// engine charges each message inside `Recv` via
-/// `Topology::ChargeMessage`.
+/// Charging: the topology kind alone decides. `FlatTopology` is charged
+/// by its closed form inside `Recv` (`FlatTopology::ChargeMessage`),
+/// with per-mailbox locks. Every other fabric runs a `des::`-style
+/// `EventEngine` — flows are injected at `Post` time, per-hop events are
+/// processed in `(time, flow key)` order, and every blocking operation
+/// (receive, barrier, clock sync) routes through the engine's single
+/// mutex so the last runnable thread pumps the queue. Both paths are
+/// deterministic on both execution backends.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -96,21 +96,23 @@ class Network {
   void SetWorkerSlowdown(int rank, double factor);
   double WorkerSlowdown(int rank) const { return topology_->NodeScale(rank); }
 
-  /// True when the event-ordered engine is charging this fabric.
+  /// True when the event engine is charging this fabric (every fabric
+  /// but flat).
   bool event_ordered() const { return engine_ != nullptr; }
 
-  /// The event engine charging this fabric, or null (busy-until or
-  /// closed-form fabrics). The cooperative scheduler pumps through it
-  /// (`CoopScheduler::Run` takes it by pointer).
+  /// The event engine charging this fabric, or null on flat. The
+  /// cooperative scheduler pumps through it (`CoopScheduler::Run` takes
+  /// it by pointer).
   EventEngine* event_engine() { return engine_.get(); }
 
-  /// Attaches a span recorder to whichever engine charges this fabric
-  /// (per-link occupancy spans). Call while no worker threads run; the
-  /// recorder must outlive them. `Cluster::EnableTracing` does this.
+  /// Attaches a span recorder to the event engine (per-link occupancy
+  /// spans and flow records; no-op on flat, which keeps no link state).
+  /// Call while no worker threads run; the recorder must outlive them.
+  /// `Cluster::EnableTracing` does this.
   void AttachTraceRecorder(TraceRecorder* recorder);
 
-  /// Cumulative charge counters for one link, from whichever engine is
-  /// active. Zero on closed-form fabrics (flat never touches link state).
+  /// Cumulative charge counters for one link. Zero on flat (its closed
+  /// form never touches link state).
   LinkUsage link_usage(LinkId id) const;
 
   /// Deposits a packet into the (src, dst) mailbox. On the event-ordered
@@ -127,19 +129,13 @@ class Network {
   /// (and, on the event engine, until its arrival time is resolved),
   /// removes it and returns it with its delivery time at a receiver whose
   /// clock reads `receiver_now`. Packets with the same tag are delivered
-  /// FIFO. This is the one receive path both charging engines share.
+  /// FIFO.
   Delivered RecvPacket(int src, int dst, int tag, double receiver_now);
 
-  /// Blocks until a packet with `tag` from `src` to `dst` is available and
-  /// removes it. Packets with the same tag are delivered FIFO. Busy-until
-  /// engine only — `RecvPacket` is the engine-agnostic path.
-  Packet Take(int src, int dst, int tag);
-
   /// Worker-thread registration for the event engine's quiescence
-  /// detection (no-ops on the busy-until engine). `Cluster::Run` enters
-  /// every worker before spawning any thread — registration must not
-  /// race with pump eligibility — and each worker exits as its function
-  /// returns.
+  /// detection (no-ops on flat). `Cluster::Run` enters every worker
+  /// before spawning any thread — registration must not race with pump
+  /// eligibility — and each worker exits as its function returns.
   void WorkerEnter() {
     if (engine_) engine_->WorkerEnter();
   }
@@ -148,18 +144,18 @@ class Network {
   }
 
   /// Publishes `rank`'s simulated clock for the event engine's
-  /// safe-horizon pump rule (no-op on the busy-until engine). Called by
-  /// `Comm` on every clock change, without any network lock held.
+  /// safe-horizon pump rule (no-op on flat). Called by `Comm` on every
+  /// clock change, without any network lock held.
   void PublishClock(int rank, double now) {
     if (engine_) engine_->PublishClock(rank, now);
   }
 
-  /// Rewinds all fabric accounting state (per-link busy clocks on either
-  /// engine) between measured phases; worker clocks rewind separately.
+  /// Rewinds the event engine's per-link clocks and counters between
+  /// measured phases (no-op on flat); worker clocks rewind separately.
   void ResetSimState();
 
   /// True when no flow is in flight or awaiting consumption (end-of-run
-  /// invariant; trivially true on the busy-until engine).
+  /// invariant; trivially true on flat).
   bool SimIdle() const { return engine_ == nullptr || engine_->Idle(); }
 
   /// Reusable rendezvous for all `size` workers. `slot` lets callers use
@@ -189,12 +185,16 @@ class Network {
 
  private:
   struct Mailbox {
-    /// Busy-until engine only (event mode guards mailboxes with the
-    /// engine mutex). All P^2 mailbox mutexes are one lock-order family.
+    /// Flat fabric only (event mode guards mailboxes with the engine
+    /// mutex). All P^2 mailbox mutexes are one lock-order family.
     lockcheck::OrderedMutex mutex{"simnet.mailbox"};
     std::condition_variable_any cv;
     std::deque<Packet> queue;
   };
+
+  /// Flat fabric only: blocks until a packet with `tag` from `src` to
+  /// `dst` is available and removes it (FIFO per tag).
+  Packet Take(int src, int dst, int tag);
 
   /// Throws `ProtocolViolation` when the attached checker has diagnosed a
   /// divergence (no-op otherwise). Called at every wait site.
@@ -215,10 +215,12 @@ class Network {
   }
 
   std::unique_ptr<Topology> topology_;
-  /// Non-null when the topology selects the event-ordered engine. In that
-  /// mode the engine's mutex guards the mailboxes and the barrier/sync
-  /// state below; the per-mailbox mutexes and `barrier_mutex_`/`sync_mutex_`
-  /// go unused.
+  /// Non-null exactly when `topology_` is a `FlatTopology`, whose closed
+  /// form `RecvPacket` charges directly.
+  const FlatTopology* flat_ = nullptr;
+  /// Non-null on every other fabric. There the engine's mutex guards the
+  /// mailboxes and the barrier/sync state below; the per-mailbox mutexes
+  /// and `barrier_mutex_`/`sync_mutex_` go unused.
   std::unique_ptr<EventEngine> engine_;
   ProtocolChecker* protocol_ = nullptr;
   int size_;

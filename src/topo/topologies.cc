@@ -31,15 +31,14 @@ void FlatTopology::Route(int src, int dst,
                              static_cast<size_t>(dst)]);
 }
 
-double FlatTopology::ChargeMessage(int src, int dst, size_t words,
-                                   double sent_at, double receiver_now) {
-  (void)src;
+double FlatTopology::ChargeMessage(int dst, size_t words, double sent_at,
+                                   double receiver_now) const {
   // Exact legacy arithmetic (same operation order as the old Comm::Recv,
   // including the branch-style max), so flat simulated times stay
-  // bit-for-bit reproducible. No busy-until update: a per-pair link only
-  // carries (src, dst) traffic, and the receiver's own clock already
-  // serializes those messages, so the link can never be busy when the next
-  // message is ready.
+  // bit-for-bit reproducible. No link state: a per-pair link only carries
+  // (src, dst) traffic, and the receiver's own clock already serializes
+  // those messages, so the link can never be busy when the next message
+  // is ready.
   const double ready = sent_at > receiver_now ? sent_at : receiver_now;
   return ready + base_cost().MessageSeconds(words) * NodeScale(dst);
 }
@@ -75,7 +74,10 @@ FatTreeTopology::FatTreeTopology(int num_workers, int rack_size,
   SPARDL_CHECK_GE(rack_size, 1);
   SPARDL_CHECK_GE(num_cores, 1);
   SPARDL_CHECK_GT(oversubscription, 0.0);
-  num_racks_ = (num_workers + rack_size - 1) / rack_size;
+  // 64-bit ceil: num_workers + rack_size - 1 overflows int for racks
+  // near INT_MAX.
+  num_racks_ = static_cast<int>(
+      (int64_t{num_workers} + rack_size - 1) / rack_size);
   const int kTorBase = num_workers;  // ToR r has id P + r
   const int kCoreBase = num_workers + num_racks_;  // core c has id after ToRs
   for (int w = 0; w < num_workers; ++w) {
@@ -244,7 +246,7 @@ void TorusTopology::Route(int src, int dst,
   path->clear();
   // Dimension-order routing: along the row first, then the column — the
   // deterministic deadlock-free classic, and every (src, dst) pair gets
-  // one fixed path for both charge engines.
+  // one fixed path.
   const int mid = WalkDimension(src, XOf(dst), /*dim=*/0, path);
   WalkDimension(mid, YOf(dst), /*dim=*/1, path);
 }

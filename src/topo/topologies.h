@@ -12,22 +12,24 @@ namespace spardl {
 /// Single crossbar: every ordered worker pair gets a dedicated link with
 /// the full base alpha/beta. This is the paper's flat full-duplex
 /// alpha-beta network (§II) and the historical `CostModel` charging —
-/// `ChargeMessage` is overridden with the exact legacy arithmetic
+/// `ChargeMessage` is the exact legacy arithmetic
 /// (`ready + (alpha + beta*words) * node_scale(dst)`), so simulated times
 /// are bit-for-bit identical to the pre-topology simulator. Dedicated
 /// per-pair links can never contend beyond the receiver serialization the
-/// `Comm` clock already models.
+/// `Comm` clock already models, so `Network` charges this closed form
+/// directly and runs no event engine.
 class FlatTopology : public Topology {
  public:
   FlatTopology(int num_workers, CostModel cost);
 
   std::string_view name() const override { return "flat"; }
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
-  double ChargeMessage(int src, int dst, size_t words, double sent_at,
-                       double receiver_now) override;
-  /// The legacy closed form never reads link state, so both charge
-  /// engines produce bit-identical times and the event engine is skipped.
-  bool closed_form_charge() const override { return true; }
+
+  /// Delivery time at `dst` of a `words`-word message sent at `sent_at`
+  /// to a receiver whose clock reads `receiver_now`. Pure: reads no link
+  /// state.
+  double ChargeMessage(int dst, size_t words, double sent_at,
+                       double receiver_now) const;
 
  private:
   // pair_link_[src * P + dst]; the diagonal is unused (-1).
@@ -86,7 +88,7 @@ class FatTreeTopology : public Topology {
   /// The core switch ECMP pins the (src, dst) flow to, in [0, num_cores).
   /// A deterministic hash of the pair — the simulated analogue of
   /// five-tuple ECMP hashing — so the same flow always takes the same
-  /// core, run to run and engine to engine.
+  /// core, run to run and backend to backend.
   int CoreFor(int src, int dst) const;
 
  private:

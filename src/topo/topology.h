@@ -7,36 +7,12 @@
 #include <string_view>
 #include <vector>
 
-#include "common/lockcheck.h"
-#include "obs/trace.h"
 #include "simnet/cost_model.h"
 
 namespace spardl {
 
 /// Index of a directed link inside a `Topology`.
 using LinkId = int;
-
-/// Which accounting engine charges messages on this fabric.
-///
-///  * `kBusyUntil` — the legacy simnet v2 engine: each `Recv` walks the
-///    route and advances per-link busy-until clocks in the wall-clock
-///    order receivers happen to charge. Cheap and good enough for
-///    uncontended fabrics, but contended times can shift (boundedly) with
-///    thread interleaving.
-///  * `kEventOrdered` — the simnet v3 discrete-event engine (`src/des`):
-///    flows are injected at *send* time and per-hop transmission events
-///    are processed in `(time, flow key)` order, so contended times are
-///    bit-identical across runs regardless of thread scheduling.
-///
-/// Topologies whose charge is a closed form independent of link state
-/// (`FlatTopology`) ignore the choice — both engines produce the exact
-/// legacy arithmetic there.
-enum class ChargeEngine {
-  kBusyUntil,
-  kEventOrdered,
-};
-
-std::string_view ChargeEngineName(ChargeEngine engine);
 
 /// Static description of one directed link, for inspection and tests.
 ///
@@ -50,10 +26,9 @@ struct LinkInfo {
   double beta = 0.0;
 };
 
-/// Cumulative per-link charge counters, maintained by whichever engine is
-/// accounting the fabric (the busy-until charge loop or the DES
-/// `LinkServer`). Closed-form fabrics (`FlatTopology`) never touch link
-/// state, so their counters stay zero.
+/// Cumulative per-link charge counters, maintained by the event engine's
+/// `LinkServer`s. The closed-form `FlatTopology` never touches link state,
+/// so its counters stay zero.
 struct LinkUsage {
   /// Simulated seconds the link was occupied (header latency plus body
   /// serialization of every message that crossed it).
@@ -70,38 +45,30 @@ struct LinkUsage {
 /// links, each with its own latency (alpha, seconds/message) and
 /// serialization cost (beta, seconds/word).
 ///
-/// Subclasses lay out the links and answer `Route(src, dst)`; the base
-/// class owns the link-time accounting engine. A message of `words` sent
-/// at `sent_at` traverses its path for
+/// Subclasses lay out the links and answer `Route(src, dst)`; the fabric
+/// itself is static. An uncontended message of `words` traverses its path
+/// for
 ///
 ///     sum over path links of alpha_l  +  max over path links of beta_l*words
 ///
 /// (cut-through forwarding: the header pays every hop's latency, the body
-/// is serialized once at the bottleneck link), and each link it crosses is
-/// occupied for its own serialization time via a per-link busy-until
-/// clock. Two concurrent flows through a shared link therefore queue
-/// instead of magically overlapping — the behaviour the flat alpha-beta
-/// model of the paper (§II) cannot express. Link occupancy is anchored at
-/// the *send* time, so a receiver that sits in local compute before
-/// ingesting cannot retroactively occupy upstream links; its delivery is
-/// simply `max(receiver_now, network arrival)` (network traversal
-/// overlaps receiver compute on non-flat fabrics).
+/// is serialized once at the bottleneck link). `Network` charges every
+/// fabric except `FlatTopology` through the discrete-event engine
+/// (`src/des`), which serves each link as a FIFO in `(time, flow key)`
+/// order: two concurrent flows through a shared link queue instead of
+/// magically overlapping — the behaviour the flat alpha-beta model of the
+/// paper (§II) cannot express — and the queueing order is a pure function
+/// of the SPMD program, so contended times are bit-identical across runs
+/// and execution backends. Link occupancy is anchored at the *send* time,
+/// so a receiver that sits in local compute before ingesting cannot
+/// retroactively occupy upstream links; its delivery is simply
+/// `max(receiver_now, network arrival)`. `FlatTopology` gives every
+/// ordered worker pair a dedicated link and charges the paper's closed
+/// form instead (bit-for-bit equal to the historical `CostModel`
+/// charging).
 ///
-/// Determinism: on contended links the queueing order is the wall-clock
-/// order in which the receiving workers execute `Recv`. Because occupancy
-/// windows are anchored at logical send times, a different order can only
-/// shift a flow by the other flows' queueing windows (their alpha +
-/// serialization), never by receiver-side compute — bounded, and zero when
-/// contending flows are symmetric. `FlatTopology` gives every ordered
-/// worker pair a dedicated link and overrides the charge with the legacy
-/// closed form, so the default remains exactly deterministic (and
-/// bit-for-bit equal to the historical `CostModel` charging). Tests on
-/// contended topologies should assert order-robust bounds, not exact
-/// times.
-///
-/// Thread safety: `Route` must be const and thread-safe; `ChargeMessage`
-/// serializes on an internal mutex. `SetNodeScale` must be called before
-/// worker threads run (same contract as the old `SetWorkerSlowdown`).
+/// Thread safety: `Route` and `link_info` must be const and thread-safe.
+/// `SetNodeScale` must be called before workers run.
 class Topology {
  public:
   virtual ~Topology() = default;
@@ -120,28 +87,9 @@ class Topology {
   /// One-line human description ("fattree(P=8, racks of 4, oversub 4)").
   virtual std::string Describe() const;
 
-  /// Which accounting engine `Network` should run on this fabric. Set by
-  /// `TopologySpec::Build` (before worker threads run); defaults to the
-  /// legacy busy-until engine.
-  ChargeEngine charge_engine() const { return charge_engine_; }
-  void set_charge_engine(ChargeEngine engine) { charge_engine_ = engine; }
-
-  /// True when `ChargeMessage` is a closed form that never reads or
-  /// advances link state (`FlatTopology`'s exact legacy arithmetic). Such
-  /// fabrics have nothing for an event engine to order, so `Network`
-  /// charges them directly under either `ChargeEngine`.
-  virtual bool closed_form_charge() const { return false; }
-
   /// Writes the link ids a message from worker `src` to worker `dst`
   /// crosses, in order, into `*path` (cleared first). src != dst.
   virtual void Route(int src, int dst, std::vector<LinkId>* path) const = 0;
-
-  /// Advances the per-link clocks for one `words`-word message injected at
-  /// `src` at simulated time `sent_at`; returns its delivery time at
-  /// `dst`, which is never before `receiver_now` (the receiver's clock
-  /// when it ingests). Thread-safe.
-  virtual double ChargeMessage(int src, int dst, size_t words,
-                               double sent_at, double receiver_now);
 
   /// Folds per-worker heterogeneity (the legacy `WorkerSlowdown`) into the
   /// fabric: scales the cost of `node`'s ingress link(s) by `factor`
@@ -151,24 +99,8 @@ class Topology {
     return node_scale_[static_cast<size_t>(node)];
   }
 
-  /// Clears every link's busy-until clock and usage counters (between
-  /// measured phases, in lockstep with resetting worker clocks).
-  void ResetLinkClocks();
-
   int num_links() const { return static_cast<int>(links_.size()); }
   LinkInfo link_info(LinkId id) const;
-
-  /// Cumulative charge counters for one link under the busy-until engine
-  /// (the event engine keeps its own; read merged values via
-  /// `Network::link_usage`). Thread-safe.
-  LinkUsage link_usage(LinkId id) const;
-
-  /// Attaches a span recorder: the busy-until charge loop records one
-  /// `kLink` occupancy span per (message, link crossed). Set while no
-  /// worker threads run; the recorder must outlive charging.
-  void set_trace_recorder(TraceRecorder* recorder) {
-    trace_recorder_ = recorder;
-  }
 
  protected:
   Topology(int num_workers, CostModel base_cost);
@@ -187,21 +119,13 @@ class Topology {
     double alpha;
     double beta;
     double scale = 1.0;
-    double busy_until = 0.0;
-    LinkUsage usage{};
   };
 
   int num_workers_;
   CostModel base_cost_;
-  ChargeEngine charge_engine_ = ChargeEngine::kBusyUntil;
   std::vector<LinkState> links_;
   std::vector<std::vector<LinkId>> ingress_links_;  // per worker
   std::vector<double> node_scale_;                  // per worker
-  TraceRecorder* trace_recorder_ = nullptr;
-  /// Guards the busy-until charge loop (and its trace/link-usage
-  /// recording). Lock-order checked in debug builds; it nests inside
-  /// nothing and nothing nests inside it.
-  mutable lockcheck::OrderedMutex mutex_{"topo.charge"};
 };
 
 }  // namespace spardl

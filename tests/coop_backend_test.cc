@@ -71,17 +71,19 @@ struct RunOutcome {
   uint64_t all_workers_hash = 0;
 };
 
-/// One measured run of a log-round method on an oversubscribed fat-tree
-/// (racks of 8, oversub 4.0, 2 ECMP cores — the repo's standard contended
-/// fabric) under the chosen backend and engine.
-RunOutcome ContendedRun(ExecBackend backend, ChargeEngine engine,
-                        const std::string& algo, int p, size_t n, size_t k,
-                        int iterations) {
-  TopologySpec spec = TopologySpec::FatTree(p, /*rack_size=*/8,
-                                            /*oversubscription=*/4.0,
-                                            CostModel::Ethernet(),
-                                            /*num_cores=*/2);
-  spec.engine = engine;
+/// The repo's standard contended fabric: an oversubscribed fat-tree
+/// (racks of 8, oversub 4.0, 2 ECMP cores).
+TopologySpec ContendedFatTree(int p) {
+  return TopologySpec::FatTree(p, /*rack_size=*/8, /*oversubscription=*/4.0,
+                               CostModel::Ethernet(), /*num_cores=*/2);
+}
+
+/// One measured run of a log-round method on `spec` under the chosen
+/// backend.
+RunOutcome MeasuredRun(ExecBackend backend, const TopologySpec& spec,
+                       const std::string& algo, size_t n, size_t k,
+                       int iterations) {
+  const int p = spec.num_workers;
   Cluster cluster(spec);
   cluster.set_exec_backend(backend);
 
@@ -138,8 +140,8 @@ TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
   RunOutcome first;
   for (int run = 0; run < 5; ++run) {
     RunOutcome outcome =
-        ContendedRun(ExecBackend::kFiber, ChargeEngine::kEventOrdered,
-                     "gtopk", kWorkers, kN, kK, /*iterations=*/1);
+        MeasuredRun(ExecBackend::kFiber, ContendedFatTree(kWorkers), "gtopk",
+                    kN, kK, /*iterations=*/1);
     ASSERT_EQ(outcome.outputs.size(), 1u);
     EXPECT_GT(outcome.outputs[0].size(), 0u);
     if (run == 0) {
@@ -157,68 +159,43 @@ TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
   }
 }
 
-/// Thread-vs-fiber equivalence on both charging engines: same workload,
-/// same fabric, exact equality of every worker's reduced gradients. The
-/// *clocks* are additionally compared on the event engine only — the
-/// busy-until engine reserves contended link windows in execution order,
-/// which real threads scramble run-to-run (measured: the thread
-/// backend's own busy-engine makespan varies across invocations), so
-/// only the event-ordered engine pins timing across backends.
-class BackendEquivalenceTest
-    : public ::testing::TestWithParam<ChargeEngine> {};
+/// Thread-vs-fiber equivalence on the flat closed form and on the
+/// contended event-engine fat-tree: same workload, same fabric, exact
+/// equality of every worker's reduced gradients and final clock.
+enum class Fabric { kFlat, kFatTree };
+
+class BackendEquivalenceTest : public ::testing::TestWithParam<Fabric> {};
 
 TEST_P(BackendEquivalenceTest, FiberMatchesThreadExactly) {
   constexpr int kWorkers = 16;
   constexpr size_t kN = 20'000;
   constexpr size_t kK = 200;
-  const RunOutcome threads =
-      ContendedRun(ExecBackend::kThread, GetParam(), "spardl", kWorkers,
-                   kN, kK, /*iterations=*/2);
-  const RunOutcome fibers =
-      ContendedRun(ExecBackend::kFiber, GetParam(), "spardl", kWorkers,
-                   kN, kK, /*iterations=*/2);
+  const TopologySpec spec = GetParam() == Fabric::kFlat
+                                ? TopologySpec::Flat(kWorkers)
+                                : ContendedFatTree(kWorkers);
+  const RunOutcome threads = MeasuredRun(ExecBackend::kThread, spec,
+                                         "spardl", kN, kK, /*iterations=*/2);
+  const RunOutcome fibers = MeasuredRun(ExecBackend::kFiber, spec, "spardl",
+                                        kN, kK, /*iterations=*/2);
   EXPECT_EQ(fibers.all_workers_hash, threads.all_workers_hash);
   ASSERT_EQ(fibers.outputs.size(), threads.outputs.size());
   for (size_t i = 0; i < fibers.outputs.size(); ++i) {
     EXPECT_EQ(fibers.outputs[i], threads.outputs[i]) << "iteration " << i;
   }
-  if (GetParam() == ChargeEngine::kEventOrdered) {
-    ASSERT_EQ(fibers.clocks.size(), threads.clocks.size());
-    for (int r = 0; r < kWorkers; ++r) {
-      EXPECT_EQ(fibers.clocks[static_cast<size_t>(r)],
-                threads.clocks[static_cast<size_t>(r)])
-          << "worker " << r;
-    }
+  ASSERT_EQ(fibers.clocks.size(), threads.clocks.size());
+  for (int r = 0; r < kWorkers; ++r) {
+    EXPECT_EQ(fibers.clocks[static_cast<size_t>(r)],
+              threads.clocks[static_cast<size_t>(r)])
+        << "worker " << r;
   }
 }
 
-// Where the thread backend's busy-until timing wobbles with the OS
-// schedule, the cooperative backend's rank-ordered schedule makes even
-// the busy engine's contended clocks reproducible run-to-run.
-TEST(CoopBackendTest, BusyEngineClocksReproducibleOnFibers) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
-  const RunOutcome first =
-      ContendedRun(ExecBackend::kFiber, ChargeEngine::kBusyUntil, "spardl",
-                   /*p=*/16, /*n=*/20'000, /*k=*/200, /*iterations=*/2);
-  const RunOutcome second =
-      ContendedRun(ExecBackend::kFiber, ChargeEngine::kBusyUntil, "spardl",
-                   /*p=*/16, /*n=*/20'000, /*k=*/200, /*iterations=*/2);
-  EXPECT_EQ(first.all_workers_hash, second.all_workers_hash);
-  ASSERT_EQ(first.clocks.size(), second.clocks.size());
-  for (size_t r = 0; r < first.clocks.size(); ++r) {
-    EXPECT_EQ(first.clocks[r], second.clocks[r]) << "worker " << r;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, BackendEquivalenceTest,
-                         ::testing::Values(ChargeEngine::kBusyUntil,
-                                           ChargeEngine::kEventOrdered),
+INSTANTIATE_TEST_SUITE_P(Fabrics, BackendEquivalenceTest,
+                         ::testing::Values(Fabric::kFlat, Fabric::kFatTree),
                          [](const auto& param_info) {
-                           return param_info.param == ChargeEngine::kEventOrdered
-                                      ? "Event"
-                                      : "Busy";
+                           return param_info.param == Fabric::kFlat
+                                      ? "Flat"
+                                      : "FatTree";
                          });
 
 /// The protocol verifier's negative path must diagnose divergence on both
@@ -265,7 +242,7 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  auto spec = TopologySpec::Parse("fattree:2x2+event", 2);
+  auto spec = TopologySpec::Parse("fattree:2x2", 2);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_DEATH(
       {
@@ -279,9 +256,9 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
       "collective deadlock");
 }
 
-// The busy-until engine's cross-mailbox wait has its own cooperative
-// branch; it must reach the same diagnosis.
-TEST(CoopBackendDeathTest, DeadlockDiagnosedOnBusyEngine) {
+// The flat fabric's mailbox wait has its own cooperative branch; it must
+// reach the same diagnosis.
+TEST(CoopBackendDeathTest, DeadlockDiagnosedOnFlatFabric) {
   if (!FiberBackendAvailable()) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";
   }

@@ -1,11 +1,12 @@
-// The simnet v3 event-ordered engine (src/des): LinkServer fairness and
-// deterministic tie-breaking, exact equivalence with the busy-until
-// engine on uncontended paths, bit-for-bit flat/legacy equality under
-// both engines, and the headline regression — run-to-run determinism of
-// contended fat-tree times, which the busy-until engine cannot promise.
+// The event engine (src/des) that charges every non-flat fabric:
+// LinkServer fairness and deterministic tie-breaking, exact agreement with
+// the sum(alpha) + max(beta * words) budget on uncontended paths,
+// bit-for-bit flat/legacy equality, and the headline regression —
+// run-to-run determinism of contended fat-tree times.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -18,11 +19,6 @@
 
 namespace spardl {
 namespace {
-
-TopologySpec WithEngine(TopologySpec spec, ChargeEngine engine) {
-  spec.engine = engine;
-  return spec;
-}
 
 TEST(EventQueueTest, OrdersByTimeThenKey) {
   EventQueue queue;
@@ -65,8 +61,7 @@ TEST(LinkServerFairnessTest, SameTimeFlowsSerializeInSendOrder) {
   const CostModel cm{1e-3, 1e-6};
   const size_t words = 10'000;
   const double serialize = cm.beta * static_cast<double>(words);
-  Cluster cluster(
-      WithEngine(TopologySpec::Star(3, cm), ChargeEngine::kEventOrdered));
+  Cluster cluster(TopologySpec::Star(3, cm));
   cluster.Run([&](Comm& comm) {
     if (comm.rank() == 0) {
       comm.Send(1, Payload(std::vector<float>(words, 1.0f)));
@@ -88,19 +83,17 @@ TEST(LinkServerFairnessTest, SameTimeFlowsSerializeInSendOrder) {
 }
 
 // The flow with the earlier logical send time gets a shared link first
-// even when its receiver charges *second* in wall-clock order — exactly
-// what the busy-until engine cannot guarantee. Driving the Comm endpoints
-// from one thread makes the charge order fully ours: two cross-rack flows
-// share the rack-0 trunk (and the rack-1 return trunk); the later-sent
-// flow's receiver consumes first.
+// even when its receiver consumes *second* in wall-clock order — a
+// receiver-ordered charge could not guarantee that. Driving the Comm
+// endpoints from one thread makes the consumption order fully ours: two
+// cross-rack flows share the rack-0 trunk (and the rack-1 return trunk);
+// the later-sent flow's receiver consumes first.
 TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   const CostModel cm{1e-3, 1e-6};
   const size_t words = 10'000;
   const double s_trunk = 4.0 * cm.beta * static_cast<double>(words);
   const TopologySpec spec =
-      WithEngine(TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0,
-                                       cm),
-                 ChargeEngine::kEventOrdered);
+      TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0, cm);
   auto built = spec.Build();
   ASSERT_TRUE(built.ok());
   Network network(std::move(*built));
@@ -115,8 +108,8 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   late_sender.Compute(cm.alpha);
   late_sender.Send(3, Payload(std::vector<float>(words, 1.0f)));
 
-  // Consume the *later* flow first. Were link order decided by charge
-  // order (busy-until), B would win the trunk; the event engine must give
+  // Consume the *later* flow first. Were link order decided by
+  // consumption order, B would win the trunk; the event engine must give
   // it to A, which was injected first.
   late_receiver.RecvAs<std::vector<float>>(1);
   early_receiver.RecvAs<std::vector<float>>(0);
@@ -131,52 +124,69 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
 }
 
 // Uncontended permutation traffic (each worker sends to exactly one
-// distinct peer, so no two flows share any link on a star) must charge
-// bit-identically under both engines.
+// distinct peer, so no two flows share any link) must charge exactly what
+// per-link busy-until clocks give on idle links: delivery at
+// max(receiver clock, sent_at + sum(alpha) + max(beta * words)) over the
+// route. The reference replays that arithmetic in the engine's operation
+// order, so the comparison is exact.
 TEST(EngineEquivalenceTest, UncontendedPathsMatchBusyUntilExactly) {
   const CostModel cm{1e-3, 1e-6};
   const int p = 6;
-  std::vector<std::vector<double>> per_rank(2);
-  int slot = 0;
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    for (TopologySpec spec :
-         {TopologySpec::Star(p, cm),
-          TopologySpec::FatTree(p, /*rack_size=*/3, /*oversub=*/4.0, cm)}) {
-      spec.engine = engine;
-      Cluster cluster(spec);
-      for (int round = 0; round < 3; ++round) {
-        cluster.Run([&](Comm& comm) {
-          // Neighbour permutation r -> r+1: on the star every flow has a
-          // private uplink/downlink; on the 2-rack fat tree the two
-          // cross-rack flows (2->3 and 5->0) use opposite trunk pairs —
-          // no link is shared, so the engines must agree bit-for-bit.
-          const int dst = (comm.rank() + 1) % p;
-          const int src = (comm.rank() + p - 1) % p;
-          comm.Compute(1e-4 * static_cast<double>(comm.rank() + round));
-          comm.Send(dst, Payload(std::vector<float>(
-                             100 + 10 * static_cast<size_t>(comm.rank()) +
-                                 50 * static_cast<size_t>(round),
-                             1.0f)));
-          comm.RecvAs<std::vector<float>>(src);
-        });
-      }
+  const auto words_of = [](int rank, int round) {
+    return 100 + 10 * static_cast<size_t>(rank) +
+           50 * static_cast<size_t>(round);
+  };
+  for (const TopologySpec& spec :
+       {TopologySpec::Star(p, cm),
+        TopologySpec::FatTree(p, /*rack_size=*/3, /*oversub=*/4.0, cm)}) {
+    Cluster cluster(spec);
+    ASSERT_TRUE(cluster.network().event_ordered()) << spec.Describe();
+    std::vector<double> expected(static_cast<size_t>(p), 0.0);
+    std::vector<LinkId> path;
+    for (int round = 0; round < 3; ++round) {
+      cluster.Run([&](Comm& comm) {
+        // Neighbour permutation r -> r+1: on the star every flow has a
+        // private uplink/downlink; on the 2-rack fat tree the two
+        // cross-rack flows (2->3 and 5->0) use opposite trunk pairs.
+        const int dst = (comm.rank() + 1) % p;
+        const int src = (comm.rank() + p - 1) % p;
+        comm.Compute(1e-4 * static_cast<double>(comm.rank() + round));
+        comm.Send(dst, Payload(std::vector<float>(
+                           words_of(comm.rank(), round), 1.0f)));
+        comm.RecvAs<std::vector<float>>(src);
+      });
+      std::vector<double> sent(static_cast<size_t>(p));
       for (int r = 0; r < p; ++r) {
-        per_rank[static_cast<size_t>(slot)].push_back(
-            cluster.comm(r).sim_now());
+        double& clock = expected[static_cast<size_t>(r)];
+        clock += 1e-4 * static_cast<double>(r + round);
+        sent[static_cast<size_t>(r)] = clock;
+      }
+      for (int dst = 0; dst < p; ++dst) {
+        const int src = (dst + p - 1) % p;
+        cluster.topology().Route(src, dst, &path);
+        double head = sent[static_cast<size_t>(src)];
+        double bottleneck = 0.0;
+        for (const LinkId id : path) {
+          const LinkInfo link = cluster.topology().link_info(id);
+          head = head + link.alpha;
+          bottleneck = std::max(
+              bottleneck,
+              link.beta * static_cast<double>(words_of(src, round)));
+        }
+        double& clock = expected[static_cast<size_t>(dst)];
+        clock = std::max(clock, head + bottleneck);
       }
     }
-    ++slot;
-  }
-  ASSERT_EQ(per_rank[0].size(), per_rank[1].size());
-  for (size_t i = 0; i < per_rank[0].size(); ++i) {
-    EXPECT_EQ(per_rank[0][i], per_rank[1][i]) << "entry " << i;
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(cluster.comm(r).sim_now(), expected[static_cast<size_t>(r)])
+          << spec.Describe() << " rank " << r;
+    }
   }
 }
 
-// FlatTopology keeps its closed-form legacy charge under both engine
-// selections — requesting the event engine on flat must not change a
-// single bit of a full SparDL run.
+// FlatTopology keeps its closed-form legacy charge and never runs the
+// event engine — the no-op "+event" suffix included: a full SparDL run
+// must match the legacy `Cluster(size, CostModel)` bit for bit.
 TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
   const int p = 8;
   const size_t n = 4000;
@@ -186,14 +196,16 @@ TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
   config.num_workers = p;
   config.num_teams = 2;
 
+  auto parsed = TopologySpec::Parse("flat+event", p);
+  ASSERT_TRUE(parsed.ok());
   std::vector<double> makespans;
-  int slot = 0;
   std::vector<double> per_rank[2];
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    Cluster cluster(
-        WithEngine(TopologySpec::Flat(p, CostModel::Ethernet()), engine));
-    EXPECT_FALSE(cluster.network().event_ordered())
+  int slot = 0;
+  for (bool via_spec : {false, true}) {
+    auto cluster = via_spec
+                       ? std::make_unique<Cluster>(*parsed)
+                       : std::make_unique<Cluster>(p, CostModel::Ethernet());
+    EXPECT_FALSE(cluster->network().event_ordered())
         << "flat is closed-form; the event engine must be skipped";
     std::vector<std::unique_ptr<SparseAllReduce>> algos(
         static_cast<size_t>(p));
@@ -202,16 +214,16 @@ TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
           std::move(*CreateAlgorithm("spardl", config));
     }
     for (int iter = 0; iter < 3; ++iter) {
-      cluster.Run([&](Comm& comm) {
+      cluster->Run([&](Comm& comm) {
         std::vector<float> grad = testing::RandomGradient(
             n, 23 + static_cast<uint64_t>(comm.rank()) +
                    1000 * static_cast<uint64_t>(iter));
         algos[static_cast<size_t>(comm.rank())]->Run(comm, grad);
       });
     }
-    makespans.push_back(cluster.MaxSimSeconds());
+    makespans.push_back(cluster->MaxSimSeconds());
     for (int r = 0; r < p; ++r) {
-      per_rank[slot].push_back(cluster.comm(r).sim_now());
+      per_rank[slot].push_back(cluster->comm(r).sim_now());
     }
     ++slot;
   }
@@ -223,11 +235,11 @@ TEST(EngineEquivalenceTest, FlatUnderEventEngineStaysLegacyExact) {
   }
 }
 
-// One full contended run on the ISSUE's reference fabric: returns every
-// worker's final clock plus the makespan.
+// One full contended run on the reference fattree:4x8x2 fabric: returns
+// every worker's final clock plus the makespan.
 std::vector<double> ContendedFatTreeRun(int iterations) {
   const int p = 16;
-  auto parsed = TopologySpec::Parse("fattree:4x8x2+event", p);
+  auto parsed = TopologySpec::Parse("fattree:4x8x2", p);
   SPARDL_CHECK(parsed.ok());
   Cluster cluster(*parsed);
   EXPECT_TRUE(cluster.network().event_ordered());
@@ -245,8 +257,8 @@ std::vector<double> ContendedFatTreeRun(int iterations) {
   }
   for (int iter = 0; iter < iterations; ++iter) {
     cluster.Run([&](Comm& comm) {
-      // Per-rank staggered compute widens the wall-clock charge-order
-      // races the busy-until engine is sensitive to.
+      // Per-rank staggered compute widens the wall-clock races a
+      // receiver-ordered charge would be sensitive to.
       comm.Compute(1e-5 * static_cast<double>(comm.rank() % 5));
       std::vector<float> grad = testing::RandomGradient(
           6000, 31 + static_cast<uint64_t>(comm.rank()) +
@@ -290,7 +302,7 @@ TEST(EventOrderedDeterminismTest, ContendedFatTreeTimesAreBitIdentical) {
 // structure of every bench).
 TEST(EventOrderedDeterminismTest, SurvivesClockReset) {
   auto one = [] {
-    auto parsed = TopologySpec::Parse("star+event", 4, CostModel{1e-3, 1e-6});
+    auto parsed = TopologySpec::Parse("star", 4, CostModel{1e-3, 1e-6});
     SPARDL_CHECK(parsed.ok());
     Cluster cluster(*parsed);
     for (int phase = 0; phase < 2; ++phase) {
@@ -315,7 +327,7 @@ TEST(EventOrderedDeterminismTest, SurvivesClockReset) {
 // The engine's blocking protocol must also handle tag-based out-of-order
 // consumption and barriers without deadlock or misordering.
 TEST(EventEngineProtocolTest, TagsBarriersAndClockSyncWork) {
-  auto parsed = TopologySpec::Parse("ring+event", 4, CostModel{1e-3, 1e-6});
+  auto parsed = TopologySpec::Parse("ring", 4, CostModel{1e-3, 1e-6});
   ASSERT_TRUE(parsed.ok());
   Cluster cluster(*parsed);
   cluster.Run([](Comm& comm) {
@@ -344,8 +356,7 @@ TEST(EventEngineProtocolTest, AlgorithmsConsistentUnderEventEngine) {
   config.n = n;
   config.k = 60;
   config.num_workers = p;
-  for (const char* topo : {"star+event", "fattree:3x4x2+event",
-                           "torus:3x2+event"}) {
+  for (const char* topo : {"star", "fattree:3x4x2", "torus:3x2"}) {
     auto parsed = TopologySpec::Parse(topo, p);
     ASSERT_TRUE(parsed.ok()) << topo;
     for (const char* algo : {"spardl", "topka", "gtopk"}) {

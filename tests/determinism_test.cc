@@ -59,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(Methods, DeterminismSweep,
 // event-ordered engine, exported as Chrome trace JSON.
 std::string OneTracedRun() {
   const int p = 8;
-  auto spec = TopologySpec::Parse("fattree:4x8x2+event", p);
+  auto spec = TopologySpec::Parse("fattree:4x8x2", p);
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();
   Cluster cluster(*spec);
   cluster.EnableTracing();

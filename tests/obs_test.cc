@@ -1,7 +1,7 @@
 // The observability subsystem: phase accounting that survives with
 // tracing disabled, span recording invariants (nesting, zero-alloc
-// disabled path), the JSON exporters, and the per-link fabric counters
-// on both charge engines.
+// disabled path), the JSON exporters, and the event engine's per-link
+// fabric counters.
 
 #include <gtest/gtest.h>
 
@@ -91,12 +91,9 @@ void RunSparDl(Cluster& cluster, int iterations) {
   }
 }
 
-TopologySpec SmallFatTree(ChargeEngine engine) {
-  TopologySpec spec = TopologySpec::FatTree(/*num_workers=*/4,
-                                            /*rack_size=*/2,
-                                            /*oversubscription=*/4.0);
-  spec.engine = engine;
-  return spec;
+TopologySpec SmallFatTree() {
+  return TopologySpec::FatTree(/*num_workers=*/4, /*rack_size=*/2,
+                               /*oversubscription=*/4.0);
 }
 
 TEST(PhaseTest, NamesUniqueAndNonEmpty) {
@@ -122,7 +119,7 @@ TEST(PhaseTest, CommPhasesPrecedeComputePhases) {
 // the comm-tagged buckets partition comm_seconds exactly (same additions,
 // same order), while kCompute mirrors compute_seconds.
 TEST(PhaseBreakdownTest, PartitionsCommSecondsWithTracingDisabled) {
-  Cluster cluster(SmallFatTree(ChargeEngine::kEventOrdered));
+  Cluster cluster(SmallFatTree());
   ASSERT_EQ(cluster.tracer(), nullptr);
   RunSparDl(cluster, /*iterations=*/2);
   ASSERT_EQ(cluster.tracer(), nullptr);
@@ -148,7 +145,7 @@ TEST(PhaseBreakdownTest, PartitionsCommSecondsWithTracingDisabled) {
 // spans on the same (track, stream) either nest or are disjoint — never
 // partially overlap. Zero-length spans (instants) are always fine.
 TEST(TraceRecorderTest, SpansNestPerTrackAndStream) {
-  Cluster cluster(SmallFatTree(ChargeEngine::kEventOrdered));
+  Cluster cluster(SmallFatTree());
   cluster.EnableTracing();
   RunSparDl(cluster, /*iterations=*/1);
   const TraceRecorder* tracer = cluster.tracer();
@@ -178,7 +175,7 @@ TEST(TraceRecorderTest, SpansNestPerTrackAndStream) {
 }
 
 TEST(TraceRecorderTest, DisabledByDefaultEnableIdempotentClearOnReset) {
-  Cluster cluster(SmallFatTree(ChargeEngine::kBusyUntil));
+  Cluster cluster(SmallFatTree());
   EXPECT_EQ(cluster.tracer(), nullptr);
   TraceRecorder& first = cluster.EnableTracing();
   TraceRecorder& second = cluster.EnableTracing();
@@ -219,7 +216,7 @@ TEST(TraceRecorderTest, DisabledPathAllocatesNothing) {
 }
 
 TEST(ExportersTest, ChromeTraceAndMetricsAreValidJson) {
-  Cluster cluster(SmallFatTree(ChargeEngine::kEventOrdered));
+  Cluster cluster(SmallFatTree());
   cluster.EnableTracing();
   RunSparDl(cluster, /*iterations=*/1);
 
@@ -260,15 +257,10 @@ TEST(ExportersTest, WriteTextFileReportsFailures) {
 
 // One uncontended message through a star fabric: both route links carry
 // exactly its bytes, their busy time is bounded by the receiver's
-// comm_seconds, the end-to-end charge preserves the alpha-beta budget,
-// and the two charge engines account identically.
-class StarLinkCounters : public ::testing::TestWithParam<ChargeEngine> {};
-
-TEST_P(StarLinkCounters, SingleMessageAccounting) {
+// comm_seconds, and the end-to-end charge preserves the alpha-beta budget.
+TEST(StarLinkCounters, SingleMessageAccounting) {
   const size_t kWords = 1000;
-  TopologySpec spec = TopologySpec::Star(2);
-  spec.engine = GetParam();
-  Cluster cluster(spec);
+  Cluster cluster(TopologySpec::Star(2));
   cluster.Run([&](Comm& comm) {
     if (comm.rank() == 0) {
       comm.Send(1, std::vector<float>(kWords, 1.0f));
@@ -306,20 +298,14 @@ TEST_P(StarLinkCounters, SingleMessageAccounting) {
   EXPECT_EQ(total_messages, 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, StarLinkCounters,
-                         ::testing::Values(ChargeEngine::kBusyUntil,
-                                           ChargeEngine::kEventOrdered));
-
 // Acceptance: on an oversubscribed fat-tree under all-cross-rack traffic
 // the utilization table's busiest row is a trunk (both endpoints are
 // switches, i.e. graph ids >= P).
 TEST(LinkUtilizationTest, OversubscribedTrunkIsBusiest) {
   const int p = 8;
   const size_t kWords = 4096;
-  TopologySpec spec = TopologySpec::FatTree(p, /*rack_size=*/4,
-                                            /*oversubscription=*/8.0);
-  spec.engine = ChargeEngine::kEventOrdered;
-  Cluster cluster(spec);
+  Cluster cluster(TopologySpec::FatTree(p, /*rack_size=*/4,
+                                        /*oversubscription=*/8.0));
   cluster.Run([&](Comm& comm) {
     const int peer = (comm.rank() + p / 2) % p;  // always cross-rack
     comm.Send(peer, std::vector<float>(kWords, 1.0f));

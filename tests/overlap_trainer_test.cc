@@ -31,9 +31,9 @@ struct OverlapRun {
   double final_metric = 0.0;
 };
 
-// 8 workers in racks of 4 behind 8x-oversubscribed uplinks, event-ordered
-// engine: deterministic and contended, the regime the deep-overlap case's
-// compute constant is sized for.
+// 8 workers in racks of 4 behind 8x-oversubscribed uplinks: deterministic
+// and contended, the regime the deep-overlap case's compute constant is
+// sized for.
 OverlapRun RunMode(GradSyncMode mode) {
   const TrainingCaseSpec spec = bench::MakeDeepOverlapCase();
   bench::TrainRunOptions options;
@@ -42,11 +42,9 @@ OverlapRun RunMode(GradSyncMode mode) {
   options.epochs = 2;
   options.iterations_per_epoch = 8;
   options.paper_scale_network = false;
-  TopologySpec fabric =
+  options.topology =
       TopologySpec::FatTree(8, /*rack_size=*/4, /*oversubscription=*/8.0,
                             CostModel::Ethernet());
-  fabric.engine = ChargeEngine::kEventOrdered;
-  options.topology = fabric;
   options.sync_mode = mode;
 
   // RunTrainingCase CHECKs the synchronous-SGD invariant (all replicas

@@ -2,8 +2,8 @@
 // kContiguous reproduces the legacy CommGroup layouts bit-for-bit, the
 // registry surfaces bad team shapes as InvalidArgument instead of dying on
 // a CHECK, and — the headline regression — rack-local teams beat
-// interleaved ones on a contended oversubscribed fat-tree under both
-// charge engines, bit-identically across runs under the event engine.
+// interleaved ones on a contended oversubscribed fat-tree, bit-identically
+// across runs.
 
 #include "topo/placement.h"
 
@@ -394,38 +394,33 @@ double PerUpdateCommSeconds(const TopologySpec& spec, int num_teams,
 // teams fit inside racks — `fattree:2x4` with d = 2 (P = 4, teams of
 // two), and the larger `fattree:4x4` with d = 2 (P = 8, teams of four) —
 // rack-local teams yield strictly lower SRS *and* per-update comm time
-// than interleaved ones, under both charge engines. (When a team is
-// forced to straddle racks, e.g. teams of four over racks of two, the
-// layouts converge: some worker crosses the trunk every SRS round no
-// matter the placement — which is exactly why the planner packs teams
-// into racks whenever team_size divides the rack size.)
-TEST(PlacementContentionTest, RackLocalBeatsInterleavedOnBothEngines) {
-  for (ChargeEngine engine :
-       {ChargeEngine::kBusyUntil, ChargeEngine::kEventOrdered}) {
-    for (TopologySpec spec :
-         {TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0),
-          TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0)}) {
-      spec.engine = engine;
-      const double rack_srs =
-          SrsCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
-      const double interleaved_srs =
-          SrsCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
-      EXPECT_LT(rack_srs, interleaved_srs)
-          << spec.Describe() << " engine " << ChargeEngineName(engine);
-      const double rack_update =
-          PerUpdateCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
-      const double interleaved_update =
-          PerUpdateCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
-      EXPECT_LT(rack_update, interleaved_update)
-          << spec.Describe() << " engine " << ChargeEngineName(engine);
-    }
+// than interleaved ones. (When a team is forced to straddle racks, e.g.
+// teams of four over racks of two, the layouts converge: some worker
+// crosses the trunk every SRS round no matter the placement — which is
+// exactly why the planner packs teams into racks whenever team_size
+// divides the rack size.)
+TEST(PlacementContentionTest, RackLocalBeatsInterleaved) {
+  for (const TopologySpec& spec :
+       {TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0),
+        TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0)}) {
+    const double rack_srs =
+        SrsCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
+    const double interleaved_srs =
+        SrsCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
+    EXPECT_LT(rack_srs, interleaved_srs) << spec.Describe();
+    const double rack_update =
+        PerUpdateCommSeconds(spec, 2, PlacementPolicy::kRackLocal);
+    const double interleaved_update =
+        PerUpdateCommSeconds(spec, 2, PlacementPolicy::kInterleaved);
+    EXPECT_LT(rack_update, interleaved_update) << spec.Describe();
   }
 }
 
+// What a user gets with no suffix: the event engine's contended times
+// are a pure function of the config.
 TEST(PlacementContentionTest, EventEngineTimesBitIdenticalAcrossRuns) {
-  TopologySpec spec =
+  const TopologySpec spec =
       TopologySpec::FatTree(8, /*rack_size=*/4, /*oversub=*/4.0);
-  spec.engine = ChargeEngine::kEventOrdered;
   for (PlacementPolicy policy :
        {PlacementPolicy::kRackLocal, PlacementPolicy::kInterleaved}) {
     const double srs_first = SrsCommSeconds(spec, 2, policy);

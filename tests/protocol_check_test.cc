@@ -23,18 +23,21 @@
 namespace spardl {
 namespace {
 
-/// Every divergence case runs on both charging engines: the busy-until
-/// flat crossbar and the event-ordered fat-tree exercise entirely
-/// different wait paths (per-mailbox cv vs. engine BlockUntil).
-class ProtocolCheckTest : public ::testing::TestWithParam<ChargeEngine> {
+/// The two ways a message is charged: the flat crossbar's closed form
+/// and the event engine on every other fabric.
+enum class Charge { kClosedForm, kEventOrdered };
+
+/// Every divergence case runs on both: they exercise entirely different
+/// wait paths (per-mailbox cv vs. engine BlockUntil).
+class ProtocolCheckTest : public ::testing::TestWithParam<Charge> {
  protected:
   static constexpr int kWorkers = 4;
 
   TopologySpec Fabric() const {
-    if (GetParam() == ChargeEngine::kBusyUntil) {
+    if (GetParam() == Charge::kClosedForm) {
       return TopologySpec::Flat(kWorkers, CostModel{1e-3, 1e-6});
     }
-    auto spec = TopologySpec::Parse("fattree:2x2x2+event", kWorkers);
+    auto spec = TopologySpec::Parse("fattree:2x2x2", kWorkers);
     SPARDL_CHECK(spec.ok()) << spec.status().ToString();
     return *spec;
   }
@@ -172,11 +175,11 @@ TEST_P(ProtocolCheckTest, FailedRunPoisonsTheCluster) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ProtocolCheckTest,
-                         ::testing::Values(ChargeEngine::kBusyUntil,
-                                           ChargeEngine::kEventOrdered),
+                         ::testing::Values(Charge::kClosedForm,
+                                           Charge::kEventOrdered),
                          [](const auto& suite_info) {
-                           return suite_info.param == ChargeEngine::kBusyUntil
-                                      ? std::string("BusyUntil")
+                           return suite_info.param == Charge::kClosedForm
+                                      ? std::string("ClosedForm")
                                       : std::string("EventOrdered");
                          });
 
