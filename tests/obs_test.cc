@@ -257,10 +257,15 @@ TEST(ExportersTest, WriteTextFileReportsFailures) {
 
 // One uncontended message through a star fabric: both route links carry
 // exactly its bytes, their busy time is bounded by the receiver's
-// comm_seconds, and the end-to-end charge preserves the alpha-beta budget.
-TEST(StarLinkCounters, SingleMessageAccounting) {
+// comm_seconds, the end-to-end charge preserves the alpha-beta budget,
+// and both execution engines (thread and fiber backends) account
+// identically.
+class StarLinkCounters : public ::testing::TestWithParam<ExecBackend> {};
+
+TEST_P(StarLinkCounters, SingleMessageAccounting) {
   const size_t kWords = 1000;
   Cluster cluster(TopologySpec::Star(2));
+  cluster.set_exec_backend(GetParam());
   cluster.Run([&](Comm& comm) {
     if (comm.rank() == 0) {
       comm.Send(1, std::vector<float>(kWords, 1.0f));
@@ -297,6 +302,10 @@ TEST(StarLinkCounters, SingleMessageAccounting) {
   }
   EXPECT_EQ(total_messages, 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, StarLinkCounters,
+                         ::testing::Values(ExecBackend::kThread,
+                                           ExecBackend::kFiber));
 
 // Acceptance: on an oversubscribed fat-tree under all-cross-rack traffic
 // the utilization table's busiest row is a trunk (both endpoints are
