@@ -12,7 +12,7 @@
 //         [--topology SPEC]
 //
 // --topology runs the same convergence comparison on a non-flat
-// fabric (e.g. "fattree:4x8x2+event") — an extension beyond the paper's
+// fabric (e.g. "fattree:4x8x2") — an extension beyond the paper's
 // flat model.
 
 #include <cstdio>

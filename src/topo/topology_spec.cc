@@ -155,12 +155,11 @@ Result<TopologySpec> TopologySpec::Parse(std::string_view text,
       return Status::InvalidArgument(
           StrFormat("torus dimensions out of range in '%s'", params.c_str()));
     }
+    TopologySpec spec =
+        Torus(static_cast<int>(width), static_cast<int>(height), cost);
     // Keep the caller's worker count so Build can reject a mismatched
     // grid instead of silently resizing the cluster.
-    TopologySpec spec = Flat(num_workers, cost);
-    spec.kind = TopologyKind::kTorus;
-    spec.torus_width = static_cast<int>(width);
-    spec.torus_height = static_cast<int>(height);
+    spec.num_workers = num_workers;
     return spec;
   }
   return Status::InvalidArgument(StrFormat(
@@ -180,7 +179,7 @@ Result<std::unique_ptr<Topology>> TopologySpec::Build() const {
     case TopologyKind::kStar:
       return std::unique_ptr<Topology>(
           std::make_unique<StarTopology>(num_workers, cost));
-    case TopologyKind::kFatTree:
+    case TopologyKind::kFatTree: {
       if (rack_size < 1) {
         return Status::InvalidArgument("fat-tree needs rack_size >= 1");
       }
@@ -193,8 +192,27 @@ Result<std::unique_ptr<Topology>> TopologySpec::Build() const {
       if (num_cores < 1) {
         return Status::InvalidArgument("fat-tree needs num_cores >= 1");
       }
+      // More core switches than workers is no real fabric, and the cap
+      // bounds the trunk table (two links per rack-core pair) by 2 P^2
+      // links. Node and link ids are ints, so both counts must fit one.
+      if (num_cores > num_workers) {
+        return Status::InvalidArgument(StrFormat(
+            "fat-tree has %d cores for %d workers; it needs num_cores <= "
+            "num_workers",
+            num_cores, num_workers));
+      }
+      const int64_t racks = (int64_t{num_workers} + rack_size - 1) / rack_size;
+      const int64_t nodes = int64_t{num_workers} + racks + num_cores;
+      const int64_t links = 2 * (int64_t{num_workers} + racks * num_cores);
+      if (!FitsInt(nodes) || !FitsInt(links)) {
+        return Status::InvalidArgument(StrFormat(
+            "fat-tree with %d workers, racks of %d and %d cores has more "
+            "nodes or links than an int can number",
+            num_workers, rack_size, num_cores));
+      }
       return std::unique_ptr<Topology>(std::make_unique<FatTreeTopology>(
           num_workers, rack_size, oversubscription, cost, num_cores));
+    }
     case TopologyKind::kRing:
       return std::unique_ptr<Topology>(
           std::make_unique<RingTopology>(num_workers, cost));

@@ -43,7 +43,8 @@ struct TopologySpec {
   /// uplink).
   double oversubscription = 4.0;
   /// Fat-tree only: number of core switches; cross-rack flows are spread
-  /// across them by deterministic ECMP hashing.
+  /// across them by deterministic ECMP hashing. `Build` requires
+  /// 1 <= num_cores <= num_workers.
   int num_cores = 1;
   /// Torus only: grid dimensions; `Build` requires
   /// num_workers == torus_width * torus_height.

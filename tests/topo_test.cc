@@ -141,6 +141,7 @@ TEST(TopologySpecTest, ParseRoundTrips) {
         "fattree:4x8xgarbage", "flat+warp", "fattree:4x8+busy", "torus:3x3",
         "fattree:4xnan", "fattree:4xinf", "fattree:4x-inf",
         "fattree:99999999999x4", "fattree:4x4x99999999999",
+        "fattree:4x4x2000000000", "fattree:4x4x9",
         "torus:65536x65536", "torus:99999999999x1"}) {
     auto parsed = TopologySpec::Parse(text, 8);
     const Status status =
@@ -155,6 +156,12 @@ TEST(TopologySpecTest, ParseRoundTrips) {
                    .Build()
                    .ok());
   EXPECT_FALSE(TopologySpec::Torus(65536, 65536).Build().ok());
+  // One core per worker, one worker per rack: over 2^33 links, more than an
+  // int LinkId can number.
+  EXPECT_FALSE(TopologySpec::FatTree(65536, 1, 4.0, CostModel::Ethernet(),
+                                     /*num_cores=*/65536)
+                   .Build()
+                   .ok());
 }
 
 // Constructing the fabric directly (bypassing Build's validation) must die
