@@ -11,8 +11,8 @@ namespace lockcheck {
 /// Debug-build lock-order ("deadlock potential") detection.
 ///
 /// The simulator holds real OS mutexes across its hot synchronisation
-/// paths — the event-engine mutex, the per-mailbox/barrier/sync mutexes
-/// of `Network`, and the topology charge mutex. A lock-order inversion
+/// paths — the event-engine mutex, the per-inbox and sync mutexes of
+/// `Network`, and the protocol checker's mutex. A lock-order inversion
 /// between any two of those families would be a *potential* deadlock that
 /// only manifests under a losing thread interleaving, i.e. exactly the
 /// kind of bug that ships silently. `OrderedMutex` instruments each
@@ -31,7 +31,7 @@ namespace lockcheck {
 /// without touching the global registry.
 
 /// Lock-acquisition-order graph over mutex *families* (all mutexes
-/// registered under one name share a node — e.g. every per-mailbox mutex
+/// registered under one name share a node — e.g. every per-inbox mutex
 /// is one family). Thread-safe; acquisition stacks are tracked
 /// per-thread, per-graph.
 class Graph {

@@ -33,8 +33,8 @@ class EventEngine;
 /// a scan of all P waiters. There are four such events, and each names
 /// whom it releases:
 ///   - the engine resolves a flow: `PumpEngine` wakes its receiver;
-///   - a packet lands in a flat-fabric mailbox: `Network::Post` wakes
-///     the destination;
+///   - a packet lands in a flat-fabric inbox: `Network::Post` wakes its
+///     owner, the only worker that waits on it;
 ///   - a barrier or clock-sync round completes: its last arriver calls
 ///     `WakeAll` (every other worker is a participant);
 ///   - a protocol violation: `Network::InterruptWaiters` calls `WakeAll`.
@@ -53,7 +53,7 @@ class EventEngine;
 /// Locking contract. Fibers share the carrier thread, so a mutex
 /// acquired by one fiber and held across a `Wait` would self-deadlock
 /// the next fiber: callers must release every lock before waiting
-/// (`Network`'s wait sites unlock, `Wait`, relock). That same
+/// (`Network::Wait` unlocks, calls `Wait`, relocks). That same
 /// single-thread property is what lets the scheduler evaluate wake
 /// predicates without taking the locks that guard their state.
 class CoopScheduler {

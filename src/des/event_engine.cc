@@ -1,12 +1,10 @@
 #include "des/event_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
 #include "common/logging.h"
-#include "des/coop_scheduler.h"
 
 namespace spardl {
 
@@ -14,8 +12,7 @@ EventEngine::EventEngine(const Topology& topology)
     : topology_(topology),
       clocks_(static_cast<size_t>(topology.num_workers())) {
   links_.resize(static_cast<size_t>(topology.num_links()));
-  const size_t p = static_cast<size_t>(topology.num_workers());
-  pair_seq_.assign(p * p, 0);
+  send_seq_.assign(static_cast<size_t>(topology.num_workers()), 0);
 }
 
 void EventEngine::WorkerEnter() {
@@ -37,10 +34,10 @@ uint64_t EventEngine::InjectFlowLocked(int src, int dst, size_t words,
   const int p = topology_.num_workers();
   SPARDL_DCHECK(src >= 0 && src < p);
   SPARDL_DCHECK(dst >= 0 && dst < p);
-  const size_t pair = static_cast<size_t>(src) * static_cast<size_t>(p) +
-                      static_cast<size_t>(dst);
-  const uint64_t key = (static_cast<uint64_t>(pair) << 32) | pair_seq_[pair];
-  ++pair_seq_[pair];
+  const uint64_t pair =
+      static_cast<uint64_t>(src) * static_cast<uint64_t>(p) +
+      static_cast<uint64_t>(dst);
+  const uint64_t key = (pair << 32) | send_seq_[static_cast<size_t>(src)]++;
 
   Flow flow;
   flow.words = words;
@@ -125,28 +122,12 @@ uint64_t EventEngine::PumpOneLocked() {
   return event.flow;
 }
 
-void EventEngine::BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
+bool EventEngine::BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
                              const std::function<bool()>& pred,
-                             double timeout_seconds,
-                             const std::function<std::string()>& describe) {
-  if (CoopScheduler* scheduler = CoopScheduler::Current();
-      scheduler != nullptr) {
-    // Cooperative backend: blocking is the scheduler's job. The engine
-    // lock must drop before the fiber switch — the next fiber runs on
-    // this same OS thread and would self-deadlock re-acquiring it. The
-    // scheduler evaluates `pred` lock-free (sound: one carrier thread)
-    // and pumps through `PumpOneLocked` at its own quiescent cuts.
-    lock.unlock();
-    scheduler->Wait(pred, describe);
-    lock.lock();
-    return;
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_seconds));
+                             std::chrono::steady_clock::time_point deadline) {
   ++blocked_;
-  while (!pred()) {
+  bool timed_out = false;
+  while (!pred() && !timed_out) {
     // Pump when it is provably safe. Quiescent cut: every registered
     // worker is blocked (this thread included) and no sleeper could make
     // progress if it held the lock, so the pending flow set is
@@ -171,14 +152,11 @@ void EventEngine::BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
       }
     }
     const auto me = sleepers_.insert(sleepers_.end(), Sleeper{&pred});
-    const bool timed_out =
-        cv_.wait_until(lock, deadline) == std::cv_status::timeout;
+    timed_out = cv_.wait_until(lock, deadline) == std::cv_status::timeout;
     sleepers_.erase(me);
-    SPARDL_CHECK(!timed_out)
-        << describe() << " timed out after " << timeout_seconds
-        << "s of wall time — collective deadlock?";
   }
   --blocked_;
+  return !timed_out || pred();
 }
 
 void EventEngine::Reset() {

@@ -2,6 +2,7 @@
 #define SPARDL_DES_EVENT_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -40,7 +41,7 @@ struct Flow {
 
 /// Min-heap of per-hop transmission events, ordered by `(time, flow key)`.
 ///
-/// The flow key embeds `(src, dst, per-pair sequence)` in that
+/// The flow key embeds `(src, dst, sender's sequence)` in that
 /// significance order, so ties at equal simulated time break by sender
 /// rank, then receiver rank, then the sender's own (deterministic) send
 /// order — never by wall-clock arrival or thread interleaving.
@@ -143,18 +144,17 @@ class LinkServer {
 /// it every simulated result — is bit-identical to quiescence-only
 /// pumping; events are simply processed earlier in wall time.
 ///
-/// Cooperative backend: when the calling thread runs fibers
-/// (`CoopScheduler::Current() != null`), `BlockUntil` delegates the wait
-/// to the scheduler, which pumps via the public `PumpOneLocked` hook at
-/// its own all-workers-blocked cuts. The quiescence/sleeper machinery
-/// below then sits idle — fibers never park in `cv_`.
+/// Cooperative backend: fibers never call `BlockUntil`. `Network` hands
+/// their waits to the scheduler, which pumps via the public
+/// `PumpOneLocked` hook at its own all-workers-blocked cuts, so the
+/// quiescence/sleeper machinery below sits idle.
 ///
 /// Locking: one engine mutex guards everything — flows, links, queue,
 /// sleeper registry, and (via `mu()`) the `Network` state that must change
-/// atomically with them in event mode (mailboxes, barrier, clock sync).
-/// All waits go through `BlockUntil`, so the last runnable thread always
-/// pumps instead of sleeping and the queue can never be starved by
-/// sleepers.
+/// atomically with them in event mode (inboxes, barrier, clock sync).
+/// Every worker-thread wait goes through `BlockUntil`, so the last
+/// runnable thread always pumps instead of sleeping and the queue can
+/// never be starved by sleepers.
 class EventEngine {
  public:
   /// `topology` must outlive the engine; link parameters (including
@@ -165,7 +165,7 @@ class EventEngine {
   EventEngine& operator=(const EventEngine&) = delete;
 
   /// The engine mutex. `Network` holds it (via `std::unique_lock`) across
-  /// every event-mode mailbox/barrier/sync operation. Lock-order checked
+  /// every event-mode inbox/barrier/sync operation. Lock-order checked
   /// in debug builds (family "simnet.engine").
   lockcheck::OrderedMutex& mu() { return mu_; }
 
@@ -177,8 +177,10 @@ class EventEngine {
 
   /// Injects a `words`-word flow from `src` to `dst` at simulated time
   /// `sent_at` and returns its deterministic key: `(src*P + dst) << 32 |
-  /// per-pair sequence`. Caller holds `mu()`. Key 0 is never returned
-  /// (the self-pair (0, 0) cannot send).
+  /// seq`, where `seq` counts every flow `src` has injected. Keys of
+  /// distinct pairs order by the upper half; within a pair `seq` grows
+  /// with send order. Caller holds `mu()`. Key 0 is never returned (the
+  /// self-pair (0, 0) cannot send).
   uint64_t InjectFlowLocked(int src, int dst, size_t words, double sent_at);
 
   /// True once `flow`'s arrival time has been computed. Caller holds
@@ -191,17 +193,16 @@ class EventEngine {
   /// resolved. Caller holds `mu()`.
   double TakeArrivalLocked(uint64_t flow);
 
-  /// Blocks until `pred()` holds, pumping the event queue at quiescent
-  /// cuts. `pred` is evaluated only under `mu()` — by this thread, and by
-  /// whichever thread is deciding whether pumping may proceed — so it must
-  /// be a pure function of engine/network state guarded by `mu()`. Aborts
-  /// after `timeout_seconds` of wall time (a hung collective is always a
-  /// bug); `describe` is invoked only then, so callers can defer
-  /// diagnostic formatting off the per-message hot path. Caller holds
-  /// `mu()` via `lock`.
-  void BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
-                  const std::function<bool()>& pred, double timeout_seconds,
-                  const std::function<std::string()>& describe);
+  /// Blocks a worker thread until `pred()` holds, pumping the event
+  /// queue at quiescent cuts. `pred` is evaluated only under `mu()` — by
+  /// this thread, and by whichever thread is deciding whether pumping may
+  /// proceed — so it must be a pure function of engine/network state
+  /// guarded by `mu()`. Like `condition_variable::wait_until`, returns
+  /// `pred()` once `deadline` passes; the caller turns false into its
+  /// deadlock diagnostic. Caller holds `mu()` via `lock`.
+  bool BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
+                  const std::function<bool()>& pred,
+                  std::chrono::steady_clock::time_point deadline);
 
   /// Wakes every blocked thread (after posting a packet, releasing a
   /// barrier, ...). Caller holds `mu()`.
@@ -282,7 +283,7 @@ class EventEngine {
   std::vector<PublishedClock> clocks_;  // by rank, written lock-free
   TraceRecorder* trace_recorder_ = nullptr;
   std::vector<LinkServer> links_;                  // by LinkId
-  std::vector<uint32_t> pair_seq_;                 // per (src, dst) pair
+  std::vector<uint32_t> send_seq_;                 // flows injected, by src
   std::unordered_map<uint64_t, Flow> flows_;       // in flight
   std::unordered_map<uint64_t, double> resolved_;  // arrival times
   std::list<Sleeper> sleepers_;                    // threads in cv_.wait

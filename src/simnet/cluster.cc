@@ -22,6 +22,16 @@
 
 namespace spardl {
 
+namespace {
+
+#ifdef SPARDL_TSAN
+constexpr bool kFibersAvailable = false;
+#else
+constexpr bool kFibersAvailable = true;
+#endif
+
+}  // namespace
+
 Cluster::Cluster(int size, CostModel cost_model)
     : Cluster(std::make_unique<Network>(size, cost_model)) {}
 
@@ -68,89 +78,57 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
          "mid-collective, so the simulated state is inconsistent";
   ProtocolChecker* checker = protocol_checker_.get();
   if (checker != nullptr) checker->BeginRun();
-#ifndef SPARDL_TSAN
-  if (backend_ == ExecBackend::kFiber) {
-    return RunOnFibers(worker_fn, checker);
-  }
-#endif
-  return RunOnThreads(worker_fn, checker);
-}
-
-Status Cluster::RunOnFibers(const std::function<void(Comm&)>& worker_fn,
-                            ProtocolChecker* checker) {
   Network* network = network_.get();
-  // No WorkerEnter/Exit: the engine's quiescence counters exist to tell
-  // pump-eligible threads apart, and here there is exactly one OS
-  // thread — the scheduler pumps at its own all-workers-blocked cuts.
-  CoopScheduler scheduler;
-  scheduler.Run(
-      static_cast<int>(comms_.size()), network->event_engine(),
-      [this, &worker_fn, network, checker](int rank) {
-        Comm& comm = *comms_[static_cast<size_t>(rank)];
-        try {
-          worker_fn(comm);
-          // A worker that returns while a peer still waits on it is
-          // itself a divergence; the checker diagnoses the transition.
-          if (checker != nullptr) checker->OnWorkerDone(comm.rank());
-        } catch (const ProtocolViolation&) {
-          // Diagnosis latched in the checker; unwind this worker.
-        }
-        if (checker != nullptr && checker->failed()) {
-          // Peers still waiting carry `interrupted()` in their wake
-          // predicates; this makes the scheduler release them to
-          // observe the failure and unwind.
-          network->InterruptWaiters();
-        }
+  // One worker's whole run, on either backend.
+  const std::function<void(int)> body = [this, &worker_fn, network,
+                                         checker](int rank) {
+    Comm& comm = *comms_[static_cast<size_t>(rank)];
+    try {
+      worker_fn(comm);
+      // A worker that returns while a peer still waits on it is itself a
+      // divergence; the checker diagnoses it from this transition.
+      if (checker != nullptr) checker->OnWorkerDone(rank);
+    } catch (const ProtocolViolation&) {
+      // The diagnosis is latched in the checker; just unwind this worker.
+      // (Only thrown when a checker is attached.)
+    }
+    if (checker != nullptr && checker->failed()) {
+      // Wake any peers still blocked so they observe the failure and
+      // unwind too — whoever detected first may have been this worker.
+      network->InterruptWaiters();
+    }
+  };
+  if (kFibersAvailable && backend_ == ExecBackend::kFiber) {
+    // No WorkerEnter/Exit: the engine's quiescence counters exist to tell
+    // pump-eligible threads apart, and here there is exactly one OS
+    // thread — the scheduler pumps at its own all-workers-blocked cuts.
+    CoopScheduler scheduler;
+    scheduler.Run(size(), network->event_engine(), body);
+  } else {
+    // Register every worker with the event engine's quiescence detection
+    // (no-op on flat) BEFORE any thread starts: if the engine only
+    // learned about workers as their threads got scheduled, the
+    // already-started ones could look quiescent and pump contended events
+    // ahead of a not-yet-registered worker's earlier-keyed flows —
+    // exactly the startup-timing dependence the engine exists to
+    // eliminate.
+    for (int rank = 0; rank < size(); ++rank) network->WorkerEnter();
+    std::vector<std::thread> threads;
+    threads.reserve(comms_.size());
+    for (int rank = 0; rank < size(); ++rank) {
+      threads.emplace_back([&body, network, rank] {
+        body(rank);
+        // A worker that returns must deregister, or the remaining
+        // workers could never all be "blocked".
+        network->WorkerExit();
       });
-  if (checker != nullptr && checker->failed()) {
-    poisoned_ = true;
-    return checker->status();
+    }
+    for (auto& t : threads) t.join();
   }
-  SPARDL_CHECK(network_->AllMailboxesEmpty())
-      << "worker function left unconsumed messages in the network";
-  SPARDL_CHECK(network_->SimIdle())
-      << "worker function left unresolved flows in the event engine";
-  return Status::OK();
-}
-
-Status Cluster::RunOnThreads(const std::function<void(Comm&)>& worker_fn,
-                             ProtocolChecker* checker) {
-  std::vector<std::thread> threads;
-  threads.reserve(comms_.size());
-  Network* network = network_.get();
-  // Register every worker with the event engine's quiescence detection
-  // (no-op on flat) BEFORE any thread starts: if the
-  // engine only learned about workers as their threads got scheduled, the
-  // already-started ones could look quiescent and pump contended events
-  // ahead of a not-yet-registered worker's earlier-keyed flows — exactly
-  // the startup-timing dependence the engine exists to eliminate.
-  for (size_t i = 0; i < comms_.size(); ++i) network->WorkerEnter();
-  for (auto& comm : comms_) {
-    threads.emplace_back([&worker_fn, &comm, network, checker] {
-      try {
-        worker_fn(*comm);
-        // A worker that returns while a peer still waits on it is itself
-        // a divergence; the checker diagnoses it from this transition.
-        if (checker != nullptr) checker->OnWorkerDone(comm->rank());
-      } catch (const ProtocolViolation&) {
-        // The diagnosis is latched in the checker; just unwind this
-        // worker. (Only thrown when a checker is attached.)
-      }
-      if (checker != nullptr && checker->failed()) {
-        // Wake any peers still blocked so they observe the failure and
-        // unwind too — whoever detected first may have been this thread.
-        network->InterruptWaiters();
-      }
-      // A worker that returns must deregister, or the remaining workers
-      // could never all be "blocked".
-      network->WorkerExit();
-    });
-  }
-  for (auto& t : threads) t.join();
   if (checker != nullptr && checker->failed()) {
-    // Unwound mid-collective: mailboxes may hold orphaned messages and
-    // the engine unresolved flows — by design. Poison instead of
-    // CHECKing the end-of-run invariants.
+    // Unwound mid-collective: inboxes may hold orphaned messages and the
+    // engine unresolved flows — by design. Poison instead of CHECKing the
+    // end-of-run invariants.
     poisoned_ = true;
     return checker->status();
   }

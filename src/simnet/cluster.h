@@ -133,21 +133,13 @@ class Cluster {
  private:
   explicit Cluster(std::unique_ptr<Network> network);
 
-  /// The thread-per-worker `Run` body (also the TSan fallback).
-  Status RunOnThreads(const std::function<void(Comm&)>& worker_fn,
-                      ProtocolChecker* checker);
-
-  /// The cooperative-fiber `Run` body.
-  Status RunOnFibers(const std::function<void(Comm&)>& worker_fn,
-                     ProtocolChecker* checker);
-
   std::unique_ptr<Network> network_;
   std::vector<std::unique_ptr<Comm>> comms_;
   std::unique_ptr<TraceRecorder> trace_recorder_;
   std::unique_ptr<ProtocolChecker> protocol_checker_;
   ExecBackend backend_ = ExecBackend::kThread;
   /// Set once a run returned non-OK: workers were unwound mid-collective,
-  /// so mailboxes/clocks are garbage and further runs must not start.
+  /// so inboxes/clocks are garbage and further runs must not start.
   bool poisoned_ = false;
 };
 

@@ -1,12 +1,13 @@
 #ifndef SPARDL_SIMNET_NETWORK_H_
 #define SPARDL_SIMNET_NETWORK_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -41,26 +42,37 @@ struct Packet {
   /// Sender's simulated clock when the send was issued.
   double sent_at = 0.0;
   int tag = 0;
+  /// Sending rank, stamped by `Network::Post`.
+  int src = -1;
   /// Event engine only: the flow key assigned at `Post` time (0 on the
   /// flat fabric, whose closed form is charged at `Recv`).
   uint64_t flow = 0;
 };
 
-/// The in-process interconnect: one FIFO mailbox per (src, dst) pair.
+/// The in-process interconnect: one inbox per receiving worker.
 ///
-/// Thread-safe; each of the P worker threads owns one endpoint (see `Comm`).
-/// Blocking receives time out after `recv_timeout_seconds` of *wall* time
-/// and abort the process — a hung collective is always a bug, and a loud
-/// failure beats a silent deadlock in CI.
+/// Every packet posted to worker `dst` lands in inbox `dst`, and a
+/// receive takes the first packet that matches its `(src, tag)`, so
+/// delivery is FIFO per (src, dst, tag). Thread-safe; each of the P
+/// workers owns one endpoint (see `Comm`) and is the only one that waits
+/// on its inbox.
+///
+/// Blocking: receive, barrier and clock sync all block through one
+/// private `Wait`. On the cooperative backend it yields the fiber; on
+/// threads it is the event engine's `BlockUntil` on a non-flat fabric and
+/// a condition wait on flat. Every thread-backend wait aborts the
+/// process after `recv_timeout_seconds` of *wall* time — a hung
+/// collective is always a bug, and a loud failure beats a silent
+/// deadlock in CI.
 ///
 /// Charging: the topology kind alone decides. `FlatTopology` is charged
 /// by its closed form inside `Recv` (`FlatTopology::ChargeMessage`),
-/// with per-mailbox locks. Every other fabric runs a `des::`-style
+/// with per-inbox locks. Every other fabric runs a `des::`-style
 /// `EventEngine` — flows are injected at `Post` time, per-hop events are
-/// processed in `(time, flow key)` order, and every blocking operation
-/// (receive, barrier, clock sync) routes through the engine's single
-/// mutex so the last runnable thread pumps the queue. Both paths are
-/// deterministic on both execution backends.
+/// processed in `(time, flow key)` order, and the inboxes and barrier
+/// state are guarded by the engine's single mutex so the last runnable
+/// thread pumps the queue. Both paths are deterministic on both
+/// execution backends.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -72,8 +84,6 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  ~Network();
 
   int size() const { return size_; }
 
@@ -115,8 +125,9 @@ class Network {
   /// form never touches link state).
   LinkUsage link_usage(LinkId id) const;
 
-  /// Deposits a packet into the (src, dst) mailbox. On the event-ordered
-  /// engine this also injects the packet's flow into the event queue.
+  /// Deposits a packet from `src` into `dst`'s inbox. On the
+  /// event-ordered engine this also injects the packet's flow into the
+  /// event queue.
   void Post(int src, int dst, Packet packet);
 
   /// A received packet plus the receiver's advanced clock.
@@ -128,8 +139,8 @@ class Network {
   /// Blocks until a packet with `tag` from `src` to `dst` is available
   /// (and, on the event engine, until its arrival time is resolved),
   /// removes it and returns it with its delivery time at a receiver whose
-  /// clock reads `receiver_now`. Packets with the same tag are delivered
-  /// FIFO.
+  /// clock reads `receiver_now`. Packets from one `src` with the same tag
+  /// are delivered FIFO.
   Delivered RecvPacket(int src, int dst, int tag, double receiver_now);
 
   /// Worker-thread registration for the event engine's quiescence
@@ -158,15 +169,16 @@ class Network {
   /// invariant; trivially true on flat).
   bool SimIdle() const { return engine_ == nullptr || engine_->Idle(); }
 
-  /// Reusable rendezvous for all `size` workers. `slot` lets callers use
-  /// the two-phase max-clock sync without races.
+  /// Reusable rendezvous for all `size` workers.
   void BarrierWait();
 
   /// Publishes `value` to a per-rank slot and returns the max over all
   /// ranks once everyone has published (used to align simulated clocks).
   double MaxClockSync(int rank, double value);
 
-  /// True if every mailbox is empty (test hook: no stray messages).
+  /// True if every inbox is empty (end-of-run invariant: no stray
+  /// messages). Call only while no worker runs; `Cluster::Run` does,
+  /// after its workers finish.
   bool AllMailboxesEmpty() const;
 
   /// Attaches the SPMD protocol verifier (see `simnet/protocol_check.h`).
@@ -184,66 +196,69 @@ class Network {
   void InterruptWaiters();
 
  private:
-  struct Mailbox {
-    /// Flat fabric only (event mode guards mailboxes with the engine
-    /// mutex). All P^2 mailbox mutexes are one lock-order family.
-    lockcheck::OrderedMutex mutex{"simnet.mailbox"};
+  /// One receiving worker's undelivered packets, from every sender, in
+  /// post order.
+  struct Inbox {
+    /// Flat fabric only (event fabrics guard inboxes with the engine
+    /// mutex). All P inbox mutexes are one lock-order family.
+    lockcheck::OrderedMutex mutex{"simnet.inbox"};
     std::condition_variable_any cv;
     std::deque<Packet> queue;
   };
 
-  /// Flat fabric only: blocks until a packet with `tag` from `src` to
-  /// `dst` is available and removes it (FIFO per tag).
-  Packet Take(int src, int dst, int tag);
+  /// The mutex guarding state whose flat-fabric lock is `flat_mutex`:
+  /// the engine's on every other fabric, so that state changes
+  /// atomically with the flows.
+  lockcheck::OrderedMutex& MutexFor(lockcheck::OrderedMutex& flat_mutex) {
+    return engine_ ? engine_->mu() : flat_mutex;
+  }
+
+  /// Wakes every thread waiting on `cv` (flat) or in the engine. Caller
+  /// holds `MutexFor` of `cv`'s mutex.
+  void NotifyAllLocked(std::condition_variable_any& cv);
+
+  /// The one blocking primitive: waits under `lock` until `pred()` holds
+  /// or a protocol violation is diagnosed, then throws
+  /// `ProtocolViolation` in the latter case. `cv` is the flat fabric's
+  /// condition variable for the state `pred` reads; `describe` names the
+  /// wait in the timeout and deadlock diagnostics.
+  void Wait(std::unique_lock<lockcheck::OrderedMutex>& lock,
+            std::condition_variable_any& cv,
+            const std::function<bool()>& pred,
+            const std::function<std::string()>& describe);
 
   /// Throws `ProtocolViolation` when the attached checker has diagnosed a
-  /// divergence (no-op otherwise). Called at every wait site.
+  /// divergence (no-op otherwise).
   void ThrowIfInterrupted() const;
 
   /// Lock-free poll for wait predicates.
   bool interrupted() const;
-
-  /// The (src, dst) mailbox, created on first touch. Mailboxes are lazy
-  /// because the pair table is P^2: at P = 4096 eager construction is
-  /// ~16.7M boxes (gigabytes, and most pairs never talk — SparDL's
-  /// dense collectives are ring/doubling-shaped). Creation races resolve
-  /// by CAS; the loser frees its box and adopts the winner's.
-  Mailbox& BoxFor(int src, int dst);
-
-  size_t MailboxCount() const {
-    return static_cast<size_t>(size_) * static_cast<size_t>(size_);
-  }
 
   std::unique_ptr<Topology> topology_;
   /// Non-null exactly when `topology_` is a `FlatTopology`, whose closed
   /// form `RecvPacket` charges directly.
   const FlatTopology* flat_ = nullptr;
   /// Non-null on every other fabric. There the engine's mutex guards the
-  /// mailboxes and the barrier/sync state below; the per-mailbox mutexes
-  /// and `barrier_mutex_`/`sync_mutex_` go unused.
+  /// inboxes and the barrier/sync state below; the inbox mutexes and
+  /// `sync_mutex_` go unused.
   std::unique_ptr<EventEngine> engine_;
   ProtocolChecker* protocol_ = nullptr;
   int size_;
   double recv_timeout_seconds_ = 120.0;
-  /// P^2 lazily-populated slots (see `BoxFor`); null until first touch.
-  /// Owned: the destructor deletes every created box.
-  std::unique_ptr<std::atomic<Mailbox*>[]> mailboxes_;
-  /// Packets posted and not yet received, over all mailboxes: makes
-  /// `AllMailboxesEmpty` O(1) instead of a walk over P^2 slots. Atomic
-  /// because thread-backend workers post and receive under different
-  /// mailbox mutexes.
-  std::atomic<int64_t> queued_packets_{0};
+  std::vector<Inbox> inboxes_;  // by receiving rank
+
+  /// Flat fabric's lock and condition variable for both rendezvous
+  /// below. Their state machines stay separate, so a program that mixes
+  /// the two barrier kinds cannot rendezvous by accident.
+  lockcheck::OrderedMutex sync_mutex_{"simnet.sync"};
+  std::condition_variable_any sync_cv_;
 
   // Reusable barrier (generation-counted; std::barrier needs a fixed
   // completion type, a hand-rolled one is simpler to reuse).
-  lockcheck::OrderedMutex barrier_mutex_{"simnet.barrier"};
-  std::condition_variable_any barrier_cv_;
   int barrier_waiting_ = 0;
   uint64_t barrier_generation_ = 0;
 
   // Max-clock sync state.
-  lockcheck::OrderedMutex sync_mutex_{"simnet.sync"};
-  std::condition_variable_any sync_cv_;
   int sync_count_ = 0;
   double sync_max_ = 0.0;
   double sync_result_ = 0.0;

@@ -85,7 +85,7 @@ void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
   if (!worker.log.empty() && worker.log.back().op == ProtocolOp::kRecv) {
     worker.log.back().words = words;
   }
-  // Consume the matched send, mirroring the mailbox's semantics exactly:
+  // Consume the matched send, mirroring the inbox's semantics exactly:
   // first queued send with this tag, skipping other tags (FIFO per tag).
   auto& channel = ChannelLocked(src, rank);
   const auto it =

@@ -28,8 +28,8 @@ namespace spardl {
 /// mirrors the network's matching rules on cheap logical state: each
 /// worker's sequence of collective ops (kind, peer, tag, element count,
 /// iteration) is recorded into a bounded per-worker log, per-channel
-/// unmatched sends are tracked with the mailbox's own tag-filtered FIFO
-/// semantics, and the cross-checks run at each blocking transition:
+/// unmatched sends are tracked with the inbox's own (src, tag)-filtered
+/// FIFO semantics, and the cross-checks run at each blocking transition:
 ///
 ///  * a worker entering `Barrier` while a peer waits in
 ///    `BarrierSyncClocks` (or vice versa) fails immediately — mismatched
@@ -44,7 +44,7 @@ namespace spardl {
 ///    that finished early.
 ///
 /// Soundness: hooks run *before* the corresponding network operation, so
-/// the checker's view of sends is never behind the mailboxes'; a wait the
+/// the checker's view of sends is never behind the inboxes'; a wait the
 /// checker deems satisfiable really can complete, so there are no false
 /// stuck reports — at worst a transiently missed one, caught at the next
 /// blocking transition.

@@ -256,8 +256,8 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
       "collective deadlock");
 }
 
-// The flat fabric's mailbox wait has its own cooperative branch; it must
-// reach the same diagnosis.
+// On the flat fabric `Network::Wait` yields to the scheduler itself rather
+// than through the event engine; it must reach the same diagnosis.
 TEST(CoopBackendDeathTest, DeadlockDiagnosedOnFlatFabric) {
   if (!FiberBackendAvailable()) {
     GTEST_SKIP() << "fiber backend compiled out under TSan";

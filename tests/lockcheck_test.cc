@@ -42,8 +42,8 @@ TEST(LockCheckTest, ConsistentOrderPasses) {
 
 TEST(LockCheckTest, IndependentMutexesOfOneFamilyShareTheNode) {
   static Graph graph;
-  // Two distinct mutexes registered under one name (the per-mailbox
-  // pattern: all P^2 mailbox mutexes are one lock-order family).
+  // Two distinct mutexes registered under one name (the per-inbox
+  // pattern: all P inbox mutexes are one lock-order family).
   static OrderedMutex box1(graph, "family.box");
   static OrderedMutex box2(graph, "family.box");
   static OrderedMutex engine(graph, "family.engine");

@@ -59,6 +59,26 @@ SPARDL_TEST_NOINLINE void operator delete[](void* ptr) noexcept {
 SPARDL_TEST_NOINLINE void operator delete[](void* ptr, size_t) noexcept {
   std::free(ptr);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// otherwise the runtime's nothrow new pairs with the free above, which
+// ASan reports as an alloc-dealloc mismatch.
+SPARDL_TEST_NOINLINE void* operator new(size_t size,
+                                        const std::nothrow_t&) noexcept {
+  if (g_count_allocations) ++g_allocation_count;
+  return std::malloc(size);
+}
+SPARDL_TEST_NOINLINE void* operator new[](size_t size,
+                                          const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+SPARDL_TEST_NOINLINE void operator delete(void* ptr,
+                                          const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+SPARDL_TEST_NOINLINE void operator delete[](void* ptr,
+                                            const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
 
 namespace spardl {
 namespace {

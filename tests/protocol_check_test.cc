@@ -2,9 +2,9 @@
 // (mismatched tag, unequal round counts, wrong team size, mixed barrier
 // kinds) must come back from `Cluster::Run` as a diagnostic `Status`
 // naming both workers' op traces — within one barrier, never by hanging
-// until the 120 s mailbox watchdog. Each run keeps a short recv watchdog
-// anyway, so a detector regression fails the test loudly instead of
-// stalling the suite.
+// until the 120 s wait watchdog. Each run keeps a short watchdog anyway,
+// so a detector regression fails the test loudly instead of stalling the
+// suite.
 
 #include "simnet/protocol_check.h"
 
@@ -27,8 +27,8 @@ namespace {
 /// and the event engine on every other fabric.
 enum class Charge { kClosedForm, kEventOrdered };
 
-/// Every divergence case runs on both: they exercise entirely different
-/// wait paths (per-mailbox cv vs. engine BlockUntil).
+/// Every divergence case runs on both: they block differently (a
+/// condition wait on the inbox or sync cv vs. engine BlockUntil).
 class ProtocolCheckTest : public ::testing::TestWithParam<Charge> {
  protected:
   static constexpr int kWorkers = 4;
@@ -149,7 +149,7 @@ TEST_P(ProtocolCheckTest, UnconsumedSendAtClockSyncIsDiagnosed) {
   // A peer asymmetry that never blocks anyone: rank 0 sends a message
   // nobody receives, then all ranks reach the iteration boundary. Plain
   // FIFO matching would only surface this one iteration later (or as a
-  // leaked mailbox CHECK at teardown); the checker flags it at the
+  // leaked-message CHECK at teardown); the checker flags it at the
   // completed clock-sync barrier.
   const Status status = cluster->Run([](Comm& comm) {
     if (comm.rank() == 0) comm.Send(1, OneWord(), /*tag=*/3);

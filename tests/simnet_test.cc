@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "simnet/cluster.h"
 #include "simnet/comm.h"
 #include "simnet/network.h"
+#include "topo/topology_spec.h"
 
 namespace spardl {
 namespace {
@@ -32,28 +35,65 @@ TEST(CommTest, SendRecvDeliversPayload) {
   });
 }
 
+// Inputs of the inbox-matching tests: the two-worker case, and three
+// workers on both charge paths, where ranks 0 and 2 share rank 1's inbox.
+std::vector<TopologySpec> InboxFabrics() {
+  return {TopologySpec::Flat(2, CostModel::Free()),
+          TopologySpec::Flat(3, CostModel::Free()),
+          TopologySpec::Star(3, CostModel::Free())};
+}
+
 TEST(CommTest, FifoOrderPerChannel) {
-  Cluster cluster(2, CostModel::Free());
-  cluster.Run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      for (int64_t i = 0; i < 5; ++i) comm.Send(1, Payload(i));
-    } else {
-      for (int64_t i = 0; i < 5; ++i) EXPECT_EQ(comm.RecvAs<int64_t>(0), i);
-    }
-  });
+  constexpr int64_t kMessages = 6;
+  for (const TopologySpec& spec : InboxFabrics()) {
+    SCOPED_TRACE(spec.Describe());
+    Cluster cluster(spec);
+    cluster.Run([](Comm& comm) {
+      if (comm.rank() != 1) {
+        // Alternating tags: every sender interleaves two channels.
+        for (int64_t i = 0; i < kMessages; ++i) {
+          comm.Send(1, Payload(100 * comm.rank() + i),
+                    /*tag=*/static_cast<int>(i % 2));
+        }
+      }
+      // Every packet is queued before rank 1 takes the first one, so the
+      // order below differs from the arrival order.
+      comm.Barrier();
+      if (comm.rank() != 1) return;
+      for (int src = comm.size() - 1; src >= 0; --src) {
+        if (src == 1) continue;
+        for (const int tag : {1, 0}) {
+          for (int64_t i = tag; i < kMessages; i += 2) {
+            EXPECT_EQ(comm.RecvAs<int64_t>(src, tag), 100 * src + i);
+          }
+        }
+      }
+    });
+    EXPECT_TRUE(cluster.network().AllMailboxesEmpty());
+  }
 }
 
 TEST(CommTest, TagsMatchOutOfOrder) {
-  Cluster cluster(2, CostModel::Free());
-  cluster.Run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.Send(1, Payload(int64_t{1}), /*tag=*/7);
-      comm.Send(1, Payload(int64_t{2}), /*tag=*/9);
-    } else {
-      EXPECT_EQ(comm.RecvAs<int64_t>(0, /*tag=*/9), 2);
-      EXPECT_EQ(comm.RecvAs<int64_t>(0, /*tag=*/7), 1);
-    }
-  });
+  for (const TopologySpec& spec : InboxFabrics()) {
+    SCOPED_TRACE(spec.Describe());
+    Cluster cluster(spec);
+    cluster.Run([](Comm& comm) {
+      if (comm.rank() != 1) {
+        comm.Send(1, Payload(int64_t{100 * comm.rank() + 7}), /*tag=*/7);
+        comm.Send(1, Payload(int64_t{100 * comm.rank() + 9}), /*tag=*/9);
+      }
+      comm.Barrier();
+      if (comm.rank() != 1) return;
+      // Tag 9 first, last sender first: the reverse of the send order.
+      for (const int tag : {9, 7}) {
+        for (int src = comm.size() - 1; src >= 0; --src) {
+          if (src == 1) continue;
+          EXPECT_EQ(comm.RecvAs<int64_t>(src, tag), 100 * src + tag);
+        }
+      }
+    });
+    EXPECT_TRUE(cluster.network().AllMailboxesEmpty());
+  }
 }
 
 TEST(CommTest, RecvChargesAlphaPlusBetaPerWord) {
@@ -211,6 +251,58 @@ TEST(NetworkDeathTest, UnconsumedMessageFailsTheRun) {
       },
       "left unconsumed messages");
 }
+
+// Every thread-backend wait has the wall-clock watchdog: a worker that
+// returns while its peer waits must abort the run after
+// `recv_timeout_seconds`, on the flat fabric's condition waits as on the
+// event engine's.
+enum class PeerWait { kRecv, kBarrier, kBarrierSyncClocks };
+
+class WatchdogDeathTest
+    : public ::testing::TestWithParam<std::tuple<std::string, PeerWait>> {};
+
+TEST_P(WatchdogDeathTest, AbandonedWaitTimesOut) {
+  const auto [fabric, wait] = GetParam();
+  auto spec = TopologySpec::Parse(fabric, 2);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_DEATH(
+      {
+        Cluster cluster(*spec);
+        cluster.set_exec_backend(ExecBackend::kThread);
+        cluster.network().set_recv_timeout_seconds(1.0);
+        (void)cluster.Run([wait = wait](Comm& comm) {
+          if (comm.rank() == 1) return;
+          switch (wait) {
+            case PeerWait::kRecv:
+              (void)comm.Recv(1);
+              break;
+            case PeerWait::kBarrier:
+              comm.Barrier();
+              break;
+            case PeerWait::kBarrierSyncClocks:
+              comm.BarrierSyncClocks();
+              break;
+          }
+        });
+      },
+      "timed out");
+}
+
+std::string WatchdogCaseName(
+    const ::testing::TestParamInfo<WatchdogDeathTest::ParamType>& info) {
+  static constexpr const char* kWaitNames[] = {"Recv", "Barrier",
+                                               "BarrierSyncClocks"};
+  return std::get<0>(info.param) + "_" +
+         kWaitNames[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Waits, WatchdogDeathTest,
+    ::testing::Combine(::testing::Values(std::string("flat"),
+                                         std::string("star")),
+                       ::testing::Values(PeerWait::kRecv, PeerWait::kBarrier,
+                                         PeerWait::kBarrierSyncClocks)),
+    WatchdogCaseName);
 
 }  // namespace
 }  // namespace spardl
