@@ -9,12 +9,13 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
 #include "collectives/sparse_allgather.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/spar_reduce_scatter.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 
 namespace spardl {
@@ -45,19 +46,20 @@ void LazyVsEager(const bench::HarnessArgs& args) {
   for (bool lazy : {false, true}) {
     Cluster cluster(
         *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-    bench::ApplyExecBackend(cluster);
+    bench::ConfigureCluster(cluster);
     const double wall = WallSeconds([&] {
       for (int iter = 0; iter < iterations; ++iter) {
-        cluster.Run([&](Comm& comm) {
+        SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
           SrsOptions options;
           options.k = k;
           options.lazy_sparsify = lazy;
           SparReduceScatter(comm, CommGroup::World(comm),
                             grads[static_cast<size_t>(comm.rank())],
                             options, nullptr);
-        });
+        }));
       }
     });
+    bench::ObserveRun(cluster, lazy ? "lazy" : "eager");
     table.AddRow({lazy ? "lazy (paper optimisation)" : "eager",
                   StrFormat("%.3f", wall / iterations),
                   StrFormat("%lu", static_cast<unsigned long>(
@@ -78,12 +80,13 @@ void BruckVsRecursiveDoubling(const bench::HarnessArgs& args) {
                                : std::vector<int>{8, 12, 14};
   for (int p : sweep) {
     Cluster cluster(p, CostModel::Ethernet());
-    bench::ApplyExecBackend(cluster);
-    cluster.Run([&](Comm& comm) {
+    bench::ConfigureCluster(cluster);
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       SparseVector mine;
       mine.PushBack(static_cast<GradIndex>(comm.rank()), 1.0f);
       BruckAllGather(comm, CommGroup::World(comm), std::move(mine));
-    });
+    }));
+    bench::ObserveRun(cluster, StrFormat("bruck P=%d", p));
     table.AddRow({StrFormat("%d", p),
                   StrFormat("%lu", static_cast<unsigned long>(
                                        cluster.MaxMessagesReceived())),
@@ -99,11 +102,9 @@ void BruckVsRecursiveDoubling(const bench::HarnessArgs& args) {
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunAblationSrs(const HarnessArgs& args) {
   std::printf("== Ablations of SparDL design choices ==\n\n");
-  spardl::LazyVsEager(args);
-  spardl::BruckVsRecursiveDoubling(args);
+  LazyVsEager(args);
+  BruckVsRecursiveDoubling(args);
   return 0;
 }

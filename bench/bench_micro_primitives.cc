@@ -2,11 +2,11 @@
 // path: top-k selection, sparse merge-summation, SRS bag partitioning, and
 // the collectives' wall-clock cost on the in-process cluster.
 //
-// Deliberately NOT wired through bench::ParseHarnessArgs: google-benchmark
-// owns this binary's command line (--benchmark_filter and friends), and
-// the shared --workers/--topology knobs would collide with the fixed
-// per-benchmark size arguments. Every other bench harness accepts the
-// shared flags; size this one with --benchmark_filter instead.
+// Deliberately NOT a spardl-bench scenario: google-benchmark owns this
+// binary's command line (--benchmark_filter and friends), and the
+// harness --workers/--topology flags would collide with the fixed
+// per-benchmark size arguments. Size this one with --benchmark_filter
+// instead.
 
 #include <benchmark/benchmark.h>
 

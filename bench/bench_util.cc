@@ -16,50 +16,41 @@ namespace bench {
 
 namespace {
 
-constexpr const char* kFlagHelp =
-    "(supported flags: --workers N, --iterations N, --topology SPEC, "
-    "--backend thread|fiber, "
-    "--placement contiguous|rack|interleaved, "
-    "--trace-out PATH, --metrics-out PATH, --metrics-csv PATH, "
-    "--timeseries-out PATH, --protocol-check; env "
-    "SPARDL_BENCH_WORKERS, SPARDL_BENCH_ITERATIONS, SPARDL_BENCH_TOPOLOGY, "
-    "SPARDL_BENCH_BACKEND, SPARDL_BENCH_PLACEMENT, "
-    "SPARDL_BENCH_TRACE_OUT, "
-    "SPARDL_BENCH_METRICS_OUT, SPARDL_BENCH_METRICS_CSV, "
-    "SPARDL_BENCH_TIMESERIES_OUT, SPARDL_BENCH_PROTOCOL_CHECK)";
-
-/// Process-global observability sinks, installed by `ParseHarnessArgs`.
-/// A plain static: bench mains are single-threaded at parse/observe time.
-struct ObsConfig {
-  std::optional<std::string> trace_out;
-  std::optional<std::string> metrics_out;
-  std::optional<std::string> metrics_csv;
-  std::optional<std::string> timeseries_out;
-  std::vector<RunMetrics> runs;
-
-  bool enabled() const {
-    return trace_out.has_value() || metrics_out.has_value() ||
-           metrics_csv.has_value() || timeseries_out.has_value();
-  }
+/// One harness flag: its name, the value it takes (null: none) and the
+/// `HarnessFlag` bit that lets a scenario read it.
+struct FlagSpec {
+  const char* name;
+  const char* value;
+  unsigned bit;
 };
 
-ObsConfig& GlobalObs() {
-  static ObsConfig config;
-  return config;
-}
+constexpr FlagSpec kFlagSpecs[] = {
+    {"workers", "N", kWorkersFlag},
+    {"iterations", "N", kIterationsFlag},
+    {"topology", "SPEC", kTopologyFlag},
+    {"placement", "contiguous|rack|interleaved", kPlacementFlag},
+    {"backend", "thread|fiber", kClusterFlags},
+    {"trace-out", "PATH", kClusterFlags},
+    {"metrics-out", "PATH", kClusterFlags},
+    {"metrics-csv", "PATH", kClusterFlags},
+    {"timeseries-out", "PATH", kClusterFlags},
+    {"protocol-check", nullptr, kClusterFlags},
+};
 
-/// Process-global `--protocol-check` switch, installed by
-/// `ParseHarnessArgs` (same single-threaded contract as `ObsConfig`).
-bool& GlobalProtocolCheck() {
-  static bool enabled = false;
-  return enabled;
-}
+/// The running scenario's harness state, installed by `ParseHarnessArgs`.
+/// A plain static: the driver runs one scenario, single-threaded at
+/// parse/observe time.
+struct HarnessState {
+  std::string scenario;
+  unsigned flags = 0;
+  HarnessArgs args;
+  /// Every observed run so far (the metrics sinks keep them all).
+  std::vector<RunMetrics> runs;
+};
 
-/// Process-global `--backend` override, installed by `ParseHarnessArgs`
-/// (nullopt = keep each cluster's process default).
-std::optional<ExecBackend>& GlobalExecBackend() {
-  static std::optional<ExecBackend> backend;
-  return backend;
+HarnessState& Global() {
+  static HarnessState state;
+  return state;
 }
 
 [[noreturn]] void DieWriteFailure(const std::string& path) {
@@ -68,79 +59,17 @@ std::optional<ExecBackend>& GlobalExecBackend() {
   std::exit(1);
 }
 
-[[noreturn]] void DieBadValue(const char* what, const char* text) {
-  std::fprintf(stderr, "bad value '%s' for %s: want a positive integer %s\n",
-               text, what, kFlagHelp);
-  std::exit(2);
-}
-
 // The whole token must be a positive integer — trailing garbage
-// ("4junk") and non-numbers abort with a usage message, not a CHECK.
-int ParseIntOrDie(const char* what, const char* text) {
+// ("4junk") and non-numbers are usage errors, not a CHECK.
+int ParseIntOrDie(const std::string& what, const std::string& text) {
   char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1 || value > 1'000'000) {
-    DieBadValue(what, text);
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || value < 1 ||
+      value > 1'000'000) {
+    UsageError("bad value '" + text + "' for " + what +
+               ": want a positive integer");
   }
   return static_cast<int>(value);
-}
-
-// Parses "--<name>=V" or "--<name> V" at argv[i]; advances i past
-// consumed tokens.
-std::optional<int> MatchIntFlag(const char* name, int argc, char** argv,
-                                int* i) {
-  const char* arg = argv[*i];
-  const std::string flag = std::string("--") + name;
-  if (std::strncmp(arg, (flag + "=").c_str(), flag.size() + 1) == 0) {
-    return ParseIntOrDie(flag.c_str(), arg + flag.size() + 1);
-  }
-  if (flag != arg) return std::nullopt;
-  if (*i + 1 >= argc || std::strncmp(argv[*i + 1], "--", 2) == 0) {
-    DieBadValue(flag.c_str(), "<missing>");
-  }
-  ++*i;
-  return ParseIntOrDie(flag.c_str(), argv[*i]);
-}
-
-[[noreturn]] void DieMissingValue(const char* what) {
-  std::fprintf(stderr, "missing value for %s %s\n", what, kFlagHelp);
-  std::exit(2);
-}
-
-// Parses "--<name>=V" or "--<name> V" at argv[i] as a raw string;
-// advances i past consumed tokens.
-std::optional<std::string> MatchStringFlag(const char* name, int argc,
-                                           char** argv, int* i) {
-  const char* arg = argv[*i];
-  const std::string flag = std::string("--") + name;
-  if (std::strncmp(arg, (flag + "=").c_str(), flag.size() + 1) == 0) {
-    return std::string(arg + flag.size() + 1);
-  }
-  if (flag != arg) return std::nullopt;
-  if (*i + 1 >= argc || std::strncmp(argv[*i + 1], "--", 2) == 0) {
-    DieMissingValue(flag.c_str());
-  }
-  ++*i;
-  return std::string(argv[*i]);
-}
-
-PlacementPolicy ParsePlacementOrDie(const std::string& text) {
-  auto parsed = ParsePlacementPolicy(text);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "bad --placement: %s %s\n",
-                 parsed.status().ToString().c_str(), kFlagHelp);
-    std::exit(2);
-  }
-  return *parsed;
-}
-
-ExecBackend ParseBackendOrDie(const std::string& text) {
-  if (text == "thread") return ExecBackend::kThread;
-  if (text == "fiber") return ExecBackend::kFiber;
-  std::fprintf(stderr,
-               "bad value '%s' for --backend: want thread|fiber %s\n",
-               text.c_str(), kFlagHelp);
-  std::exit(2);
 }
 
 std::optional<int> EnvInt(const char* name) {
@@ -149,84 +78,106 @@ std::optional<int> EnvInt(const char* name) {
   return ParseIntOrDie(name, value);
 }
 
-std::optional<std::string> EnvString(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  return std::string(value);
+void SetFlag(const std::string& name, const std::string& value,
+             HarnessArgs* args) {
+  const std::string flag = "--" + name;
+  if (name == "workers") {
+    args->workers = ParseIntOrDie(flag, value);
+  } else if (name == "iterations") {
+    args->iterations = ParseIntOrDie(flag, value);
+  } else if (name == "topology") {
+    args->topology = value;
+  } else if (name == "placement") {
+    auto parsed = ParsePlacementPolicy(value);
+    if (!parsed.ok()) {
+      UsageError("bad --placement: " + parsed.status().ToString());
+    }
+    args->placement = *parsed;
+  } else if (name == "backend") {
+    if (value != "thread" && value != "fiber") {
+      UsageError("bad value '" + value + "' for --backend: want thread|fiber");
+    }
+    args->backend =
+        value == "thread" ? ExecBackend::kThread : ExecBackend::kFiber;
+  } else if (name == "trace-out") {
+    args->trace_out = value;
+  } else if (name == "metrics-out") {
+    args->metrics_out = value;
+  } else if (name == "metrics-csv") {
+    args->metrics_csv = value;
+  } else if (name == "timeseries-out") {
+    args->timeseries_out = value;
+  } else {  // --protocol-check
+    args->protocol_check = true;
+  }
 }
 
 }  // namespace
 
-HarnessArgs ParseHarnessArgs(int argc, char** argv) {
+void UsageError(const std::string& message) {
+  const HarnessState& state = Global();
+  std::string usage = "usage: spardl-bench " + state.scenario;
+  for (const FlagSpec& spec : kFlagSpecs) {
+    if ((state.flags & spec.bit) == 0) continue;
+    usage += std::string(" [--") + spec.name;
+    if (spec.value != nullptr) usage += std::string(" ") + spec.value;
+    usage += "]";
+  }
+  std::fprintf(stderr, "spardl-bench %s: %s\n%s\n", state.scenario.c_str(),
+               message.c_str(), usage.c_str());
+  std::exit(2);
+}
+
+HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv) {
+  HarnessState& state = Global();
+  state.scenario = argv[0];
+  state.flags = flags;
   HarnessArgs args;
-  args.workers = EnvInt("SPARDL_BENCH_WORKERS");
-  args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
-  args.topology = EnvString("SPARDL_BENCH_TOPOLOGY");
-  if (auto backend = EnvString("SPARDL_BENCH_BACKEND")) {
-    args.backend = ParseBackendOrDie(*backend);
+  if ((flags & kWorkersFlag) != 0) {
+    args.workers = EnvInt("SPARDL_BENCH_WORKERS");
   }
-  if (auto placement = EnvString("SPARDL_BENCH_PLACEMENT")) {
-    args.placement = ParsePlacementOrDie(*placement);
-  }
-  args.trace_out = EnvString("SPARDL_BENCH_TRACE_OUT");
-  args.metrics_out = EnvString("SPARDL_BENCH_METRICS_OUT");
-  args.metrics_csv = EnvString("SPARDL_BENCH_METRICS_CSV");
-  args.timeseries_out = EnvString("SPARDL_BENCH_TIMESERIES_OUT");
-  if (auto check = EnvString("SPARDL_BENCH_PROTOCOL_CHECK")) {
-    args.protocol_check = (*check != "0");
+  if ((flags & kIterationsFlag) != 0) {
+    args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
   }
   for (int i = 1; i < argc; ++i) {
-    if (auto workers = MatchIntFlag("workers", argc, argv, &i)) {
-      args.workers = *workers;
-    } else if (auto iters = MatchIntFlag("iterations", argc, argv, &i)) {
-      args.iterations = *iters;
-    } else if (auto topo = MatchStringFlag("topology", argc, argv, &i)) {
-      args.topology = *topo;
-    } else if (auto backend = MatchStringFlag("backend", argc, argv, &i)) {
-      args.backend = ParseBackendOrDie(*backend);
-    } else if (auto place = MatchStringFlag("placement", argc, argv, &i)) {
-      args.placement = ParsePlacementOrDie(*place);
-    } else if (auto trace = MatchStringFlag("trace-out", argc, argv, &i)) {
-      args.trace_out = *trace;
-    } else if (auto metrics = MatchStringFlag("metrics-out", argc, argv, &i)) {
-      args.metrics_out = *metrics;
-    } else if (auto csv = MatchStringFlag("metrics-csv", argc, argv, &i)) {
-      args.metrics_csv = *csv;
-    } else if (auto ts = MatchStringFlag("timeseries-out", argc, argv, &i)) {
-      args.timeseries_out = *ts;
-    } else if (std::strcmp(argv[i], "--protocol-check") == 0) {
-      args.protocol_check = true;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' %s\n", argv[i], kFlagHelp);
-      std::exit(2);
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      UsageError("unexpected argument '" + arg + "'");
     }
+    // "--name=value" or "--name value".
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq - 2);
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& candidate : kFlagSpecs) {
+      if (name == candidate.name) spec = &candidate;
+    }
+    if (spec == nullptr) UsageError("unknown flag '" + arg + "'");
+    if ((flags & spec->bit) == 0) {
+      UsageError("this scenario does not read --" + name);
+    }
+    std::string value;
+    if (spec->value == nullptr) {
+      if (eq != std::string::npos) {
+        UsageError("--" + name + " takes no value");
+      }
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+      value = argv[++i];
+    } else {
+      UsageError("missing value for --" + name);
+    }
+    SetFlag(name, value, &args);
   }
-  ObsConfig& obs = GlobalObs();
-  obs.trace_out = args.trace_out;
-  obs.metrics_out = args.metrics_out;
-  obs.metrics_csv = args.metrics_csv;
-  obs.timeseries_out = args.timeseries_out;
-  GlobalProtocolCheck() = args.protocol_check;
-  GlobalExecBackend() = args.backend;
+  state.args = args;
   return args;
 }
 
-bool ObservabilityEnabled() { return GlobalObs().enabled(); }
-
-void MaybeEnableObservability(Cluster& cluster) {
-  if (ObservabilityEnabled()) cluster.EnableTracing();
-}
-
-bool ProtocolCheckEnabled() { return GlobalProtocolCheck(); }
-
-void MaybeEnableProtocolCheck(Cluster& cluster) {
-  if (ProtocolCheckEnabled()) cluster.EnableProtocolCheck();
-}
-
-void ApplyExecBackend(Cluster& cluster) {
-  if (GlobalExecBackend().has_value()) {
-    cluster.set_exec_backend(*GlobalExecBackend());
-  }
+void ConfigureCluster(Cluster& cluster) {
+  const HarnessArgs& args = Global().args;
+  if (args.backend.has_value()) cluster.set_exec_backend(*args.backend);
+  if (args.observing()) cluster.EnableTracing();
+  if (args.protocol_check) cluster.EnableProtocolCheck();
 }
 
 namespace {
@@ -279,32 +230,33 @@ double StragglerFactorFromEnv() {
 }  // namespace
 
 void ObserveRun(Cluster& cluster, const std::string& label) {
-  ObsConfig& obs = GlobalObs();
-  if (!obs.enabled()) return;
-  obs.runs.push_back(CollectRunMetrics(cluster, label));
-  RunMetrics& run = obs.runs.back();
+  HarnessState& state = Global();
+  const HarnessArgs& args = state.args;
+  if (!args.observing()) return;
+  state.runs.push_back(CollectRunMetrics(cluster, label));
+  RunMetrics& run = state.runs.back();
   const CriticalPathReport report = ExtractCriticalPath(cluster);
   const std::vector<WhatIfResult> what_ifs = EstimateWhatIfs(report, cluster);
   run.analysis_json = AnalysisJson(report, what_ifs);
   const TimeSeriesReport series =
       BuildTimeSeries(cluster, StragglerFactorFromEnv());
-  if (obs.trace_out.has_value() &&
-      !WriteTextFile(*obs.trace_out, ChromeTraceJson(cluster))) {
-    DieWriteFailure(*obs.trace_out);
+  if (args.trace_out.has_value() &&
+      !WriteTextFile(*args.trace_out, ChromeTraceJson(cluster))) {
+    DieWriteFailure(*args.trace_out);
   }
-  if (obs.metrics_out.has_value() &&
-      !WriteTextFile(*obs.metrics_out, RunMetricsJson(obs.runs))) {
-    DieWriteFailure(*obs.metrics_out);
+  if (args.metrics_out.has_value() &&
+      !WriteTextFile(*args.metrics_out, RunMetricsJson(state.runs))) {
+    DieWriteFailure(*args.metrics_out);
   }
-  if (obs.metrics_csv.has_value()) {
-    WriteMetricsCsvOrDie(*obs.metrics_csv, obs.runs);
+  if (args.metrics_csv.has_value()) {
+    WriteMetricsCsvOrDie(*args.metrics_csv, state.runs);
   }
-  if (obs.timeseries_out.has_value() &&
-      !WriteTextFile(*obs.timeseries_out, TimeSeriesJson(series, label))) {
-    DieWriteFailure(*obs.timeseries_out);
+  if (args.timeseries_out.has_value() &&
+      !WriteTextFile(*args.timeseries_out, TimeSeriesJson(series, label))) {
+    DieWriteFailure(*args.timeseries_out);
   }
   std::printf("[obs] run %zu '%s' on %s (%s): makespan %.6fs\n",
-              obs.runs.size(), label.c_str(), run.topology.c_str(),
+              state.runs.size(), label.c_str(), run.topology.c_str(),
               run.engine.c_str(), run.makespan_seconds);
   if (!run.links.empty()) {
     std::printf("%s", LinkUtilizationTable(run, /*top_n=*/3).c_str());
@@ -342,6 +294,43 @@ TopologySpec ResolveFabric(const std::optional<TopologySpec>& topology,
   return spec;
 }
 
+namespace {
+
+int CeilLog2(int x) {
+  int l = 0;
+  while ((1 << l) < x) ++l;
+  return l;
+}
+
+}  // namespace
+
+TableICost PredictTableI(const std::string& algo, int p, int d,
+                         SagMode sag) {
+  const double pd = p;
+  const double log_p = CeilLog2(p);
+  if (algo == "topka") return {log_p, 2 * (pd - 1), 2 * (pd - 1)};
+  if (algo == "topkdsa") {
+    // (P + 2 log P) alpha; [4 (P-1)/P k, (P-1)/P (2k + n)] beta.
+    return {pd + 2 * log_p, 4 * (pd - 1) / pd, -1};
+  }
+  if (algo == "gtopk") return {2 * log_p, 4 * log_p, 4 * log_p};
+  if (algo == "oktopk") {
+    return {2 * (pd + log_p), 2 * (pd - 1) / pd, 6 * (pd - 1) / pd};
+  }
+  SPARDL_CHECK_EQ(algo, "spardl") << "no Table I row for " << algo;
+  if (d == 1) return {2 * log_p, 4 * (pd - 1) / pd, 4 * (pd - 1) / pd};
+  const double dd = d;
+  const double log_pd = CeilLog2(p / d);
+  const double log_d = CeilLog2(d);
+  if (sag == SagMode::kRecursive ||
+      (sag == SagMode::kAuto && (d & (d - 1)) == 0)) {
+    const double bw = 2 * ((2 * pd - 2 * dd) / pd + dd / pd * log_d);
+    return {2 * log_pd + log_d, bw, bw};
+  }
+  return {2 * log_pd + log_d, 2 * (dd * dd + pd - 2 * dd) / (pd * dd),
+          2 * (dd * dd + 2 * pd - 3 * dd) / pd};
+}
+
 std::optional<TopologySpec> HarnessArgs::TopologyOr(
     std::optional<TopologySpec> fallback, int num_workers,
     CostModel cost) const {
@@ -356,9 +345,7 @@ std::optional<TopologySpec> HarnessArgs::TopologyOr(
     }
   }
   if (!parsed.ok()) {
-    std::fprintf(stderr, "bad --topology: %s\n",
-                 parsed.status().ToString().c_str());
-    std::exit(2);
+    UsageError("bad --topology: " + parsed.status().ToString());
   }
   return *parsed;
 }
@@ -381,6 +368,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   config.k = k;
   config.num_workers = options.num_workers;
   config.num_teams = options.num_teams;
+  config.value_bits = options.value_bits;
   config.residual_mode = ResidualMode::kNone;
   // The team layout is planned against the *resolved* fabric, so a
   // --topology override changes where teams land, not just link costs.
@@ -390,9 +378,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   config.placement = std::move(*placement);
 
   Cluster cluster(fabric);
-  ApplyExecBackend(cluster);
-  MaybeEnableObservability(cluster);
-  MaybeEnableProtocolCheck(cluster);
+  ConfigureCluster(cluster);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(options.num_workers));
   for (int r = 0; r < options.num_workers; ++r) {

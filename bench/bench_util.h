@@ -16,49 +16,45 @@
 namespace spardl {
 namespace bench {
 
-/// Shared harness CLI: every bench main accepts
-///
-///   --workers=N / --workers N       cluster size override
-///   --iterations=N / --iterations N measured iterations override
-///   --topology=SPEC                 fabric override ("fattree:4x8x2", ...)
-///   --backend=thread|fiber          worker execution backend override
-///   --placement=POLICY              team layout (contiguous|rack|interleaved)
-///   --trace-out=PATH                Chrome trace JSON of the last traced run
-///   --metrics-out=PATH              structured run-metrics JSON (all runs)
-///   --metrics-csv=PATH              per-run numeric series as CSV
-///   --timeseries-out=PATH           per-iteration time-series JSON (last run)
-///
-/// with `SPARDL_BENCH_WORKERS` / `SPARDL_BENCH_ITERATIONS` /
-/// `SPARDL_BENCH_TOPOLOGY` / `SPARDL_BENCH_BACKEND` /
-/// `SPARDL_BENCH_PLACEMENT` / `SPARDL_BENCH_TRACE_OUT` /
-/// `SPARDL_BENCH_METRICS_OUT` / `SPARDL_BENCH_METRICS_CSV` /
-/// `SPARDL_BENCH_TIMESERIES_OUT` environment variables as defaults
-/// (flag > env > the bench's built-in value), so CI can run the expensive
-/// harnesses at smoke-tier sizes — and on any fabric/team layout,
-/// with artifacts — without editing code. Unknown `--` flags abort with a
-/// usage message; positional args are left for the bench to interpret.
-///
-/// `ParseHarnessArgs` registers the four output paths process-globally;
-/// the shared measurement helpers (`MeasurePerUpdate`, `RunTrainingCase`)
-/// then enable tracing and persist artifacts via `ObserveRun` with no
-/// per-bench code.
+/// The harness flags a scenario can read. Each `spardl-bench` scenario
+/// declares the set it reads, and the driver rejects every other flag on
+/// its command line with a usage error (exit 2).
+enum HarnessFlag : unsigned {
+  /// --workers N: cluster size override (env `SPARDL_BENCH_WORKERS`).
+  kWorkersFlag = 1u << 0,
+  /// --iterations N: measured iterations override (env
+  /// `SPARDL_BENCH_ITERATIONS`).
+  kIterationsFlag = 1u << 1,
+  /// --topology SPEC: fabric override ("fattree:4x8x2", ...).
+  kTopologyFlag = 1u << 2,
+  /// --placement contiguous|rack|interleaved: team layout.
+  kPlacementFlag = 1u << 3,
+  /// The six cluster flags: --backend thread|fiber, the four artifact
+  /// sinks (--trace-out, --metrics-out, --metrics-csv, --timeseries-out)
+  /// and --protocol-check. `ConfigureCluster` applies them, so every
+  /// scenario that builds a cluster reads them.
+  kClusterFlags = 1u << 4,
+};
+
+/// A scenario's parsed command line. The two env fallbacks fill
+/// `workers` / `iterations` when the scenario reads them and the flag is
+/// absent (flag > env > the scenario's built-in value), so CI can run the
+/// expensive scenarios at smoke-tier sizes without editing code.
 struct HarnessArgs {
   std::optional<int> workers;
   std::optional<int> iterations;
   /// A `TopologySpec::Parse` string.
   std::optional<std::string> topology;
-  /// `--backend thread|fiber`: worker execution backend for every
-  /// cluster this bench builds (unset = the process default, i.e.
-  /// `SPARDL_EXEC_BACKEND` or thread-per-worker).
+  /// Worker execution backend for every cluster (unset = the process
+  /// default, i.e. `SPARDL_EXEC_BACKEND` or thread-per-worker).
   std::optional<ExecBackend> backend;
   std::optional<PlacementPolicy> placement;
   std::optional<std::string> trace_out;
   std::optional<std::string> metrics_out;
   std::optional<std::string> metrics_csv;
   std::optional<std::string> timeseries_out;
-  /// `--protocol-check` / `SPARDL_BENCH_PROTOCOL_CHECK=1`: run every
-  /// cluster with the SPMD protocol verifier attached; a diagnosed
-  /// divergence aborts the bench with the verifier's report.
+  /// Run every cluster with the SPMD protocol verifier attached; a
+  /// diagnosed divergence aborts the scenario with the verifier's report.
   bool protocol_check = false;
 
   int workers_or(int fallback) const { return workers.value_or(fallback); }
@@ -68,43 +64,34 @@ struct HarnessArgs {
   PlacementPolicy placement_or(PlacementPolicy fallback) const {
     return placement.value_or(fallback);
   }
+  /// True when any artifact sink was given.
+  bool observing() const {
+    return trace_out.has_value() || metrics_out.has_value() ||
+           metrics_csv.has_value() || timeseries_out.has_value();
+  }
 
   /// The fabric this run should use: `--topology` (parsed with `workers`
-  /// and `cost`) when given, else `fallback` (nullopt = the bench's
-  /// default, usually flat). Parse and build errors abort with a usage
-  /// message.
+  /// and `cost`) when given, else `fallback` (nullopt = the scenario's
+  /// default, usually flat). Parse and build errors are usage errors.
   std::optional<TopologySpec> TopologyOr(
       std::optional<TopologySpec> fallback, int num_workers,
       CostModel cost = CostModel::Ethernet()) const;
 };
 
-HarnessArgs ParseHarnessArgs(int argc, char** argv);
+/// Parses scenario `argv[0]`'s command line against `flags` (a
+/// `HarnessFlag` mask) and installs the result process-wide for
+/// `ConfigureCluster` and `ObserveRun`. A positional argument, an unknown
+/// flag, a flag outside `flags` or a bad value is a usage error.
+HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv);
 
-/// True once `ParseHarnessArgs` saw any observability sink
-/// (--trace-out / --metrics-out / --metrics-csv / --timeseries-out or
-/// their env defaults).
-bool ObservabilityEnabled();
+/// Prints `message` and the scenario's usage line to stderr and exits 2.
+[[noreturn]] void UsageError(const std::string& message);
 
-/// Turns span recording on for `cluster` when observability is enabled
-/// (no-op otherwise). Call after constructing the cluster, before the
-/// measured iterations.
-void MaybeEnableObservability(Cluster& cluster);
-
-/// True once `ParseHarnessArgs` saw `--protocol-check` (or its env
-/// default).
-bool ProtocolCheckEnabled();
-
-/// Attaches the SPMD protocol verifier to `cluster` when
-/// `--protocol-check` was given (no-op otherwise). The shared measurement
-/// helpers call this themselves; benches that build their own clusters
-/// should call it after construction, before running workers.
-void MaybeEnableProtocolCheck(Cluster& cluster);
-
-/// Applies the harness `--backend` selection to `cluster` (no-op when
-/// the flag was not given — the cluster then keeps the process default,
-/// `Cluster::DefaultExecBackend`). Same calling convention as
-/// `MaybeEnableProtocolCheck`: after construction, before running.
-void ApplyExecBackend(Cluster& cluster);
+/// Applies the cluster flags to a freshly built `cluster`: the --backend
+/// override, span recording when any artifact sink is set, and the
+/// protocol verifier under --protocol-check. Call right after
+/// construction, and `ObserveRun` after the measured run.
+void ConfigureCluster(Cluster& cluster);
 
 /// Records one finished measurement run against the configured sinks:
 /// appends the run's `RunMetrics` (with its embedded critical-path
@@ -114,11 +101,27 @@ void ApplyExecBackend(Cluster& cluster);
 /// run). Prints the top-links, critical-path, what-if, and straggler
 /// tables to stdout. The straggler threshold is
 /// `SPARDL_STRAGGLER_FACTOR` (default 1.5). Exits non-zero with a message
-/// on any write failure. No-op when observability is disabled.
+/// on any write failure. No-op when no sink was given.
 void ObserveRun(Cluster& cluster, const std::string& label);
 
-/// The default fabric sweep shared by `bench_ext_topology` and
-/// `examples/topology_explorer`: flat, star, two-rack fat-tree
+/// Table I's closed-form cost of one sparse All-Reduce: latency in units
+/// of alpha, bandwidth in units of k*beta (received words / k).
+struct TableICost {
+  double latency = 0.0;
+  double bandwidth_low = 0.0;
+  /// Equals `bandwidth_low` when the bound is tight; negative when it
+  /// depends on n (TopkDSA's (P-1)/P (2k + n)).
+  double bandwidth_high = 0.0;
+};
+
+/// The Table I row of registry method `algo` at P = `p`. For "spardl"
+/// with d > 1 teams, `sag` picks the R-SAG or B-SAG row (kAuto: R-SAG
+/// when d is a power of two, the paper's rule).
+TableICost PredictTableI(const std::string& algo, int p, int d,
+                         SagMode sag);
+
+/// The default fabric sweep shared by the `ext_topology` and
+/// `topology_explorer` scenarios: flat, star, two-rack fat-tree
 /// (single-core and 2-core ECMP), ring, and — for even P >= 4 — a
 /// (P/2) x 2 torus. One list so the two surfaces cannot drift.
 std::vector<TopologySpec> DefaultFabricSweep(
@@ -163,6 +166,7 @@ struct PerUpdateOptions {
   int warmup_iterations = 1;
   int measured_iterations = 2;
   int num_teams = 1;          // for "spardl"
+  int value_bits = 32;        // SparDL wire quantization
   /// Team layout planned against the run's resolved fabric (for "spardl"
   /// with num_teams > 1; ignored by the baselines).
   PlacementPolicy placement = PlacementPolicy::kContiguous;
@@ -222,7 +226,7 @@ struct TeamTuneOptions {
 /// The paper's §III-D/§IV-G team-count selection, generalised to a
 /// (d, placement) grid over the *given* fabric: one simulated epoch of
 /// `spardl` per divisor d of `fabric.num_workers` per placement policy.
-/// This is the engine behind `examples/tune_teams` — and the regression
+/// This is the engine behind the `tune_teams` scenario — and the regression
 /// surface for the historical bug where the tuner ignored the requested
 /// topology and always tuned d on the flat closed-form fabric.
 TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,

@@ -3,18 +3,17 @@
 // paper's headline table: per-update communication time, bandwidth and
 // latency per worker.
 //
-//   $ ./build/examples/compare_algorithms
+//   $ ./build/bench/spardl-bench compare_algorithms
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
-int main() {
-  using namespace spardl;  // NOLINT
+int spardl::bench::RunCompareAlgorithms(const HarnessArgs& /*args*/) {
   const ModelProfile& profile = ProfileByModel("VGG-19");
   std::printf(
       "comparing sparse All-Reduce methods on %s (%zu params), P=14, "

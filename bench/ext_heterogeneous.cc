@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "baselines/registry.h"
-#include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 
 namespace spardl {
@@ -35,7 +36,7 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
   config.residual_mode = ResidualMode::kNone;
 
   Cluster cluster(p, CostModel::Ethernet());
-  bench::ApplyExecBackend(cluster);
+  bench::ConfigureCluster(cluster);
   if (slowdown > 1.0) cluster.network().SetWorkerSlowdown(p / 2, slowdown);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -48,7 +49,7 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
   }
   for (int iter = 0; iter < 1 + iterations; ++iter) {
     if (iter == 1) cluster.ResetClocksAndStats();
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       if (generator.has_compute_skew()) {
         comm.Compute(generator.ComputeSeconds(comm.rank(),
                                               profile.compute_seconds));
@@ -57,17 +58,17 @@ double PerUpdateSeconds(const std::string& algo, int p, double slowdown,
           generator.Generate(comm.rank(), iter, k + k / 2);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm, candidates);
       comm.BarrierSyncClocks();
-    });
+    }));
   }
+  bench::ObserveRun(cluster, StrFormat("%s net x%g compute x%g", algo.c_str(),
+                                       slowdown, compute_mult));
   return cluster.MaxSimSeconds() / static_cast<double>(iterations);
 }
 
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunExtHeterogeneous(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   const int iters = args.iterations_or(1);
   std::printf(

@@ -18,8 +18,9 @@
 // transfer behind the remaining compute; the table reports how much of
 // the synchronous epoch that recovers on each fabric.
 //
-//   $ ./build/bench/bench_ext_overlap [--workers N] [--iterations N]
-//         [--topology SPEC] [--placement contiguous|rack|interleaved]
+//   $ ./build/bench/spardl-bench ext_overlap [--workers N]
+//         [--iterations N] [--topology SPEC]
+//         [--placement contiguous|rack|interleaved]
 //
 // --topology replaces the two-fabric sweep with one fabric.
 
@@ -27,15 +28,13 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "dl/trainer.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunExtOverlap(const HarnessArgs& args) {
   const int p = args.workers_or(8);
   const int iterations = args.iterations_or(10);
   const int epochs = 2;

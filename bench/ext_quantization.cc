@@ -6,14 +6,12 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunExtQuantization(const HarnessArgs& args) {
   std::printf(
       "== Extension: SparDL + value quantization (paper §VI future "
       "work) ==\n\n");
@@ -23,47 +21,17 @@ int main(int argc, char** argv) {
   TablePrinter table({"config", "comm (s)", "words/update", "vs fp32"});
   double fp32_comm = 0.0;
   for (int bits : {32, 16, 8, 4}) {
-    // MeasurePerUpdate has no quantization knob; measure inline.
-    const size_t n = profile.num_params;
-    const size_t k = n / 100;
-    AlgorithmConfig config;
-    config.n = n;
-    config.k = k;
-    config.num_workers = p;
-    config.residual_mode = ResidualMode::kNone;
-    config.value_bits = bits;
-    Cluster cluster(
-        *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-    bench::ApplyExecBackend(cluster);
-    std::vector<std::unique_ptr<SparseAllReduce>> algos(
-        static_cast<size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      algos[static_cast<size_t>(r)] =
-          std::move(*CreateAlgorithm("spardl", config));
-    }
-    const ProfileGradientGenerator generator(n, 2024);
-    for (int iter = 0; iter < 2; ++iter) {
-      if (iter == 1) cluster.ResetClocksAndStats();
-      cluster.Run([&](Comm& comm) {
-        const SparseVector candidates =
-            generator.Generate(comm.rank(), iter, k + k / 2);
-        algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
-                                                             candidates);
-        comm.BarrierSyncClocks();
-      });
-    }
-    double comm_seconds = 0.0;
-    uint64_t words = 0;
-    for (int r = 0; r < p; ++r) {
-      comm_seconds =
-          std::max(comm_seconds, cluster.comm(r).stats().comm_seconds);
-      words = std::max(words, cluster.comm(r).stats().words_received);
-    }
-    if (bits == 32) fp32_comm = comm_seconds;
-    table.AddRow({std::string(algos[0]->name()),
-                  StrFormat("%.4f", comm_seconds),
-                  StrFormat("%lu", static_cast<unsigned long>(words)),
-                  StrFormat("%.2fx", fp32_comm / comm_seconds)});
+    bench::PerUpdateOptions options;
+    options.num_workers = p;
+    options.topology = args.TopologyOr(std::nullopt, p);
+    options.measured_iterations = 1;
+    options.value_bits = bits;
+    const bench::PerUpdateResult r =
+        bench::MeasurePerUpdate("spardl", profile, options);
+    if (bits == 32) fp32_comm = r.comm_seconds;
+    table.AddRow({r.algo_label, StrFormat("%.4f", r.comm_seconds),
+                  StrFormat("%.0f", r.words_per_update),
+                  StrFormat("%.2fx", fp32_comm / r.comm_seconds)});
   }
   std::printf("VGG-19 profile, P=%d, k/n=1%%\n%s\n", p,
               table.ToString().c_str());

@@ -8,8 +8,9 @@
 // direct-send fan-in (TopkA) hardest, while SparDL's log-round block
 // exchanges degrade most gracefully.
 //
-//   $ ./build/bench/bench_ext_topology [--workers N] [--iterations N]
-//         [--topology SPEC] [--placement contiguous|rack|interleaved]
+//   $ ./build/bench/spardl-bench ext_topology [--workers N]
+//         [--iterations N] [--topology SPEC]
+//         [--placement contiguous|rack|interleaved]
 //
 // --topology replaces the sweep with one fabric; --placement pins
 // SparDL's team layout for the method table. A second table compares the three placement policies for
@@ -19,14 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "topo/placement.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunExtTopology(const HarnessArgs& args) {
   const int p = args.workers_or(8);
   // Large-P mode (P >= 256, the cooperative backend's territory): the
   // direct-send methods (topka; oktopk's threshold phase also fans in
@@ -46,6 +45,7 @@ int main(int argc, char** argv) {
   if (args.topology.has_value()) {
     fabrics = {*args.TopologyOr(std::nullopt, p, cm)};
   } else {
+    if (p < 2) UsageError("the sweep needs --workers >= 2");
     fabrics = bench::DefaultFabricSweep(p, cm);
     if (large_p) {
       // O(P)-diameter fabrics turn every log-round exchange into

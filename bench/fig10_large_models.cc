@@ -7,13 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig10LargeModels(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   std::printf(
       "== Fig. 10: per-update time on large models, %d workers ==\n\n", p);

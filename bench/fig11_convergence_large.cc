@@ -6,12 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig11ConvergenceLarge(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   std::printf(
       "== Fig. 11: convergence on large cases, SparDL vs Ok-Topk ==\n\n");

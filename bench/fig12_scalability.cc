@@ -12,14 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
   const ModelProfile& profile = ProfileByModel("VGG-19");
 
   // == Extension beyond the figure: large-P rows on a contended fabric ==

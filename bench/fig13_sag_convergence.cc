@@ -8,17 +8,15 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig13SagConvergence(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   TrainingCaseSpec spec = MakeTrainingCase("vgg16");
   // Harder task variant so the d=P quality loss is visible within the
-  // short run (see bench_fig17_residuals.cc for the same reasoning).
+  // short run (see fig17_residuals.cc for the same reasoning).
   spec.dataset_factory = [] {
     return MakeSyntheticClassification(96, 10, 3.0f, 101);
   };

@@ -5,8 +5,8 @@
 // (d=7 for P=14, d=6 for P=12); too-large d raises bandwidth and wins
 // nothing.
 //
-//   $ ./build/bench/bench_fig14_team_impact [--workers N] [--iterations N]
-//         [--topology SPEC]
+//   $ ./build/bench/spardl-bench fig14_team_impact [--workers N]
+//         [--iterations N] [--topology SPEC]
 //         [--placement contiguous|rack|interleaved]
 //
 // --topology reruns the d sweep on a non-flat fabric (the same
@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "topo/placement.h"
 
 namespace spardl {
@@ -111,9 +111,7 @@ void RunForWorkers(int p, const std::vector<int>& team_counts,
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig14TeamImpact(const HarnessArgs& args) {
   std::printf("== Fig. 14: impact of team count d on per-epoch time ==\n\n");
   const int iterations_per_epoch = 60;
   const int measured = args.iterations_or(2);

@@ -11,10 +11,11 @@
 #include <vector>
 
 #include "baselines/registry.h"
-#include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 
 namespace spardl {
@@ -37,7 +38,7 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
 
   Cluster cluster(
       *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
-  bench::ApplyExecBackend(cluster);
+  bench::ConfigureCluster(cluster);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -50,17 +51,18 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const double before = cluster.MaxSimSeconds();
     for (int i = 0; i < iters_per_epoch; ++i, ++iteration) {
-      cluster.Run([&](Comm& comm) {
+      SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
         const SparseVector candidates = generator.Generate(
             comm.rank(), iteration, k + k / 2);
         algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                              candidates);
         comm.BarrierSyncClocks();
-      });
+      }));
     }
     times.push_back(cluster.MaxSimSeconds() - before +
                     profile.compute_seconds * iters_per_epoch);
   }
+  bench::ObserveRun(cluster, std::string(algos[0]->name()));
   return times;
 }
 
@@ -103,9 +105,7 @@ void RunForWorkers(const bench::HarnessArgs& args, int p,
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig15EpochStability(const HarnessArgs& args) {
   std::printf(
       "== Fig. 15: per-epoch time stability across epochs ==\n\n");
   if (args.workers.has_value()) {
@@ -116,21 +116,21 @@ int main(int argc, char** argv) {
     if (p % 2 == 0) configurations.push_back({"R2", 2});
     for (int d = 2; d <= p; ++d) {
       if (p % d == 0) {
-        configurations.push_back({spardl::StrFormat("B%d", d), d});
+        configurations.push_back({StrFormat("B%d", d), d});
       }
     }
-    spardl::RunForWorkers(args, p, configurations);
+    RunForWorkers(args, p, configurations);
   } else {
-    spardl::RunForWorkers(
+    RunForWorkers(
         args, 14, {{"1", 1}, {"R2", 2}, {"B2", 2}, {"B7", 7}, {"B14", 14}});
-    spardl::RunForWorkers(args, 12, {{"1", 1},
-                                     {"R2", 2},
-                                     {"R4", 4},
-                                     {"B2", 2},
-                                     {"B3", 3},
-                                     {"B4", 4},
-                                     {"B6", 6},
-                                     {"B12", 12}});
+    RunForWorkers(args, 12, {{"1", 1},
+                             {"R2", 2},
+                             {"R4", 4},
+                             {"B2", 2},
+                             {"B3", 3},
+                             {"B4", 4},
+                             {"B6", 6},
+                             {"B12", 12}});
   }
   std::printf(
       "Paper claim: the optimal d is steadily fastest across epochs, so "

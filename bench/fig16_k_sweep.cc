@@ -12,14 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig16KSweep(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   const std::vector<double> ratios = {1e-1, 1e-2, 1e-3, 1e-4, 1e-5};
 

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenarios.h"
 #include "train_util.h"
 
 namespace spardl {
@@ -64,9 +64,7 @@ void RunPanel(const bench::HarnessArgs& args, const std::string& title,
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig17Residuals(const HarnessArgs& args) {
   std::printf(
       "== Fig. 17: residual collection ablation (GRES / PRES / LRES) "
       "==\n\n");

@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
 namespace spardl {
 namespace {
@@ -42,14 +42,12 @@ void Run(const std::string& model, const std::vector<std::string>& algos,
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig18Rdma(const HarnessArgs& args) {
   std::printf(
       "== Fig. 18: per-update time on the RDMA (InfiniBand) cluster, %d "
       "workers ==\n\n",
       args.workers_or(5));
-  spardl::Run("VGG-19", {"topkdsa", "topka", "oktopk", "spardl"}, args);
-  spardl::Run("BERT", {"oktopk", "spardl"}, args);
+  Run("VGG-19", {"topkdsa", "topka", "oktopk", "spardl"}, args);
+  Run("BERT", {"oktopk", "spardl"}, args);
   return 0;
 }

@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "sparse/sparse_vector.h"
 #include "sparse/topk.h"
 
@@ -27,13 +27,12 @@ SparseVector WorkerTopK(int worker, size_t n, size_t k) {
 }
 
 }  // namespace
+
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  // This figure needs no cluster, so of the shared harness flags only
-  // --workers applies (the pairwise summation tree wants a power of two).
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+// This figure needs no cluster, so of the harness flags it reads only
+// --workers (the pairwise summation tree wants a power of two).
+int spardl::bench::RunFig1Sga(const HarnessArgs& args) {
   const size_t n = 65536;
   const size_t k = 656;  // ~1% density
   const int p = args.workers_or(16);

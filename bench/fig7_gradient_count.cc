@@ -7,16 +7,15 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "core/spardl.h"
 #include "dl/grad_profile.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   // Teams must divide P: keep the paper's d=7 when it fits, else the
   // largest proper divisor (so a --workers override still exercises
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   config.residual_mode = ResidualMode::kNone;
 
   Cluster cluster(p, CostModel::Free());
-  bench::ApplyExecBackend(cluster);
+  bench::ConfigureCluster(cluster);
   std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
     algos[static_cast<size_t>(r)] = std::move(*SparDL::Create(config));
@@ -61,15 +60,16 @@ int main(int argc, char** argv) {
   std::vector<double> series;
   series.reserve(static_cast<size_t>(iterations));
   for (int iter = 0; iter < iterations; ++iter) {
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       const SparseVector candidates =
           generator.Generate(comm.rank(), iter, 2 * k);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                            candidates);
-    });
+    }));
     series.push_back(
         static_cast<double>(algos[0]->last_bsag_union()));
   }
+  bench::ObserveRun(cluster, std::string(algos[0]->name()));
 
   TablePrinter table({"batch", "union nnz", "target L=dk/P"});
   const size_t target = d * k / p;

@@ -12,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig8PerUpdate(const HarnessArgs& args) {
   const std::vector<std::string> models = {"VGG-19", "VGG-11", "LSTM-IMDB",
                                            "LSTM-PTB"};
   const std::vector<std::string> algos = {"topkdsa", "topka", "oktopk",

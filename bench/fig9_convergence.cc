@@ -8,8 +8,8 @@
 // (VGG-19), 3.9/3.3/1.7x (VGG-11), 2.6/3.6/1.7x (LSTM-IMDB),
 // 4.6/4.3/2.2x (LSTM-PTB) over TopkA/TopkDSA/Ok-Topk.
 //
-//   $ ./build/bench/bench_fig9_convergence [--workers N] [--iterations N]
-//         [--topology SPEC]
+//   $ ./build/bench/spardl-bench fig9_convergence [--workers N]
+//         [--iterations N] [--topology SPEC]
 //
 // --topology runs the same convergence comparison on a non-flat
 // fabric (e.g. "fattree:4x8x2") — an extension beyond the paper's
@@ -19,12 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "scenarios.h"
 #include "train_util.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunFig9Convergence(const HarnessArgs& args) {
   const int workers = args.workers_or(14);
   const std::optional<TopologySpec> fabric =
       args.TopologyOr(std::nullopt, workers);

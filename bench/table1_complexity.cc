@@ -4,61 +4,16 @@
 // the simulated cluster are printed next to the paper's closed-form
 // predictions.
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
 namespace spardl {
 namespace {
-
-int CeilLog2(int x) {
-  int l = 0;
-  while ((1 << l) < x) ++l;
-  return l;
-}
-
-struct Prediction {
-  double latency;         // units of alpha
-  double bandwidth_low;   // units of k*beta (words / k)
-  double bandwidth_high;  // same; == low when the bound is tight
-};
-
-Prediction Predict(const std::string& algo, int p, int d) {
-  const double pd = p;
-  const double log_p = CeilLog2(p);
-  if (algo == "topka") return {log_p, 2 * (pd - 1), 2 * (pd - 1)};
-  if (algo == "topkdsa") {
-    // (P + 2 log P) alpha; [4 (P-1)/P k, (P-1)/P (2k + n)] beta.
-    return {pd + 2 * log_p, 4 * (pd - 1) / pd, -1 /* n-dependent */};
-  }
-  if (algo == "gtopk") return {2 * log_p, 4 * log_p, 4 * log_p};
-  if (algo == "oktopk") {
-    return {2 * (pd + log_p), 2 * (pd - 1) / pd, 6 * (pd - 1) / pd};
-  }
-  if (algo == "spardl") {
-    if (d == 1) {
-      return {2 * log_p, 4 * (pd - 1) / pd, 4 * (pd - 1) / pd};
-    }
-    const double dd = d;
-    const double log_pd = CeilLog2(p / d);
-    if ((d & (d - 1)) == 0) {  // R-SAG
-      const double log_d = CeilLog2(d);
-      const double bw =
-          2 * ((2 * pd - 2 * dd) / pd + dd / pd * log_d);
-      return {2 * log_pd + log_d, bw, bw};
-    }
-    const double log_d = CeilLog2(d);
-    return {2 * log_pd + log_d,
-            2 * (dd * dd + pd - 2 * dd) / (pd * dd),
-            2 * (dd * dd + 2 * pd - 3 * dd) / pd};
-  }
-  return {0, 0, 0};
-}
 
 void RunForWorkers(int p, int iterations) {
   const ModelProfile profile = {"-", "synthetic", "-", 4'000'000, 0.0};
@@ -89,7 +44,8 @@ void RunForWorkers(int p, int iterations) {
     options.measured_iterations = iterations;
     const bench::PerUpdateResult result =
         bench::MeasurePerUpdate(row.algo, profile, options);
-    const Prediction pred = Predict(row.algo, p, row.d);
+    const bench::TableICost pred =
+        bench::PredictTableI(row.algo, p, row.d, SagMode::kAuto);
     std::string pred_bw =
         pred.bandwidth_high < 0
             ? StrFormat("[%.2f, n-bound]", pred.bandwidth_low)
@@ -108,9 +64,7 @@ void RunForWorkers(int p, int iterations) {
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  const spardl::bench::HarnessArgs args =
-      spardl::bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunTable1Complexity(const HarnessArgs& args) {
   std::printf(
       "== Table I: communication complexity of sparse All-Reduce methods "
       "==\n"
@@ -123,10 +77,10 @@ int main(int argc, char** argv) {
       "spans workers (the simulated clock does capture it).\n\n");
   const int iterations = args.iterations_or(2);
   if (args.workers) {
-    spardl::RunForWorkers(*args.workers, iterations);
+    RunForWorkers(*args.workers, iterations);
   } else {
-    spardl::RunForWorkers(8, iterations);
-    spardl::RunForWorkers(14, iterations);
+    RunForWorkers(8, iterations);
+    RunForWorkers(14, iterations);
   }
   return 0;
 }

@@ -3,21 +3,21 @@
 // without teams) and the strongest baselines on a chosen topology and
 // prints measured per-update costs next to the flat-model baseline.
 //
-//   $ ./build/examples/topology_explorer [topology] [P] [n] [k_ratio]
+//   $ ./build/bench/spardl-bench topology_explorer [--topology SPEC]
+//         [--workers P]
 //
-// `topology` is flat | star | ring | fattree |
+// SPEC is flat | star | ring | fattree |
 // fattree:<rack>x<oversub>[x<cores>] | torus:<w>x<h> (e.g. "fattree:4x8"
-// or the 2-core ECMP "fattree:4x8x2"), or "all" (default) to sweep every
-// fabric.
+// or the 2-core ECMP "fattree:4x8x2"); without --topology the explorer
+// sweeps every fabric. P defaults to 8.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 #include "topo/topology_spec.h"
 
 namespace spardl {
@@ -50,38 +50,21 @@ void ExploreOne(const TopologySpec& spec, size_t n, double k_ratio) {
 }  // namespace
 }  // namespace spardl
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const std::string topology = argc > 1 ? argv[1] : "all";
-  const int p = argc > 2 ? std::atoi(argv[2]) : 8;
-  const size_t n =
-      argc > 3 ? static_cast<size_t>(std::atoll(argv[3])) : 2'000'000;
-  const double k_ratio = argc > 4 ? std::atof(argv[4]) : 0.01;
+int spardl::bench::RunTopologyExplorer(const HarnessArgs& args) {
+  const int p = args.workers_or(8);
+  if (p < 2 && !args.topology) UsageError("the sweep needs --workers >= 2");
+  const size_t n = 2'000'000;
+  const double k_ratio = 0.01;
 
   std::printf(
       "Topology explorer: measured per-update costs on simulated fabrics\n"
       "(P=%d, n=%zu, k/n=%g, Ethernet alpha-beta budget per hop)\n\n",
       p, n, k_ratio);
 
-  std::vector<TopologySpec> specs;
-  if (topology == "all") {
-    specs = bench::DefaultFabricSweep(p);
-  } else {
-    auto parsed = TopologySpec::Parse(topology, p);
-    // Build-validate too (e.g. a torus grid that does not hold P
-    // workers), so a bad spec is a usage error, not a CHECK abort
-    // mid-run.
-    if (parsed.ok()) {
-      if (auto built = (*parsed).Build(); !built.ok()) {
-        parsed = built.status();
-      }
-    }
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
-    specs.push_back(*parsed);
-  }
+  const std::vector<TopologySpec> specs =
+      args.topology.has_value()
+          ? std::vector<TopologySpec>{*args.TopologyOr(std::nullopt, p)}
+          : DefaultFabricSweep(p);
   for (const TopologySpec& spec : specs) ExploreOne(spec, n, k_ratio);
 
   std::printf(

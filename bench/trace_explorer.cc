@@ -3,8 +3,8 @@
 // utilization tables, and (with --trace-out) writes a Perfetto-loadable
 // Chrome trace of every worker and the hottest links.
 //
-//   $ ./build/examples/trace_explorer [--workers P] [--iterations N]
-//         [--topology SPEC]
+//   $ ./build/bench/spardl-bench trace_explorer [--workers P]
+//         [--iterations N] [--topology SPEC]
 //         [--trace-out trace.json] [--metrics-out metrics.json]
 //
 // Defaults to an oversubscribed two-rack fat-tree — a fabric where the
@@ -19,16 +19,14 @@
 #include <vector>
 
 #include "baselines/registry.h"
-#include "bench_util.h"
 #include "common/logging.h"
 #include "dl/grad_profile.h"
 #include "obs/exporters.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 #include "topo/topology_spec.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
+int spardl::bench::RunTraceExplorer(const HarnessArgs& args) {
   const int p = args.workers_or(8);
   const int iterations = args.iterations_or(2);
 
@@ -49,6 +47,7 @@ int main(int argc, char** argv) {
   config.residual_mode = ResidualMode::kNone;
 
   Cluster cluster(fabric);
+  bench::ConfigureCluster(cluster);
   cluster.EnableTracing();  // always on here — tracing is the point
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -61,14 +60,14 @@ int main(int argc, char** argv) {
   const ProfileGradientGenerator generator(n, /*seed=*/2024);
   const size_t candidates_per_worker = k * 3 / 2;
   for (int iter = 0; iter < iterations; ++iter) {
-    cluster.Run([&](Comm& comm) {
+    SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       const SparseVector candidates =
           generator.Generate(comm.rank(), iter, candidates_per_worker);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                            candidates);
       comm.MarkIteration();  // before the barrier: keep cross-worker skew
       comm.BarrierSyncClocks();
-    });
+    }));
   }
 
   const std::string label(algos[0]->name());

@@ -3,18 +3,19 @@
 // forward/backward -> residual feedback -> Spar-Reduce-Scatter ->
 // (Spar-All-Gather) -> Bruck all-gather -> SGD update.
 //
-//   $ ./build/examples/train_cluster [algorithm]   (default: spardl)
+//   $ ./build/bench/spardl-bench train_cluster
 
 #include <cstdio>
 #include <string>
 
 #include "baselines/registry.h"
+#include "common/logging.h"
 #include "dl/cases.h"
+#include "scenarios.h"
 #include "simnet/cluster.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const std::string algo = argc > 1 ? argv[1] : "spardl";
+int spardl::bench::RunTrainCluster(const HarnessArgs& /*args*/) {
+  const std::string algo = "spardl";
   const int num_workers = 8;
 
   const TrainingCaseSpec spec = MakeTrainingCase("vgg16");
@@ -30,18 +31,17 @@ int main(int argc, char** argv) {
     algo_config.k = n / 100;
     algo_config.num_workers = num_workers;
     auto created = CreateAlgorithm(algo, algo_config);
-    if (!created.ok()) {
-      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-      std::exit(1);
-    }
+    SPARDL_CHECK(created.ok()) << created.status().ToString();
     return std::move(*created);
   };
 
   std::printf("training %s with %s on %d simulated workers...\n",
               spec.name.c_str(), algo.c_str(), num_workers);
   Cluster cluster(num_workers, CostModel::Ethernet());
+  ConfigureCluster(cluster);
   const TrainResult result = TrainDistributed(
       cluster, *dataset, spec.model_factory, algorithm_factory, config);
+  ObserveRun(cluster, algo);
 
   for (const EpochRecord& epoch : result.epochs) {
     std::printf(

@@ -111,9 +111,7 @@ ConvergenceSeries RunTrainingCase(const TrainingCaseSpec& spec,
   };
 
   Cluster cluster(fabric);
-  ApplyExecBackend(cluster);
-  MaybeEnableObservability(cluster);
-  MaybeEnableProtocolCheck(cluster);
+  ConfigureCluster(cluster);
   const TrainResult result = TrainDistributed(
       cluster, *dataset, spec.model_factory, algorithm_factory, config);
   SPARDL_CHECK(result.replicas_consistent)

@@ -52,11 +52,11 @@ struct TrainRunOptions {
   /// model is linear in message size, so method ratios are preserved).
   bool paper_scale_network = true;
   /// Gradient-sync schedule: step-synchronous (default), or one of the
-  /// layer-bucketed overlap modes (`bench_ext_overlap` sweeps all three).
+  /// layer-bucketed overlap modes (`ext_overlap` sweeps all three).
   GradSyncMode sync_mode = GradSyncMode::kStepSynchronous;
 };
 
-/// A deep VGG-shaped case for the overlap harness (`bench_ext_overlap`
+/// A deep VGG-shaped case for the overlap harness (`ext_overlap`
 /// and the overlap trainer tests): five parameter layers where the rear
 /// two hold ~70% of the parameters but the front three do most of the
 /// compute (`layer_compute_fractions` is front-heavy, like conv-vs-fc

@@ -7,39 +7,27 @@
 // fabric (e.g. an oversubscribed fat-tree) both the optimal d and the
 // optimal layout can differ from the flat answer — which is the point.
 //
-//   $ ./build/examples/tune_teams [P] [--topology SPEC]
-//         [--placement contiguous|rack|interleaved] [--workers N]
+//   $ ./build/bench/spardl-bench tune_teams [--workers P]
+//         [--topology SPEC] [--placement contiguous|rack|interleaved]
 //         [--iterations N]
 //
-// P defaults to 12; --workers (or SPARDL_BENCH_WORKERS) overrides it.
-// --placement narrows the grid to one policy.
+// P defaults to 12. --placement narrows the grid to one policy.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "bench_util.h"
 #include "common/strings.h"
 #include "metrics/table.h"
+#include "scenarios.h"
 
-int main(int argc, char** argv) {
-  using namespace spardl;  // NOLINT
-  const bench::HarnessArgs args = bench::ParseHarnessArgs(argc, argv);
-  int p = 12;
-  if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) {
-    p = std::atoi(argv[1]);
-  }
-  p = args.workers_or(p);
-  if (p < 2) {
-    std::fprintf(stderr, "P must be >= 2\n");
-    return 1;
-  }
+int spardl::bench::RunTuneTeams(const HarnessArgs& args) {
+  const int p = args.workers_or(12);
+  if (p < 2) UsageError("--workers must be >= 2");
   const ModelProfile& profile = ProfileByModel("VGG-16");
 
   // The historical bug this rebuild fixes: the tuner used to ignore
-  // --topology / SPARDL_BENCH_TOPOLOGY and always tuned d on the flat
-  // closed-form fabric. The grid now runs on the resolved spec.
+  // --topology and always tuned d on the flat closed-form fabric. The
+  // grid now runs on the resolved spec.
   const TopologySpec fabric =
       args.TopologyOr(std::nullopt, p).value_or(TopologySpec::Flat(p));
 

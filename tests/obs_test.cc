@@ -84,7 +84,7 @@ namespace spardl {
 namespace {
 
 // Runs SparDL end-to-end on the given cluster (same shape as the
-// trace_explorer example, scaled down for test time).
+// trace_explorer scenario, scaled down for test time).
 void RunSparDl(Cluster& cluster, int iterations) {
   const int p = cluster.size();
   AlgorithmConfig config;

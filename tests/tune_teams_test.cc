@@ -1,8 +1,8 @@
 // Regression for the historical tune_teams bug: the tuner ignored
-// --topology / SPARDL_BENCH_TOPOLOGY and always swept d on the flat
-// closed-form fabric, so its "optimal d" was wrong for exactly the
-// clusters where d matters. `TuneTeamPlacement` (the engine behind
-// examples/tune_teams) now grids over the *given* TopologySpec — proven
+// --topology and always swept d on the flat closed-form fabric, so its
+// "optimal d" was wrong for exactly the clusters where d matters.
+// `TuneTeamPlacement` (the engine behind the `spardl-bench tune_teams`
+// scenario) now grids over the *given* TopologySpec — proven
 // here by the oversubscribed `fattree:2x6` picking a different optimal d
 // than flat for the same workload.
 
