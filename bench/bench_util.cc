@@ -16,27 +16,6 @@ namespace bench {
 
 namespace {
 
-/// One harness flag: its name, the value it takes (null: none) and the
-/// `HarnessFlag` bit that lets a scenario read it.
-struct FlagSpec {
-  const char* name;
-  const char* value;
-  unsigned bit;
-};
-
-constexpr FlagSpec kFlagSpecs[] = {
-    {"workers", "N", kWorkersFlag},
-    {"iterations", "N", kIterationsFlag},
-    {"topology", "SPEC", kTopologyFlag},
-    {"placement", "contiguous|rack|interleaved", kPlacementFlag},
-    {"backend", "thread|fiber", kClusterFlags},
-    {"trace-out", "PATH", kClusterFlags},
-    {"metrics-out", "PATH", kClusterFlags},
-    {"metrics-csv", "PATH", kClusterFlags},
-    {"timeseries-out", "PATH", kClusterFlags},
-    {"protocol-check", nullptr, kClusterFlags},
-};
-
 /// The running scenario's harness state, installed by `ParseHarnessArgs`.
 /// A plain static: the driver runs one scenario, single-threaded at
 /// parse/observe time.
@@ -78,39 +57,52 @@ std::optional<int> EnvInt(const char* name) {
   return ParseIntOrDie(name, value);
 }
 
-void SetFlag(const std::string& name, const std::string& value,
-             HarnessArgs* args) {
-  const std::string flag = "--" + name;
-  if (name == "workers") {
-    args->workers = ParseIntOrDie(flag, value);
-  } else if (name == "iterations") {
-    args->iterations = ParseIntOrDie(flag, value);
-  } else if (name == "topology") {
-    args->topology = value;
-  } else if (name == "placement") {
-    auto parsed = ParsePlacementPolicy(value);
-    if (!parsed.ok()) {
-      UsageError("bad --placement: " + parsed.status().ToString());
-    }
-    args->placement = *parsed;
-  } else if (name == "backend") {
-    if (value != "thread" && value != "fiber") {
-      UsageError("bad value '" + value + "' for --backend: want thread|fiber");
-    }
-    args->backend =
-        value == "thread" ? ExecBackend::kThread : ExecBackend::kFiber;
-  } else if (name == "trace-out") {
-    args->trace_out = value;
-  } else if (name == "metrics-out") {
-    args->metrics_out = value;
-  } else if (name == "metrics-csv") {
-    args->metrics_csv = value;
-  } else if (name == "timeseries-out") {
-    args->timeseries_out = value;
-  } else {  // --protocol-check
-    args->protocol_check = true;
-  }
-}
+/// One harness flag: its name, the value it takes (null: none), the
+/// `HarnessFlag` bit that lets a scenario read it, and how it is stored.
+struct FlagSpec {
+  const char* name;
+  const char* value;
+  unsigned bit;
+  void (*set)(const std::string& value, HarnessArgs* args);
+};
+
+constexpr FlagSpec kFlagSpecs[] = {
+    {"workers", "N", kWorkersFlag,
+     [](const std::string& v, HarnessArgs* a) {
+       a->workers = ParseIntOrDie("--workers", v);
+     }},
+    {"iterations", "N", kIterationsFlag,
+     [](const std::string& v, HarnessArgs* a) {
+       a->iterations = ParseIntOrDie("--iterations", v);
+     }},
+    {"topology", "SPEC", kTopologyFlag,
+     [](const std::string& v, HarnessArgs* a) { a->topology = v; }},
+    {"placement", "contiguous|rack|interleaved", kPlacementFlag,
+     [](const std::string& v, HarnessArgs* a) {
+       auto parsed = ParsePlacementPolicy(v);
+       if (!parsed.ok()) {
+         UsageError("bad --placement: " + parsed.status().ToString());
+       }
+       a->placement = *parsed;
+     }},
+    {"backend", "thread|fiber", kClusterFlags,
+     [](const std::string& v, HarnessArgs* a) {
+       if (v != "thread" && v != "fiber") {
+         UsageError("bad value '" + v + "' for --backend: want thread|fiber");
+       }
+       a->backend = v == "thread" ? ExecBackend::kThread : ExecBackend::kFiber;
+     }},
+    {"trace-out", "PATH", kClusterFlags,
+     [](const std::string& v, HarnessArgs* a) { a->trace_out = v; }},
+    {"metrics-out", "PATH", kClusterFlags,
+     [](const std::string& v, HarnessArgs* a) { a->metrics_out = v; }},
+    {"metrics-csv", "PATH", kClusterFlags,
+     [](const std::string& v, HarnessArgs* a) { a->metrics_csv = v; }},
+    {"timeseries-out", "PATH", kClusterFlags,
+     [](const std::string& v, HarnessArgs* a) { a->timeseries_out = v; }},
+    {"protocol-check", nullptr, kClusterFlags,
+     [](const std::string&, HarnessArgs* a) { a->protocol_check = true; }},
+};
 
 }  // namespace
 
@@ -126,6 +118,18 @@ void UsageError(const std::string& message) {
   std::fprintf(stderr, "spardl-bench %s: %s\n%s\n", state.scenario.c_str(),
                message.c_str(), usage.c_str());
   std::exit(2);
+}
+
+std::string FlagNames(unsigned flags) {
+  std::string names;
+  unsigned named = 0;
+  for (const FlagSpec& spec : kFlagSpecs) {
+    if ((flags & spec.bit) == 0 || (named & spec.bit) != 0) continue;
+    named |= spec.bit;
+    if (!names.empty()) names += ", ";
+    names += spec.bit == kClusterFlags ? "cluster" : spec.name;
+  }
+  return names.empty() ? "none" : names;
 }
 
 HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv) {
@@ -167,7 +171,7 @@ HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv) {
     } else {
       UsageError("missing value for --" + name);
     }
-    SetFlag(name, value, &args);
+    spec->set(value, &args);
   }
   state.args = args;
   return args;

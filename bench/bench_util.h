@@ -87,6 +87,10 @@ HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv);
 /// Prints `message` and the scenario's usage line to stderr and exits 2.
 [[noreturn]] void UsageError(const std::string& message);
 
+/// `flags` (a `HarnessFlag` mask) as the scenario list shows it, e.g.
+/// "workers, iterations, cluster" ("cluster": the six cluster flags).
+std::string FlagNames(unsigned flags);
+
 /// Applies the cluster flags to a freshly built `cluster`: the --backend
 /// override, span recording when any artifact sink is set, and the
 /// protocol verifier under --protocol-check. Call right after

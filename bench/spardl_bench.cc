@@ -5,8 +5,9 @@
 //   $ ./build/bench/spardl-bench                      # list the scenarios
 //   $ ./build/bench/spardl-bench <scenario> [flags]
 //
-// Each scenario reads a fixed subset of the harness flags; any other flag
-// (or a positional argument) is a usage error that exits 2.
+// Each scenario reads a fixed subset of the harness flags, shown in the
+// list; any other flag (or a positional argument) is a usage error that
+// exits 2.
 
 #include <cstdio>
 #include <cstring>
@@ -48,7 +49,8 @@ constexpr Scenario kScenarios[] = {
     {"fig11_convergence_large", kAll, RunFig11ConvergenceLarge,
      "Fig. 11: convergence on the large cases, SparDL vs Ok-Topk"},
     {"fig12_scalability", kW | kI | kC, RunFig12Scalability,
-     "Fig. 12: speedup vs worker count, and convergence at 8 workers"},
+     "Fig. 12: speedup vs worker count, and convergence at 8 workers; "
+     "large-P rows when --workers >= 256"},
     {"fig13_sag_convergence", kAll, RunFig13SagConvergence,
      "Fig. 13: convergence of SparDL with R-SAG and B-SAG teams"},
     {"fig14_team_impact", kAll, RunFig14TeamImpact,
@@ -85,9 +87,13 @@ constexpr Scenario kScenarios[] = {
      "pick the fastest (d, placement) for SparDL on a fabric"},
 };
 
+// One line per scenario: name, summary and the flags it reads. README's
+// scenario table repeats these lines, and bench_scenarios_documented
+// checks that the two agree.
 void PrintScenarios(std::FILE* out) {
   for (const Scenario& scenario : kScenarios) {
-    std::fprintf(out, "%-24s %s\n", scenario.name, scenario.summary);
+    std::fprintf(out, "%-24s %s  (flags: %s)\n", scenario.name,
+                 scenario.summary, FlagNames(scenario.flags).c_str());
   }
 }
 

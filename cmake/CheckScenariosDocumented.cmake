@@ -1,7 +1,12 @@
-# Documentation checker: the scenarios `spardl-bench` lists (one per line,
-# name first) must be exactly the rows of README's scenario table, the
-# lines between the `scenarios:begin` and `scenarios:end` markers whose
-# first cell is a backquoted name.
+# Documentation checker: README's scenario table (the rows between the
+# `scenarios:begin` and `scenarios:end` markers) must repeat what
+# `spardl-bench` lists, row for row: the same scenarios in the same order,
+# each with the same summary and the same flags.
+#
+#   spardl-bench line:  name<spaces>summary  (flags: f1, f2)
+#   README row:         | `name` | summary | f1, f2 |
+#
+# Both are reduced to "name | summary | flags" lines and compared as text.
 #
 # Inputs: -DBENCH=<path to spardl-bench> -DREADME=<path to README.md>
 
@@ -14,8 +19,8 @@ execute_process(COMMAND "${BENCH}" RESULT_VARIABLE rc OUTPUT_VARIABLE listing)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "'spardl-bench' with no argument exited ${rc}")
 endif()
-string(REGEX MATCHALL "(^|\n)[a-z0-9_]+" listed "${listing}")
-list(TRANSFORM listed STRIP)
+string(REGEX REPLACE "([a-z0-9_]+) +([^\n]*)  \\(flags: ([^\n]*)\\)\n"
+  "\\1 | \\2 | \\3\n" listed "${listing}")
 
 file(READ "${README}" readme)
 string(FIND "${readme}" "<!-- scenarios:begin -->" begin)
@@ -25,21 +30,22 @@ if(begin EQUAL -1 OR end LESS begin)
 endif()
 math(EXPR length "${end} - ${begin}")
 string(SUBSTRING "${readme}" ${begin} ${length} table)
-string(REGEX MATCHALL "\n\\| `[a-z0-9_]+` \\|" rows "${table}")
-list(TRANSFORM rows REPLACE "\n\\| `([a-z0-9_]+)` \\|" "\\1")
-if(NOT listed OR NOT rows)
-  message(FATAL_ERROR "no scenarios listed by 'spardl-bench' or in ${README}")
+# Keep the body rows: drop the marker, header and separator lines.
+string(FIND "${table}" "| --- | --- | --- |\n" body)
+if(body EQUAL -1)
+  message(FATAL_ERROR "${README}'s scenario table has no header row")
 endif()
+string(SUBSTRING "${table}" ${body} -1 table)
+string(REPLACE "| --- | --- | --- |\n" "" table "${table}")
+string(REGEX REPLACE "\\| `([a-z0-9_]+)` \\| ([^\n]*) \\| ([^\n|]*) \\|\n"
+  "\\1 | \\2 | \\3\n" documented "${table}")
 
-set(missing ${listed})
-list(REMOVE_ITEM missing ${rows})
-set(extra ${rows})
-list(REMOVE_ITEM extra ${listed})
-if(missing OR extra)
+if(listed STREQUAL "" OR NOT listed STREQUAL documented)
   message(FATAL_ERROR
-    "README scenario table differs from 'spardl-bench': "
-    "not documented [${missing}], documented but not listed [${extra}]")
+    "README scenario table differs from 'spardl-bench'.\n"
+    "spardl-bench lists:\n${listed}\nREADME documents:\n${documented}")
 endif()
 
-list(LENGTH listed n)
+string(REGEX MATCHALL "\n" rows "${listed}")
+list(LENGTH rows n)
 message(STATUS "README documents all ${n} spardl-bench scenarios")
