@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitives on SparDL's hot
-// path: top-k selection, sparse merge-summation, SRS bag partitioning, and
-// the collectives' wall-clock cost on the in-process cluster.
+// path: candidate generation, top-k selection, sparse merge-summation, SRS
+// bag partitioning, and the collectives' wall-clock cost on the in-process
+// cluster.
 //
 // Deliberately NOT a spardl-bench scenario: google-benchmark owns this
 // binary's command line (--benchmark_filter and friends), and the
@@ -16,6 +17,7 @@
 #include "collectives/sparse_allgather.h"
 #include "common/random.h"
 #include "core/spar_reduce_scatter.h"
+#include "dl/grad_profile.h"
 #include "simnet/cluster.h"
 #include "sparse/topk.h"
 
@@ -49,6 +51,26 @@ SparseVector RandomSparse(size_t n, size_t nnz, uint64_t seed) {
 double MaxOf(const std::vector<double>& v) {
   return *std::max_element(v.begin(), v.end());
 }
+
+void BM_ProfileGenerate(benchmark::State& state) {
+  // One worker's candidate set at the per-update call sizes of
+  // benchmark/'s paper_p14_flat (n = 20.1M, 1.5k = 301,500) and
+  // largep_p1024_fattree (n = 4M, 6,000) workloads.
+  const auto n = static_cast<size_t>(state.range(0));
+  const auto count = static_cast<size_t>(state.range(1));
+  const ProfileGradientGenerator generator(n, 2024);
+  int64_t entries = 0;
+  for (auto _ : state) {
+    const SparseVector out = generator.Generate(0, 0, count);
+    benchmark::DoNotOptimize(out.size());
+    entries += static_cast<int64_t>(out.size());
+  }
+  state.SetItemsProcessed(entries);
+}
+BENCHMARK(BM_ProfileGenerate)
+    ->Args({20'100'000, 301'500})
+    ->Args({4'000'000, 6'000})
+    ->ComputeStatistics("max", MaxOf);
 
 void BM_TopKDense(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -140,8 +140,8 @@ int spardl::bench::RunFig14TeamImpact(const HarnessArgs& args) {
       "model that ordering depends on how strongly worker top-k supports "
       "overlap (here d=P stays ~2%% ahead; its real cost is the accuracy "
       "loss shown in Fig. 13b, which this repo reproduces in "
-      "bench_fig13_sag_convergence). On a multi-rack --topology the "
-      "placement table shows rack-local teams beating interleaved ones — "
+      "spardl-bench fig13_sag_convergence). On a multi-rack --topology "
+      "the placement table shows rack-local teams beating interleaved ones — "
       "the locality axis the flat model cannot see.\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "dl/grad_profile.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -30,20 +31,16 @@ const ModelProfile& ProfileByModel(const std::string& model) {
   __builtin_unreachable();
 }
 
-ProfileGradientGenerator::ProfileGradientGenerator(
-    size_t n, uint64_t seed, int num_clusters, int drift_period,
-    double overlap, double shared_magnitude)
+ProfileGradientGenerator::ProfileGradientGenerator(size_t n, uint64_t seed,
+                                                   int num_clusters,
+                                                   int drift_period)
     : n_(n),
       seed_(seed),
       num_clusters_(num_clusters),
-      drift_period_(drift_period),
-      overlap_(overlap),
-      shared_magnitude_(shared_magnitude) {
+      drift_period_(drift_period) {
   SPARDL_CHECK_GT(n, 0u);
   SPARDL_CHECK_GT(num_clusters, 0);
   SPARDL_CHECK_GT(drift_period, 0);
-  SPARDL_CHECK(overlap > 0.0 && overlap <= 1.0);
-  SPARDL_CHECK(shared_magnitude >= 0.0 && shared_magnitude <= 1.0);
 }
 
 void ProfileGradientGenerator::SetComputeMultiplier(int worker,
@@ -66,6 +63,13 @@ double ProfileGradientGenerator::ComputeSeconds(int worker,
 }
 
 namespace {
+
+// Expected pairwise support overlap: a cluster's draws come from a window
+// 1/kOverlap times their count.
+constexpr double kOverlap = 0.15;
+// Share of a magnitude's variance that is the per-index term common to
+// every worker.
+constexpr double kSharedMagnitude = 0.75;
 
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -96,13 +100,13 @@ SparseVector ProfileGradientGenerator::Generate(int worker,
   const size_t region = n_ / clusters;  // disjoint per-cluster regions
   SPARDL_CHECK_GT(region, 0u);
   const size_t per_cluster = std::max<size_t>(1, count / clusters);
-  // Window width: per_cluster / overlap samples drawn from it => expected
-  // pairwise support overlap ~= overlap.
+  // Window width: per_cluster / kOverlap samples drawn from it => expected
+  // pairwise support overlap ~= kOverlap.
   const size_t window = std::min(
       region, std::max<size_t>(
                   per_cluster,
                   static_cast<size_t>(static_cast<double>(per_cluster) /
-                                      overlap_)));
+                                      kOverlap)));
 
   // Window placement drifts with the iteration epoch window; shared by all
   // workers (that is what makes supports overlap).
@@ -112,41 +116,46 @@ SparseVector ProfileGradientGenerator::Generate(int worker,
   Rng worker_rng(seed_ ^ (0x5851f42d4c957f2dULL *
                           (static_cast<uint64_t>(worker) + 1)) ^
                  static_cast<uint64_t>(iteration) * 0x9e3779b97f4a7c15ULL);
+  const double w_shared = std::sqrt(kSharedMagnitude);
+  const double w_worker = std::sqrt(1.0 - kSharedMagnitude);
 
   SparseVector out;
   out.Reserve(count + clusters);
-  std::vector<uint32_t> offsets;
-  offsets.reserve(per_cluster);
+  // One bit per window offset. Each draw sets its bit; walking the set
+  // bits upwards yields the offsets sorted and deduplicated, with the
+  // Gaussians drawn in that order, as sorting the draws would. The window
+  // holds at most 7 bits per draw (1 / kOverlap), so the walk costs less
+  // than the draws themselves.
+  std::vector<uint64_t> drawn((window + 63) / 64);
   for (size_t j = 0; j < clusters; ++j) {
     const size_t region_start = j * region;
     const size_t max_offset = region - window;
     const size_t window_start =
         region_start +
         (max_offset == 0 ? 0 : placement_rng.NextBounded(max_offset + 1));
-    offsets.clear();
     for (size_t i = 0; i < per_cluster; ++i) {
-      offsets.push_back(
-          static_cast<uint32_t>(worker_rng.NextBounded(window)));
+      const uint64_t off = worker_rng.NextBounded(window);
+      drawn[off / 64] |= uint64_t{1} << (off % 64);
     }
-    std::sort(offsets.begin(), offsets.end());
-    offsets.erase(std::unique(offsets.begin(), offsets.end()),
-                  offsets.end());
-    for (uint32_t off : offsets) {
-      const uint64_t index_salt =
-          static_cast<uint64_t>(window_start + off) ^ seed_ ^
-          (drift_phase * 0x9e3779b97f4a7c15ULL);
-      // Heavy-tailed magnitudes: whether a coordinate is "hot" is a
-      // property of the coordinate (deterministic across workers), so
-      // workers' top entries coincide as they do in real training.
-      const double scale = HashToUnit(index_salt) < 0.05 ? 1.0 : 0.02;
-      const double g_shared = HashToGaussian(index_salt);
-      const double g_worker = worker_rng.NextGaussian();
-      const double w_shared = std::sqrt(shared_magnitude_);
-      const double w_worker = std::sqrt(1.0 - shared_magnitude_);
-      const float value = static_cast<float>(
-          scale * (w_shared * g_shared + w_worker * g_worker));
-      out.PushBack(static_cast<GradIndex>(window_start + off),
-                   value == 0.0f ? 1e-6f : value);
+    for (size_t word = 0; word < drawn.size(); ++word) {
+      uint64_t bits = drawn[word];
+      drawn[word] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t index = window_start + word * 64 +
+                             static_cast<size_t>(std::countr_zero(bits));
+        const uint64_t index_salt = static_cast<uint64_t>(index) ^ seed_ ^
+                                    (drift_phase * 0x9e3779b97f4a7c15ULL);
+        // Heavy-tailed magnitudes: whether a coordinate is "hot" is a
+        // property of the coordinate (deterministic across workers), so
+        // workers' top entries coincide as they do in real training.
+        const double scale = HashToUnit(index_salt) < 0.05 ? 1.0 : 0.02;
+        const double g_shared = HashToGaussian(index_salt);
+        const double g_worker = worker_rng.NextGaussian();
+        const float value = static_cast<float>(
+            scale * (w_shared * g_shared + w_worker * g_worker));
+        out.PushBack(static_cast<GradIndex>(index),
+                     value == 0.0f ? 1e-6f : value);
+      }
     }
   }
   return out;

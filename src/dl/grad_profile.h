@@ -41,20 +41,22 @@ const ModelProfile& ProfileByModel(const std::string& model);
 ///  * the hot windows drift slowly over iterations (`drift_period`), the
 ///    property Ok-Topk's periodic rebalancing and B-SAG's h controller
 ///    both exploit (paper Fig. 7);
-///  * magnitudes are heavy-tailed AND correlated across workers
-///    (`shared_magnitude` is the shared variance fraction): workers'
+///  * each cluster draws its samples from a window 1/0.15 times their
+///    count, so two workers' supports overlap by about 15%;
+///  * magnitudes are heavy-tailed AND correlated across workers (75% of
+///    the variance is a per-index term shared by every worker): workers'
 ///    largest coordinates largely coincide, as in real data-parallel
 ///    training — this is what makes inter-team unions shrink and B-SAG's
 ///    bandwidth grow with d (Fig. 13/14).
 class ProfileGradientGenerator {
  public:
-  /// `n` — gradient length; `overlap` in (0, 1] — larger means worker
-  /// supports overlap more (windows shrink).
+  /// `n` — gradient length.
   ProfileGradientGenerator(size_t n, uint64_t seed, int num_clusters = 64,
-                           int drift_period = 50, double overlap = 0.15,
-                           double shared_magnitude = 0.75);
+                           int drift_period = 50);
 
   /// About `count` entries (slightly fewer after in-window dedup), sorted.
+  /// A pure function of its arguments and the constructor's: it keeps no
+  /// state between calls, so P workers may call it at once.
   SparseVector Generate(int worker, int64_t iteration, size_t count) const;
 
   size_t n() const { return n_; }
@@ -79,8 +81,6 @@ class ProfileGradientGenerator {
   uint64_t seed_;
   int num_clusters_;
   int drift_period_;
-  double overlap_;
-  double shared_magnitude_;
   /// Per-worker compute multipliers; empty = homogeneous (all 1.0).
   /// Sized on first `SetComputeMultiplier` (missing entries are 1.0).
   std::vector<double> multipliers_;
