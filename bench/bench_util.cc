@@ -1,10 +1,14 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <numeric>
+#include <thread>
 
 #include "common/logging.h"
 #include "metrics/table.h"
@@ -17,8 +21,9 @@ namespace bench {
 namespace {
 
 /// The running scenario's harness state, installed by `ParseHarnessArgs`.
-/// A plain static: the driver runs one scenario, single-threaded at
-/// parse/observe time.
+/// A plain static: `ParseHarnessArgs` runs on the main thread before any
+/// point runs, `Sweep` carriers only read `args`, and `ObserveRun` (the
+/// one writer) only runs in serial sweeps.
 struct HarnessState {
   std::string scenario;
   unsigned flags = 0;
@@ -84,13 +89,6 @@ constexpr FlagSpec kFlagSpecs[] = {
          UsageError("bad --placement: " + parsed.status().ToString());
        }
        a->placement = *parsed;
-     }},
-    {"backend", "thread|fiber", kClusterFlags,
-     [](const std::string& v, HarnessArgs* a) {
-       if (v != "thread" && v != "fiber") {
-         UsageError("bad value '" + v + "' for --backend: want thread|fiber");
-       }
-       a->backend = v == "thread" ? ExecBackend::kThread : ExecBackend::kFiber;
      }},
     {"trace-out", "PATH", kClusterFlags,
      [](const std::string& v, HarnessArgs* a) { a->trace_out = v; }},
@@ -179,9 +177,43 @@ HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv) {
 
 void ConfigureCluster(Cluster& cluster) {
   const HarnessArgs& args = Global().args;
-  if (args.backend.has_value()) cluster.set_exec_backend(*args.backend);
   if (args.observing()) cluster.EnableTracing();
   if (args.protocol_check) cluster.EnableProtocolCheck();
+}
+
+void RunSweepPoints(const std::vector<double>& costs,
+                    const std::function<void(size_t)>& run) {
+  const size_t points = costs.size();
+  const size_t carriers = std::min<size_t>(
+      points, std::max(1u, std::thread::hardware_concurrency()));
+  if (Global().args.observing() || carriers <= 1) {
+    for (size_t i = 0; i < points; ++i) run(i);
+    return;
+  }
+  std::vector<size_t> order(points);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&costs](size_t a, size_t b) {
+    return costs[a] > costs[b];
+  });
+  std::atomic<size_t> next{0};
+  // A point that throws stops its carrier; the first exception is
+  // rethrown here once every carrier has joined.
+  std::vector<std::exception_ptr> errors(carriers);
+  std::vector<std::thread> threads;
+  threads.reserve(carriers);
+  for (size_t c = 0; c < carriers; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        for (size_t i = next++; i < points; i = next++) run(order[i]);
+      } catch (...) {
+        errors[c] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 namespace {
@@ -440,15 +472,18 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   return result;
 }
 
-std::vector<PerUpdateResult> MeasurePerUpdateAll(
-    const std::vector<std::string>& algo_names, const ModelProfile& profile,
-    const PerUpdateOptions& options) {
-  std::vector<PerUpdateResult> results;
-  results.reserve(algo_names.size());
-  for (const std::string& name : algo_names) {
-    results.push_back(MeasurePerUpdate(name, profile, options));
-  }
-  return results;
+void AddPerUpdate(Sweep<PerUpdateResult>& sweep, const std::string& algo,
+                  const ModelProfile& profile,
+                  const PerUpdateOptions& options) {
+  const double candidates =
+      static_cast<double>(profile.num_params) * options.k_ratio *
+      options.num_workers *
+      (options.warmup_iterations + options.measured_iterations);
+  sweep.Add(
+      [algo, &profile, options] {
+        return MeasurePerUpdate(algo, profile, options);
+      },
+      candidates);
 }
 
 TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,
@@ -459,7 +494,7 @@ TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,
   // One locality group means every layout shares the same link costs —
   // grid only over d there (the historical flat behaviour).
   const bool layout_matters = LocalityGroups(fabric, p).size() > 1;
-  TeamTuneResult result;
+  Sweep<TeamTuneCandidate> sweep;
   for (int d = 1; d <= p; ++d) {
     if (p % d != 0) continue;  // d must divide P
     std::vector<PlacementPolicy> policies = options.policies;
@@ -475,20 +510,25 @@ TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,
       per_update.topology = fabric;
       per_update.cost_model = fabric.cost;
       per_update.measured_iterations = options.measured_iterations;
-      const PerUpdateResult r =
-          MeasurePerUpdate("spardl", profile, per_update);
-      TeamTuneCandidate candidate;
-      candidate.num_teams = d;
-      candidate.placement = policy;
-      candidate.algo_label = r.algo_label;
-      candidate.epoch_seconds = (r.comm_seconds + r.compute_seconds) *
-                                options.iterations_per_epoch;
-      if (!result.candidates.empty() &&
-          candidate.epoch_seconds <
-              result.candidates[result.best_index].epoch_seconds) {
-        result.best_index = result.candidates.size();
-      }
-      result.candidates.push_back(std::move(candidate));
+      sweep.Add([&profile, &options, per_update] {
+        const PerUpdateResult r =
+            MeasurePerUpdate("spardl", profile, per_update);
+        TeamTuneCandidate candidate;
+        candidate.num_teams = per_update.num_teams;
+        candidate.placement = per_update.placement;
+        candidate.algo_label = r.algo_label;
+        candidate.epoch_seconds = (r.comm_seconds + r.compute_seconds) *
+                                  options.iterations_per_epoch;
+        return candidate;
+      });
+    }
+  }
+  TeamTuneResult result;
+  result.candidates = sweep.Run();
+  for (size_t i = 1; i < result.candidates.size(); ++i) {
+    if (result.candidates[i].epoch_seconds <
+        result.candidates[result.best_index].epoch_seconds) {
+      result.best_index = i;
     }
   }
   return result;

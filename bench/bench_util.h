@@ -2,9 +2,11 @@
 #define SPARDL_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -29,10 +31,10 @@ enum HarnessFlag : unsigned {
   kTopologyFlag = 1u << 2,
   /// --placement contiguous|rack|interleaved: team layout.
   kPlacementFlag = 1u << 3,
-  /// The six cluster flags: --backend thread|fiber, the four artifact
-  /// sinks (--trace-out, --metrics-out, --metrics-csv, --timeseries-out)
-  /// and --protocol-check. `ConfigureCluster` applies them, so every
-  /// scenario that builds a cluster reads them.
+  /// The five cluster flags: the four artifact sinks (--trace-out,
+  /// --metrics-out, --metrics-csv, --timeseries-out) and
+  /// --protocol-check. `ConfigureCluster` applies them, so every scenario
+  /// that builds a cluster reads them.
   kClusterFlags = 1u << 4,
 };
 
@@ -45,9 +47,6 @@ struct HarnessArgs {
   std::optional<int> iterations;
   /// A `TopologySpec::Parse` string.
   std::optional<std::string> topology;
-  /// Worker execution backend for every cluster (unset = the process
-  /// default, i.e. `SPARDL_EXEC_BACKEND` or thread-per-worker).
-  std::optional<ExecBackend> backend;
   std::optional<PlacementPolicy> placement;
   std::optional<std::string> trace_out;
   std::optional<std::string> metrics_out;
@@ -88,13 +87,13 @@ HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv);
 [[noreturn]] void UsageError(const std::string& message);
 
 /// `flags` (a `HarnessFlag` mask) as the scenario list shows it, e.g.
-/// "workers, iterations, cluster" ("cluster": the six cluster flags).
+/// "workers, iterations, cluster" ("cluster": the five cluster flags).
 std::string FlagNames(unsigned flags);
 
-/// Applies the cluster flags to a freshly built `cluster`: the --backend
-/// override, span recording when any artifact sink is set, and the
-/// protocol verifier under --protocol-check. Call right after
-/// construction, and `ObserveRun` after the measured run.
+/// Applies the cluster flags to a freshly built `cluster`: span recording
+/// when any artifact sink is set, and the protocol verifier under
+/// --protocol-check. Call right after construction, and `ObserveRun`
+/// after the measured run.
 void ConfigureCluster(Cluster& cluster);
 
 /// Records one finished measurement run against the configured sinks:
@@ -107,6 +106,75 @@ void ConfigureCluster(Cluster& cluster);
 /// `SPARDL_STRAGGLER_FACTOR` (default 1.5). Exits non-zero with a message
 /// on any write failure. No-op when no sink was given.
 void ObserveRun(Cluster& cluster, const std::string& label);
+
+/// The untyped engine behind `Sweep::Run`: calls `run(i)` once for every
+/// i in [0, costs.size()) and returns when all calls have returned. With
+/// an artifact sink set (or a single point, or one hardware thread) it
+/// calls them in order on the calling thread. Otherwise it starts
+/// min(hardware threads, points) carrier threads, which take the points
+/// heaviest `costs[i]` first (ties in index order) and run each to
+/// completion; an exception from a point is rethrown on the calling
+/// thread after every carrier has joined.
+void RunSweepPoints(const std::vector<double>& costs,
+                    const std::function<void(size_t)>& run);
+
+/// A scenario's independent simulations ("points"), run in parallel.
+///
+/// A point is one self-contained measurement — a `MeasurePerUpdate`, a
+/// `RunTrainingCase`, a team-tuning cell — that builds, runs and drops
+/// its own clusters. Each cluster runs its workers as fibers on whichever
+/// carrier thread runs the point, so points share no simulator state and
+/// their results are exactly what a serial run gives. `Run` returns them
+/// in submission order, so a scenario prints its tables from the vector
+/// as if it had measured serially.
+///
+/// Rules for a point: resolve every flag before submitting it (a usage
+/// error must exit from the main thread, not a carrier); print nothing;
+/// touch no state another point writes. `ObserveRun` is the one shared
+/// writer, which is why any artifact sink makes the sweep serial: the
+/// run list and the files then keep the order and bytes of a serial run.
+///
+/// ```
+/// Sweep<std::vector<double>> sweep;
+/// for (const auto& [label, d] : configurations) {
+///   sweep.Add([fabric, d] { return EpochTimes(fabric, d); });
+/// }
+/// const std::vector<std::vector<double>> times = sweep.Run();
+/// ```
+template <typename Result>
+class Sweep {
+ public:
+  /// Queues `point`. `cost` is its expected run time in any unit shared
+  /// by the sweep's points: the heaviest start first, so a long point
+  /// does not begin last and run alone at the end.
+  void Add(std::function<Result()> point, double cost = 1.0) {
+    points_.push_back({std::move(point), cost});
+  }
+
+  /// Runs every queued point (see `RunSweepPoints`) and returns the
+  /// results in submission order; the queue is empty afterwards.
+  std::vector<Result> Run() {
+    std::vector<double> costs;
+    for (const Point& point : points_) costs.push_back(point.cost);
+    std::vector<std::optional<Result>> slots(points_.size());
+    RunSweepPoints(costs,
+                   [&](size_t i) { slots[i].emplace(points_[i].run()); });
+    points_.clear();
+    std::vector<Result> results;
+    results.reserve(slots.size());
+    for (std::optional<Result>& slot : slots) {
+      results.push_back(std::move(*slot));
+    }
+    return results;
+  }
+
+ private:
+  struct Point {
+    std::function<Result()> run;
+    double cost;
+  };
+  std::vector<Point> points_;
+};
 
 /// Table I's closed-form cost of one sparse All-Reduce: latency in units
 /// of alpha, bandwidth in units of k*beta (received words / k).
@@ -194,10 +262,12 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
                                  const ModelProfile& profile,
                                  const PerUpdateOptions& options);
 
-/// Convenience: measure several methods under the same options.
-std::vector<PerUpdateResult> MeasurePerUpdateAll(
-    const std::vector<std::string>& algo_names, const ModelProfile& profile,
-    const PerUpdateOptions& options);
+/// Queues `MeasurePerUpdate(algo, profile, options)` on `sweep`, costed
+/// by the candidate entries its workers generate over all iterations.
+/// `profile` must outlive the sweep's `Run`.
+void AddPerUpdate(Sweep<PerUpdateResult>& sweep, const std::string& algo,
+                  const ModelProfile& profile,
+                  const PerUpdateOptions& options);
 
 /// One (d, placement) cell of a team-tuning grid search.
 struct TeamTuneCandidate {
@@ -229,7 +299,8 @@ struct TeamTuneOptions {
 
 /// The paper's §III-D/§IV-G team-count selection, generalised to a
 /// (d, placement) grid over the *given* fabric: one simulated epoch of
-/// `spardl` per divisor d of `fabric.num_workers` per placement policy.
+/// `spardl` per divisor d of `fabric.num_workers` per placement policy,
+/// each cell a `Sweep` point.
 /// This is the engine behind the `tune_teams` scenario — and the regression
 /// surface for the historical bug where the tuner ignored the requested
 /// topology and always tuned d on the flat closed-form fabric.

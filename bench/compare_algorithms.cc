@@ -25,14 +25,25 @@ int spardl::bench::RunCompareAlgorithms(const HarnessArgs& /*args*/) {
   options.k_ratio = 0.01;
   options.measured_iterations = 1;
 
-  TablePrinter table({"method", "comm (s)", "latency (msgs)",
-                      "bandwidth (MWords)", "vs SparDL"});
   const std::vector<std::string> algos = {"topkdsa", "topka", "oktopk",
                                           "spardl"};
-  std::vector<bench::PerUpdateResult> results =
-      bench::MeasurePerUpdateAll(algos, profile, options);
-  const double spardl_comm = results.back().comm_seconds;
-  for (const auto& r : results) {
+  const std::vector<int> team_counts = {1, 2, 7, 14};
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (const std::string& algo : algos) {
+    bench::AddPerUpdate(sweep, algo, profile, options);
+  }
+  for (int d : team_counts) {
+    bench::PerUpdateOptions teams = options;
+    teams.num_teams = d;
+    bench::AddPerUpdate(sweep, "spardl", profile, teams);
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+
+  TablePrinter table({"method", "comm (s)", "latency (msgs)",
+                      "bandwidth (MWords)", "vs SparDL"});
+  const double spardl_comm = results[algos.size() - 1].comm_seconds;
+  for (size_t i = 0; i < algos.size(); ++i) {
+    const bench::PerUpdateResult& r = results[i];
     table.AddRow({r.algo_label, StrFormat("%.4f", r.comm_seconds),
                   StrFormat("%.0f", r.messages_per_update),
                   StrFormat("%.2f", r.words_per_update / 1e6),
@@ -42,10 +53,8 @@ int spardl::bench::RunCompareAlgorithms(const HarnessArgs& /*args*/) {
 
   std::printf("with teams (Spar-All-Gather):\n");
   TablePrinter sag_table({"config", "comm (s)", "latency (msgs)"});
-  for (int d : {1, 2, 7, 14}) {
-    options.num_teams = d;
-    const bench::PerUpdateResult r =
-        bench::MeasurePerUpdate("spardl", profile, options);
+  for (size_t i = algos.size(); i < results.size(); ++i) {
+    const bench::PerUpdateResult& r = results[i];
     sag_table.AddRow({std::string(r.algo_label),
                       StrFormat("%.4f", r.comm_seconds),
                       StrFormat("%.0f", r.messages_per_update)});

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -75,40 +76,55 @@ int spardl::bench::RunExtHeterogeneous(const HarnessArgs& args) {
       "== Extension: heterogeneous cluster (one straggler, VGG-19 "
       "profile, P=%d) ==\n\n",
       p);
+  // Network-side stragglers (slower path, no compute charged), then
+  // compute-side ones (full-speed NIC, worker p/2's forward+backward
+  // scaled; the baseline charges compute homogeneously so the columns
+  // compare): (net slowdown, compute multiplier) per column.
+  const std::vector<std::string> algos = {"topkdsa", "topka", "oktopk",
+                                          "spardl"};
+  const std::vector<std::pair<double, double>> network_columns = {
+      {1.0, 0.0}, {4.0, 0.0}, {16.0, 0.0}};
+  const std::vector<std::pair<double, double>> compute_columns = {
+      {1.0, 1.0}, {1.0, 4.0}, {1.0, 16.0}};
+  bench::Sweep<double> sweep;
+  for (const auto* columns : {&network_columns, &compute_columns}) {
+    for (const std::string& algo : algos) {
+      for (const auto& [slowdown, compute_mult] : *columns) {
+        sweep.Add([algo, p, slowdown = slowdown,
+                   compute_mult = compute_mult, iters] {
+          return PerUpdateSeconds(algo, p, slowdown, compute_mult, iters);
+        });
+      }
+    }
+  }
+  const std::vector<double> seconds = sweep.Run();
+  auto next = seconds.begin();
+  const auto fill = [&](TablePrinter& table) {
+    for (const std::string& algo : algos) {
+      const double base = *next++;
+      const double slow4 = *next++;
+      const double slow16 = *next++;
+      table.AddRow({algo, StrFormat("%.4f", base), StrFormat("%.4f", slow4),
+                    StrFormat("%.4f", slow16),
+                    StrFormat("%.1fx", slow16 / base)});
+    }
+  };
+
   TablePrinter table({"method", "homogeneous (s)", "straggler 4x (s)",
                       "straggler 16x (s)", "degradation @16x"});
-  for (const std::string& algo :
-       {std::string("topkdsa"), std::string("topka"), std::string("oktopk"),
-        std::string("spardl")}) {
-    const double base = PerUpdateSeconds(algo, p, 1.0, 0.0, iters);
-    const double slow4 = PerUpdateSeconds(algo, p, 4.0, 0.0, iters);
-    const double slow16 = PerUpdateSeconds(algo, p, 16.0, 0.0, iters);
-    table.AddRow({algo, StrFormat("%.4f", base), StrFormat("%.4f", slow4),
-                  StrFormat("%.4f", slow16),
-                  StrFormat("%.1fx", slow16 / base)});
-  }
+  fill(table);
   std::printf("%s\n", table.ToString().c_str());
 
   // Compute-side straggler: worker p/2 keeps a full-speed NIC but its
   // forward+backward pass runs 4x / 16x slower (a throttled or older
-  // accelerator). Baseline charges compute homogeneously so the columns
-  // are comparable.
+  // accelerator).
   std::printf(
       "== Compute-side straggler (one slow accelerator, same fabric) "
       "==\n\n");
   TablePrinter compute_table({"method", "homogeneous (s)",
                               "slow compute 4x (s)",
                               "slow compute 16x (s)", "degradation @16x"});
-  for (const std::string& algo :
-       {std::string("topkdsa"), std::string("topka"), std::string("oktopk"),
-        std::string("spardl")}) {
-    const double base = PerUpdateSeconds(algo, p, 1.0, 1.0, iters);
-    const double slow4 = PerUpdateSeconds(algo, p, 1.0, 4.0, iters);
-    const double slow16 = PerUpdateSeconds(algo, p, 1.0, 16.0, iters);
-    compute_table.AddRow(
-        {algo, StrFormat("%.4f", base), StrFormat("%.4f", slow4),
-         StrFormat("%.4f", slow16), StrFormat("%.1fx", slow16 / base)});
-  }
+  fill(compute_table);
   std::printf("%s\n", compute_table.ToString().c_str());
   std::printf(
       "Reading: synchronous All-Reduce is gated by the slowest worker, so "

@@ -64,10 +64,8 @@ int spardl::bench::RunExtOverlap(const HarnessArgs& args) {
       "so the simulated clock is what changes.\n\n",
       spec.name.c_str(), p, epochs, iterations);
 
-  TablePrinter table({"topology", "sync mode", "total sim (s)",
-                      "comm s/epoch", "compute s/epoch", "vs sync"});
+  bench::Sweep<bench::ConvergenceSeries> sweep;
   for (const TopologySpec& fabric : fabrics) {
-    double sync_total = 0.0;
     for (GradSyncMode mode : modes) {
       bench::TrainRunOptions options;
       options.num_workers = p;
@@ -81,9 +79,19 @@ int spardl::bench::RunExtOverlap(const HarnessArgs& args) {
       options.paper_scale_network = false;
       options.placement = args.placement_or(PlacementPolicy::kContiguous);
       options.sync_mode = mode;
-      const bench::ConvergenceSeries series = bench::RunTrainingCase(
-          spec, "spardl", std::string(GradSyncModeName(mode)), options);
-      const EpochRecord& last = series.epochs.back();
+      bench::AddTrainingCase(sweep, spec, "spardl",
+                             std::string(GradSyncModeName(mode)), options);
+    }
+  }
+  const std::vector<bench::ConvergenceSeries> runs = sweep.Run();
+
+  TablePrinter table({"topology", "sync mode", "total sim (s)",
+                      "comm s/epoch", "compute s/epoch", "vs sync"});
+  auto run = runs.begin();
+  for (const TopologySpec& fabric : fabrics) {
+    double sync_total = 0.0;
+    for (GradSyncMode mode : modes) {
+      const EpochRecord& last = (run++)->epochs.back();
       const double total = last.sim_seconds_cumulative;
       if (mode == GradSyncMode::kStepSynchronous) sync_total = total;
       table.AddRow({fabric.Describe(), std::string(GradSyncModeName(mode)),

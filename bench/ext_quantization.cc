@@ -18,17 +18,20 @@ int spardl::bench::RunExtQuantization(const HarnessArgs& args) {
 
   const ModelProfile& profile = ProfileByModel("VGG-19");
   const int p = args.workers_or(14);
-  TablePrinter table({"config", "comm (s)", "words/update", "vs fp32"});
-  double fp32_comm = 0.0;
-  for (int bits : {32, 16, 8, 4}) {
+  const std::vector<int> wire_bits = {32, 16, 8, 4};
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (int bits : wire_bits) {
     bench::PerUpdateOptions options;
     options.num_workers = p;
     options.topology = args.TopologyOr(std::nullopt, p);
     options.measured_iterations = 1;
     options.value_bits = bits;
-    const bench::PerUpdateResult r =
-        bench::MeasurePerUpdate("spardl", profile, options);
-    if (bits == 32) fp32_comm = r.comm_seconds;
+    bench::AddPerUpdate(sweep, "spardl", profile, options);
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  TablePrinter table({"config", "comm (s)", "words/update", "vs fp32"});
+  const double fp32_comm = results[0].comm_seconds;
+  for (const bench::PerUpdateResult& r : results) {
     table.AddRow({r.algo_label, StrFormat("%.4f", r.comm_seconds),
                   StrFormat("%.0f", r.words_per_update),
                   StrFormat("%.2fx", fp32_comm / r.comm_seconds)});
@@ -40,7 +43,7 @@ int spardl::bench::RunExtQuantization(const HarnessArgs& args) {
   std::printf("convergence spot-check (VGG-16-like case, P=%d):\n\n",
               p_train);
   const TrainingCaseSpec spec = MakeTrainingCase("vgg16");
-  std::vector<bench::ConvergenceSeries> series;
+  bench::Sweep<bench::ConvergenceSeries> training;
   for (int bits : {32, 8, 4}) {
     bench::TrainRunOptions options;
     options.num_workers = p_train;
@@ -50,10 +53,10 @@ int spardl::bench::RunExtQuantization(const HarnessArgs& args) {
     options.value_bits = bits;
     options.topology = args.TopologyOr(std::nullopt, p_train);
     options.placement = args.placement_or(PlacementPolicy::kContiguous);
-    series.push_back(bench::RunTrainingCase(
-        spec, "spardl", StrFormat("q%d", bits), options));
+    bench::AddTrainingCase(training, spec, "spardl",
+                           StrFormat("q%d", bits), options);
   }
-  bench::PrintConvergence("-- quantized SparDL training --", series);
+  bench::PrintConvergence("-- quantized SparDL training --", training.Run());
   std::printf(
       "Reading: 8-bit values cut wire volume ~1.6x with no visible "
       "convergence cost (quantization error is recycled via the residual "

@@ -27,7 +27,7 @@
 
 int spardl::bench::RunExtTopology(const HarnessArgs& args) {
   const int p = args.workers_or(8);
-  // Large-P mode (P >= 256, the cooperative backend's territory): the
+  // Large-P mode (P >= 256, where fibers let one machine host the run): the
   // direct-send methods (topka; oktopk's threshold phase also fans in
   // P-wise) would materialise Theta(P^2) packets, so the sweep keeps the
   // log-round methods only, and k/n shrinks to 0.1% to bound per-worker
@@ -71,6 +71,39 @@ int spardl::bench::RunExtTopology(const HarnessArgs& args) {
       "slowdown over the paper's flat alpha-beta model for that method.\n\n",
       profile.num_params, k_ratio * 100.0, p);
 
+  // One sweep: every (fabric, method) cell, then SparDL's d = 2 teams
+  // under each layout on every fabric of the sweep with more than one
+  // locality group (the others cost the same under any layout).
+  bench::PerUpdateOptions options;
+  options.num_workers = p;
+  options.k_ratio = k_ratio;
+  options.measured_iterations = args.iterations_or(2);
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (const TopologySpec& spec : fabrics) {
+    options.topology = spec;
+    options.num_teams = 1;
+    options.placement = args.placement_or(PlacementPolicy::kContiguous);
+    for (const std::string& algo : algos) {
+      bench::AddPerUpdate(sweep, algo, profile, options);
+    }
+  }
+  std::vector<TopologySpec> multi_group;
+  if (p % 2 == 0) {
+    for (const TopologySpec& spec : fabrics) {
+      if (LocalityGroups(spec, p).size() > 1) multi_group.push_back(spec);
+    }
+  }
+  for (const TopologySpec& spec : multi_group) {
+    options.topology = spec;
+    options.num_teams = 2;
+    for (PlacementPolicy policy : AllPlacementPolicies()) {
+      options.placement = policy;
+      bench::AddPerUpdate(sweep, "spardl", profile, options);
+    }
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  auto next = results.begin();
+
   std::vector<std::string> header = {"topology"};
   for (const std::string& algo : algos) {
     header.push_back(algo);
@@ -79,16 +112,9 @@ int spardl::bench::RunExtTopology(const HarnessArgs& args) {
   TablePrinter table(header);
   std::vector<double> flat_comm(algos.size(), 0.0);
   for (const TopologySpec& spec : fabrics) {
-    bench::PerUpdateOptions options;
-    options.num_workers = p;
-    options.k_ratio = k_ratio;
-    options.topology = spec;
-    options.placement = args.placement_or(PlacementPolicy::kContiguous);
-    options.measured_iterations = args.iterations_or(2);
     std::vector<std::string> row = {spec.Describe()};
     for (size_t a = 0; a < algos.size(); ++a) {
-      const bench::PerUpdateResult r =
-          bench::MeasurePerUpdate(algos[a], profile, options);
+      const bench::PerUpdateResult& r = *next++;
       if (spec.kind == TopologyKind::kFlat) flat_comm[a] = r.comm_seconds;
       row.push_back(StrFormat("%.4f s", r.comm_seconds));
       // No flat baseline when --topology narrows the sweep to one fabric.
@@ -103,37 +129,20 @@ int spardl::bench::RunExtTopology(const HarnessArgs& args) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // Team-placement comparison: SparDL's d = 2 teams under each layout, on
-  // every fabric of the sweep with more than one locality group (the
-  // others cost the same under any layout and are skipped).
-  if (p % 2 == 0) {
+  if (!multi_group.empty()) {
     TablePrinter placement_table({"topology", "contiguous", "rack-local",
                                   "interleaved"});
-    bool any = false;
-    for (const TopologySpec& spec : fabrics) {
-      if (LocalityGroups(spec, p).size() <= 1) continue;
-      any = true;
+    for (const TopologySpec& spec : multi_group) {
       std::vector<std::string> row = {spec.Describe()};
-      for (PlacementPolicy policy : AllPlacementPolicies()) {
-        bench::PerUpdateOptions options;
-        options.num_workers = p;
-        options.k_ratio = k_ratio;
-        options.topology = spec;
-        options.num_teams = 2;
-        options.placement = policy;
-        options.measured_iterations = args.iterations_or(2);
-        const bench::PerUpdateResult r =
-            bench::MeasurePerUpdate("spardl", profile, options);
-        row.push_back(StrFormat("%.4f s", r.comm_seconds));
+      for (size_t i = 0; i < AllPlacementPolicies().size(); ++i) {
+        row.push_back(StrFormat("%.4f s", (next++)->comm_seconds));
       }
       placement_table.AddRow(row);
     }
-    if (any) {
-      std::printf(
-          "team placement (SparDL, d=2): per-update comm seconds by "
-          "layout\n%s\n",
-          placement_table.ToString().c_str());
-    }
+    std::printf(
+        "team placement (SparDL, d=2): per-update comm seconds by "
+        "layout\n%s\n",
+        placement_table.ToString().c_str());
   }
 
   std::printf(

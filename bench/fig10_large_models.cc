@@ -3,6 +3,7 @@
 // Paper shape: SparDL 2.3x (ResNet-50) and 2.0x (BERT) faster than
 // Ok-Topk in communication.
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,17 +16,26 @@ int spardl::bench::RunFig10LargeModels(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   std::printf(
       "== Fig. 10: per-update time on large models, %d workers ==\n\n", p);
-  for (const std::string& model : {std::string("ResNet-50"),
-                                   std::string("BERT")}) {
-    const ModelProfile& profile = ProfileByModel(model);
-    bench::PerUpdateOptions options;
-    options.num_workers = p;
-    options.k_ratio = 0.01;
-    options.measured_iterations = args.iterations_or(1);
-    options.topology = args.TopologyOr(std::nullopt, p);
-    options.placement = args.placement_or(PlacementPolicy::kContiguous);
-    const auto results = bench::MeasurePerUpdateAll(
-        {"oktopk", "spardl"}, profile, options);
+  const std::vector<std::string> models = {"ResNet-50", "BERT"};
+  const std::vector<std::string> algos = {"oktopk", "spardl"};
+  bench::PerUpdateOptions options;
+  options.num_workers = p;
+  options.k_ratio = 0.01;
+  options.measured_iterations = args.iterations_or(1);
+  options.topology = args.TopologyOr(std::nullopt, p);
+  options.placement = args.placement_or(PlacementPolicy::kContiguous);
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (const std::string& model : models) {
+    for (const std::string& algo : algos) {
+      bench::AddPerUpdate(sweep, algo, ProfileByModel(model), options);
+    }
+  }
+  const std::vector<bench::PerUpdateResult> all = sweep.Run();
+  for (size_t m = 0; m < models.size(); ++m) {
+    const ModelProfile& profile = ProfileByModel(models[m]);
+    const std::vector<bench::PerUpdateResult> results(
+        all.begin() + static_cast<std::ptrdiff_t>(m * algos.size()),
+        all.begin() + static_cast<std::ptrdiff_t>((m + 1) * algos.size()));
     TablePrinter table(
         {"method", "comm (s)", "comp (s)", "total (s)", "comm speedup"});
     const double spardl_comm = results.back().comm_seconds;

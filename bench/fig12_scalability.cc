@@ -22,9 +22,10 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
 
   // == Extension beyond the figure: large-P rows on a contended fabric ==
   // Gated on an explicit --workers >= 256 ask, and replaces the paper
-  // sweep entirely: these rows exist to exercise the cooperative backend
-  // at simulated-cluster scale (P = 256 / 1024 / 4096 on one machine),
-  // not to reproduce a plot. Direct-send methods (topkdsa, topka)
+  // sweep entirely: these rows exist to exercise the simulator at
+  // simulated-cluster scale (P = 256 / 1024 / 4096 on one machine), not
+  // to reproduce a plot. They run one at a time, since each prints its own
+  // wall clock. Direct-send methods (topkdsa, topka)
   // materialise Theta(P^2) packets and are excluded; the log-round
   // methods (gtopk, spardl) carry the scaling story. k/n shrinks to 0.1%
   // so per-worker candidate volume stays laptop-sized at 4M params.
@@ -39,7 +40,7 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
         "fat-tree ==\n"
         "Synthetic n=%zu, k/n=0.1%%; racks of 8, oversub 4.0, 2 ECMP "
         "cores. 'wall' is measured wall-clock for the whole run "
-        "(warmup+measured), i.e. the execution backend's cost.\n\n",
+        "(warmup+measured), i.e. the simulator's cost.\n\n",
         synth.num_params);
     TablePrinter large_table(
         {"P", "method", "comm s/update", "msgs/update", "wall"});
@@ -87,17 +88,21 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
       "Reference: per-epoch time of TopkDSA at P=8 (epoch = per-update "
       "time x fixed iteration count; the constant cancels in ratios).\n\n");
 
-  std::map<std::string, std::map<int, double>> total_seconds;
+  bench::Sweep<bench::PerUpdateResult> sweep;
   for (int p : worker_counts) {
     for (const std::string& algo : algos) {
       bench::PerUpdateOptions options;
       options.num_workers = p;
       options.k_ratio = 0.01;
       options.measured_iterations = args.iterations_or(1);
-      const bench::PerUpdateResult r =
-          bench::MeasurePerUpdate(algo, profile, options);
-      total_seconds[algo][p] = r.total_seconds();
+      bench::AddPerUpdate(sweep, algo, profile, options);
     }
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  std::map<std::string, std::map<int, double>> total_seconds;
+  for (size_t i = 0; i < results.size(); ++i) {
+    total_seconds[algos[i % algos.size()]]
+                 [worker_counts[i / algos.size()]] = results[i].total_seconds();
   }
   const int reference_p =
       total_seconds["topkdsa"].count(8) != 0 ? 8 : worker_counts.front();
@@ -125,7 +130,7 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
   options.k_ratio = 0.01;
   options.epochs = 5;
   options.iterations_per_epoch = args.iterations_or(10);
-  std::vector<bench::ConvergenceSeries> series;
+  bench::Sweep<bench::ConvergenceSeries> training;
   for (const auto& [algo, label] :
        std::vector<std::pair<std::string, std::string>>{
            {"topkdsa", "TopkDSA"},
@@ -133,8 +138,9 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
            {"gtopk", "gTopk"},
            {"oktopk", "Ok-Topk"},
            {"spardl", "SparDL"}}) {
-    series.push_back(bench::RunTrainingCase(spec, algo, label, options));
+    bench::AddTrainingCase(training, spec, algo, label, options);
   }
+  const std::vector<bench::ConvergenceSeries> series = training.Run();
   bench::PrintConvergence("-- Case 2 with 8 workers --", series);
   return 0;
 }

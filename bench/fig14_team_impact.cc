@@ -37,70 +37,104 @@ std::vector<int> Divisors(int p) {
   return divisors;
 }
 
-void RunForWorkers(int p, const std::vector<int>& team_counts,
-                   int iterations_per_epoch,
-                   const std::optional<TopologySpec>& fabric,
-                   PlacementPolicy placement, int measured_iterations) {
+/// One cluster size's d sweep.
+struct Panel {
+  int p = 0;
+  std::vector<int> team_counts;
+  std::optional<TopologySpec> fabric;
+  /// More than one locality group: the placement table is measured too.
+  bool placement_matters = false;
+};
+
+bench::PerUpdateOptions PanelOptions(const Panel& panel, int d,
+                                     PlacementPolicy placement,
+                                     int measured_iterations) {
+  bench::PerUpdateOptions options;
+  options.num_workers = panel.p;
+  options.k_ratio = 0.01;
+  options.num_teams = d;
+  options.placement = placement;
+  options.topology = panel.fabric;
+  options.measured_iterations = measured_iterations;
+  return options;
+}
+
+// R-SAG needs a power-of-two d. (d = 1 has no SAG; it is measured once
+// and reported in both columns.)
+bool HasRsag(int d) { return (d & (d - 1)) == 0; }
+
+/// Queues `panel`'s points on `sweep`: per d, the R-SAG and B-SAG
+/// measurements (in that order, where defined), then — on a multi-group
+/// fabric — every placement policy per d > 1.
+void AddPanel(const Panel& panel, PlacementPolicy placement,
+              int measured_iterations,
+              bench::Sweep<bench::PerUpdateResult>& sweep) {
   const ModelProfile& profile = ProfileByModel("VGG-16");
+  for (int d : panel.team_counts) {
+    const bench::PerUpdateOptions options =
+        PanelOptions(panel, d, placement, measured_iterations);
+    if (d == 1) {
+      bench::AddPerUpdate(sweep, "spardl", profile, options);
+      continue;
+    }
+    // The registry resolves pow-2 d to R-SAG automatically; force each
+    // family through the registry names.
+    if (HasRsag(d)) {
+      bench::AddPerUpdate(sweep, "spardl-rsag", profile, options);
+    }
+    bench::AddPerUpdate(sweep, "spardl-bsag", profile, options);
+  }
+  if (!panel.placement_matters) return;
+  for (int d : panel.team_counts) {
+    if (d == 1) continue;  // no teams, no layout
+    for (PlacementPolicy policy : AllPlacementPolicies()) {
+      bench::AddPerUpdate(
+          sweep, "spardl", profile,
+          PanelOptions(panel, d, policy, measured_iterations));
+    }
+  }
+}
+
+/// Prints `panel`'s tables from its results, taken in `AddPanel` order
+/// starting at `*next`.
+void PrintPanel(const Panel& panel, int iterations_per_epoch,
+                const std::vector<bench::PerUpdateResult>& results,
+                size_t* next) {
+  const ModelProfile& profile = ProfileByModel("VGG-16");
+  const auto epoch = [&] {
+    const bench::PerUpdateResult& r = results[(*next)++];
+    return StrFormat("%.2f", (r.comm_seconds + r.compute_seconds) *
+                                 iterations_per_epoch);
+  };
   TablePrinter table({"d", "R-SAG per-epoch (s)", "B-SAG per-epoch (s)"});
-  for (int d : team_counts) {
+  for (int d : panel.team_counts) {
     std::string rsag = "-";
     std::string bsag = "-";
-    for (bool recursive : {true, false}) {
-      if (recursive && (d & (d - 1)) != 0) continue;
-      bench::PerUpdateOptions options;
-      options.num_workers = p;
-      options.k_ratio = 0.01;
-      options.num_teams = d;
-      options.placement = placement;
-      options.topology = fabric;
-      options.measured_iterations = measured_iterations;
-      // The registry resolves pow-2 d to R-SAG automatically; force B-SAG
-      // by measuring through a config the registry honors. d=1 has no SAG;
-      // report it in both columns.
-      bench::PerUpdateResult r;
-      if (d == 1) {
-        r = bench::MeasurePerUpdate("spardl", profile, options);
-      } else {
-        r = bench::MeasurePerUpdate(
-            recursive ? "spardl-rsag" : "spardl-bsag", profile, options);
-      }
-      const double epoch_seconds =
-          (r.comm_seconds + r.compute_seconds) * iterations_per_epoch;
-      if (recursive || d == 1) rsag = StrFormat("%.2f", epoch_seconds);
-      if (!recursive || d == 1) bsag = StrFormat("%.2f", epoch_seconds);
-      if (d == 1) break;
+    if (d == 1) {
+      rsag = bsag = epoch();
+    } else {
+      if (HasRsag(d)) rsag = epoch();
+      bsag = epoch();
     }
     table.AddRow({StrFormat("%d", d), rsag, bsag});
   }
-  const std::string fabric_label =
-      fabric.has_value() ? fabric->Describe() : std::string("flat (paper)");
+  const std::string fabric_label = panel.fabric.has_value()
+                                       ? panel.fabric->Describe()
+                                       : std::string("flat (paper)");
   std::printf("P = %d (%s profile, %d iterations/epoch, fabric %s)\n%s\n",
-              p, profile.model.c_str(), iterations_per_epoch,
+              panel.p, profile.model.c_str(), iterations_per_epoch,
               fabric_label.c_str(), table.ToString().c_str());
 
   // Placement only moves simulated time when the fabric has more than one
   // locality group; the flat paper fabric skips this table.
-  const TopologySpec resolved = bench::ResolveFabric(fabric, p, {});
-  if (LocalityGroups(resolved, p).size() <= 1) return;
+  if (!panel.placement_matters) return;
   TablePrinter placement_table({"d", "contiguous (s)", "rack-local (s)",
                                 "interleaved (s)"});
-  for (int d : team_counts) {
-    if (d == 1) continue;  // no teams, no layout
+  for (int d : panel.team_counts) {
+    if (d == 1) continue;
     std::vector<std::string> row = {StrFormat("%d", d)};
-    for (PlacementPolicy policy : AllPlacementPolicies()) {
-      bench::PerUpdateOptions options;
-      options.num_workers = p;
-      options.k_ratio = 0.01;
-      options.num_teams = d;
-      options.placement = policy;
-      options.topology = fabric;
-      options.measured_iterations = measured_iterations;
-      const bench::PerUpdateResult r =
-          bench::MeasurePerUpdate("spardl", profile, options);
-      row.push_back(StrFormat(
-          "%.2f", (r.comm_seconds + r.compute_seconds) *
-                      iterations_per_epoch));
+    for (size_t i = 0; i < AllPlacementPolicies().size(); ++i) {
+      row.push_back(epoch());
     }
     placement_table.AddRow(row);
   }
@@ -117,20 +151,26 @@ int spardl::bench::RunFig14TeamImpact(const HarnessArgs& args) {
   const int measured = args.iterations_or(2);
   const PlacementPolicy placement =
       args.placement_or(PlacementPolicy::kContiguous);
+  std::vector<Panel> panels;
   if (args.workers.has_value()) {
-    const int p = *args.workers;
-    const std::optional<TopologySpec> fabric =
-        args.TopologyOr(std::nullopt, p);
-    RunForWorkers(p, Divisors(p), iterations_per_epoch, fabric, placement,
-                  measured);
+    panels.push_back({*args.workers, Divisors(*args.workers), {}, false});
   } else {
-    for (int p : {14, 12}) {
-      const std::optional<TopologySpec> fabric =
-          args.TopologyOr(std::nullopt, p);
-      RunForWorkers(p, p == 14 ? std::vector<int>{1, 2, 7, 14}
-                               : std::vector<int>{1, 2, 3, 4, 6, 12},
-                    iterations_per_epoch, fabric, placement, measured);
-    }
+    panels.push_back({14, {1, 2, 7, 14}, {}, false});
+    panels.push_back({12, {1, 2, 3, 4, 6, 12}, {}, false});
+  }
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (Panel& panel : panels) {
+    panel.fabric = args.TopologyOr(std::nullopt, panel.p);
+    panel.placement_matters =
+        LocalityGroups(bench::ResolveFabric(panel.fabric, panel.p, {}),
+                       panel.p)
+            .size() > 1;
+    AddPanel(panel, placement, measured, sweep);
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  size_t next = 0;
+  for (const Panel& panel : panels) {
+    PrintPanel(panel, iterations_per_epoch, results, &next);
   }
   std::printf(
       "Paper shape (flat fabric): B-SAG improves over d=1 with the optimum "

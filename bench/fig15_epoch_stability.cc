@@ -22,10 +22,11 @@ namespace spardl {
 namespace {
 
 // Simulated per-epoch seconds for `epochs` consecutive epochs (support
-// drifts across iterations like real training).
-std::vector<double> EpochTimes(const bench::HarnessArgs& args,
-                               const std::string& algo, int p, int d,
-                               int epochs, int iters_per_epoch) {
+// drifts across iterations like real training) on `fabric`.
+std::vector<double> EpochTimes(const TopologySpec& fabric,
+                               const std::string& algo, int d, int epochs,
+                               int iters_per_epoch) {
+  const int p = fabric.num_workers;
   const ModelProfile& profile = ProfileByModel("VGG-16");
   const size_t n = profile.num_params;
   const size_t k = n / 100;
@@ -36,8 +37,7 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
   config.num_teams = d;
   config.residual_mode = ResidualMode::kNone;
 
-  Cluster cluster(
-      *args.TopologyOr(TopologySpec::Flat(p, CostModel::Ethernet()), p));
+  Cluster cluster(fabric);
   bench::ConfigureCluster(cluster);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
@@ -66,30 +66,34 @@ std::vector<double> EpochTimes(const bench::HarnessArgs& args,
   return times;
 }
 
-void RunForWorkers(const bench::HarnessArgs& args, int p,
-                   const std::vector<std::pair<std::string, int>>&
-                       configurations) {
-  const int epochs = 5;
-  const int iters = args.iterations_or(8);
+/// One cluster size's configurations: (label, d) pairs, where the label's
+/// first letter picks the SAG family (B-SAG, R-SAG, or none).
+struct Panel {
+  int p = 0;
+  std::vector<std::pair<std::string, int>> configurations;
+};
+
+constexpr int kEpochs = 5;
+
+void PrintPanel(const Panel& panel,
+                const std::vector<std::vector<double>>& results,
+                size_t* next) {
   TablePrinter table([&] {
     std::vector<std::string> header = {"config"};
-    for (int e = 1; e <= epochs; ++e) {
+    for (int e = 1; e <= kEpochs; ++e) {
       header.push_back(StrFormat("ep%d (s)", e));
     }
     return header;
   }());
   std::map<std::string, std::vector<double>> all;
-  for (const auto& [label, d] : configurations) {
-    const std::string algo = label[0] == 'B'   ? "spardl-bsag"
-                             : label[0] == 'R' ? "spardl-rsag"
-                                               : "spardl";
-    std::vector<double> times = EpochTimes(args, algo, p, d, epochs, iters);
+  for (const auto& [label, d] : panel.configurations) {
+    const std::vector<double>& times = results[(*next)++];
     std::vector<std::string> row = {label};
     for (double t : times) row.push_back(StrFormat("%.2f", t));
     table.AddRow(row);
     all[label] = times;
   }
-  std::printf("P = %d (VGG-16 profile)\n%s\n", p,
+  std::printf("P = %d (VGG-16 profile)\n%s\n", panel.p,
               table.ToString().c_str());
 
   // Stability + winner consistency check.
@@ -108,30 +112,48 @@ void RunForWorkers(const bench::HarnessArgs& args, int p,
 int spardl::bench::RunFig15EpochStability(const HarnessArgs& args) {
   std::printf(
       "== Fig. 15: per-epoch time stability across epochs ==\n\n");
+  std::vector<Panel> panels;
   if (args.workers.has_value()) {
     // --workers collapses the two paper panels into one sweep of every
     // divisor d of the requested size (B-SAG, plus R-SAG at d=2).
     const int p = *args.workers;
-    std::vector<std::pair<std::string, int>> configurations = {{"1", 1}};
-    if (p % 2 == 0) configurations.push_back({"R2", 2});
+    Panel panel{p, {{"1", 1}}};
+    if (p % 2 == 0) panel.configurations.push_back({"R2", 2});
     for (int d = 2; d <= p; ++d) {
       if (p % d == 0) {
-        configurations.push_back({StrFormat("B%d", d), d});
+        panel.configurations.push_back({StrFormat("B%d", d), d});
       }
     }
-    RunForWorkers(args, p, configurations);
+    panels.push_back(std::move(panel));
   } else {
-    RunForWorkers(
-        args, 14, {{"1", 1}, {"R2", 2}, {"B2", 2}, {"B7", 7}, {"B14", 14}});
-    RunForWorkers(args, 12, {{"1", 1},
-                             {"R2", 2},
-                             {"R4", 4},
-                             {"B2", 2},
-                             {"B3", 3},
-                             {"B4", 4},
-                             {"B6", 6},
-                             {"B12", 12}});
+    panels.push_back(
+        {14, {{"1", 1}, {"R2", 2}, {"B2", 2}, {"B7", 7}, {"B14", 14}}});
+    panels.push_back({12, {{"1", 1},
+                           {"R2", 2},
+                           {"R4", 4},
+                           {"B2", 2},
+                           {"B3", 3},
+                           {"B4", 4},
+                           {"B6", 6},
+                           {"B12", 12}}});
   }
+  const int iters = args.iterations_or(8);
+  bench::Sweep<std::vector<double>> sweep;
+  for (const Panel& panel : panels) {
+    const TopologySpec fabric = *args.TopologyOr(
+        TopologySpec::Flat(panel.p, CostModel::Ethernet()), panel.p);
+    for (const auto& [label, d] : panel.configurations) {
+      const std::string algo = label[0] == 'B'   ? "spardl-bsag"
+                               : label[0] == 'R' ? "spardl-rsag"
+                                                 : "spardl";
+      sweep.Add([fabric, algo, d = d, iters] {
+        return EpochTimes(fabric, algo, d, kEpochs, iters);
+      });
+    }
+  }
+  const std::vector<std::vector<double>> results = sweep.Run();
+  size_t next = 0;
+  for (const Panel& panel : panels) PrintPanel(panel, results, &next);
   std::printf(
       "Paper claim: the optimal d is steadily fastest across epochs, so "
       "one epoch per candidate d suffices to pick it.\n");

@@ -8,6 +8,7 @@
 //  (2) real training at k/n in {1e-1, 1e-2, 1e-3} — accuracy degrades
 //      gently at 1e-2 and visibly at 1e-3.
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,21 +26,27 @@ int spardl::bench::RunFig16KSweep(const HarnessArgs& args) {
       "== Fig. 16 part 1: per-update comm time vs k/n (paper-scale "
       "profiles, SparDL, P=%d) ==\n\n",
       p);
-  for (const std::string& model :
-       {std::string("VGG-16"), std::string("VGG-19")}) {
-    const ModelProfile& profile = ProfileByModel(model);
+  const std::vector<std::string> models = {"VGG-16", "VGG-19"};
+  bench::PerUpdateOptions options;
+  options.num_workers = p;
+  options.measured_iterations = args.iterations_or(1);
+  options.topology = args.TopologyOr(std::nullopt, p);
+  options.placement = args.placement_or(PlacementPolicy::kContiguous);
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (const std::string& model : models) {
+    for (double ratio : ratios) {
+      options.k_ratio = ratio;
+      bench::AddPerUpdate(sweep, "spardl", ProfileByModel(model), options);
+    }
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  for (size_t m = 0; m < models.size(); ++m) {
+    const ModelProfile& profile = ProfileByModel(models[m]);
     TablePrinter table({"k/n", "comm (s)", "vs previous"});
     double previous = -1.0;
-    for (double ratio : ratios) {
-      bench::PerUpdateOptions options;
-      options.num_workers = p;
-      options.k_ratio = ratio;
-      options.measured_iterations = args.iterations_or(1);
-      options.topology = args.TopologyOr(std::nullopt, p);
-      options.placement = args.placement_or(PlacementPolicy::kContiguous);
-      const bench::PerUpdateResult r =
-          bench::MeasurePerUpdate("spardl", profile, options);
-      table.AddRow({StrFormat("%.0e", ratio),
+    for (size_t i = 0; i < ratios.size(); ++i) {
+      const bench::PerUpdateResult& r = results[m * ratios.size() + i];
+      table.AddRow({StrFormat("%.0e", ratios[i]),
                     StrFormat("%.5f", r.comm_seconds),
                     previous < 0
                         ? "-"
@@ -56,22 +63,30 @@ int spardl::bench::RunFig16KSweep(const HarnessArgs& args) {
   std::printf(
       "== Fig. 16 part 2: convergence vs k/n (real training, P=%d) ==\n\n",
       p);
-  for (const std::string& case_key :
-       {std::string("vgg16"), std::string("vgg19")}) {
-    const TrainingCaseSpec spec = MakeTrainingCase(case_key);
-    std::vector<bench::ConvergenceSeries> series;
-    for (double ratio : {1e-1, 1e-2, 1e-3}) {
-      bench::TrainRunOptions options;
-      options.num_workers = p;
-      options.k_ratio = ratio;
-      options.epochs = 6;
-      options.iterations_per_epoch = args.iterations_or(10);
-      options.topology = args.TopologyOr(std::nullopt, p);
-      options.placement = args.placement_or(PlacementPolicy::kContiguous);
-      series.push_back(bench::RunTrainingCase(
-          spec, "spardl", StrFormat("k/n=%.0e", ratio), options));
+  const std::vector<double> train_ratios = {1e-1, 1e-2, 1e-3};
+  const std::vector<TrainingCaseSpec> specs = {MakeTrainingCase("vgg16"),
+                                               MakeTrainingCase("vgg19")};
+  bench::Sweep<bench::ConvergenceSeries> training;
+  for (const TrainingCaseSpec& spec : specs) {
+    for (double ratio : train_ratios) {
+      bench::TrainRunOptions train_options;
+      train_options.num_workers = p;
+      train_options.k_ratio = ratio;
+      train_options.epochs = 6;
+      train_options.iterations_per_epoch = args.iterations_or(10);
+      train_options.topology = options.topology;
+      train_options.placement = options.placement;
+      bench::AddTrainingCase(training, spec, "spardl",
+                             StrFormat("k/n=%.0e", ratio), train_options);
     }
-    bench::PrintConvergence("-- " + spec.name + " --", series);
+  }
+  const std::vector<bench::ConvergenceSeries> series = training.Run();
+  for (size_t c = 0; c < specs.size(); ++c) {
+    const auto first =
+        series.begin() + static_cast<std::ptrdiff_t>(c * train_ratios.size());
+    bench::PrintConvergence(
+        "-- " + specs[c].name + " --",
+        {first, first + static_cast<std::ptrdiff_t>(train_ratios.size())});
   }
   std::printf(
       "Paper conclusion: k/n = 1e-2 or 1e-3 is the sweet spot — low "

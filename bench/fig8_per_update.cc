@@ -8,6 +8,7 @@
 // (TopkDSA, TopkA, Ok-Topk): VGG-19 6.4/5.1/1.6x, VGG-11 5.6/4.7/2.2x,
 // LSTM-IMDB 2.7/3.8/1.8x, LSTM-PTB 5.0/4.5/2.3x.
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,14 +27,23 @@ int spardl::bench::RunFig8PerUpdate(const HarnessArgs& args) {
       "model) ==\n\n",
       args.workers_or(14));
 
+  bench::PerUpdateOptions options;
+  options.num_workers = args.workers_or(14);
+  options.k_ratio = 0.01;
+  options.measured_iterations = args.iterations_or(1);
+  bench::Sweep<bench::PerUpdateResult> sweep;
   for (const std::string& model : models) {
-    const ModelProfile& profile = ProfileByModel(model);
-    bench::PerUpdateOptions options;
-    options.num_workers = args.workers_or(14);
-    options.k_ratio = 0.01;
-    options.measured_iterations = args.iterations_or(1);
-    const auto results =
-        bench::MeasurePerUpdateAll(algos, profile, options);
+    for (const std::string& algo : algos) {
+      bench::AddPerUpdate(sweep, algo, ProfileByModel(model), options);
+    }
+  }
+  const std::vector<bench::PerUpdateResult> all = sweep.Run();
+
+  for (size_t m = 0; m < models.size(); ++m) {
+    const ModelProfile& profile = ProfileByModel(models[m]);
+    const std::vector<bench::PerUpdateResult> results(
+        all.begin() + static_cast<std::ptrdiff_t>(m * algos.size()),
+        all.begin() + static_cast<std::ptrdiff_t>((m + 1) * algos.size()));
     const double spardl_comm = results.back().comm_seconds;
 
     TablePrinter table({"method", "comm (s)", "comp (s)", "total (s)",

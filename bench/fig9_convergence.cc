@@ -15,6 +15,7 @@
 // fabric (e.g. "fattree:4x8x2") — an extension beyond the paper's
 // flat model.
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -42,9 +43,14 @@ int spardl::bench::RunFig9Convergence(const HarnessArgs& args) {
       {"oktopk", "Ok-Topk"},
       {"spardl", "SparDL"}};
 
+  // Every (case, method) run is one sweep point; the specs outlive it.
+  std::vector<TrainingCaseSpec> specs;
   for (const std::string& case_key : cases) {
-    const TrainingCaseSpec spec = MakeTrainingCase(case_key);
-    const bool lstm_case = case_key.rfind("lstm", 0) == 0;
+    specs.push_back(MakeTrainingCase(case_key));
+  }
+  bench::Sweep<bench::ConvergenceSeries> sweep;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const bool lstm_case = cases[c].rfind("lstm", 0) == 0;
     bench::TrainRunOptions options;
     options.num_workers = workers;
     options.topology = fabric;
@@ -54,12 +60,16 @@ int spardl::bench::RunFig9Convergence(const HarnessArgs& args) {
     options.k_ratio = lstm_case ? 0.03 : 0.01;
     options.epochs = lstm_case ? 6 : 5;
     options.iterations_per_epoch = args.iterations_or(lstm_case ? 12 : 10);
-    std::vector<bench::ConvergenceSeries> series;
     for (const auto& [algo, label] : algos) {
-      series.push_back(
-          bench::RunTrainingCase(spec, algo, label, options));
+      bench::AddTrainingCase(sweep, specs[c], algo, label, options);
     }
-    bench::PrintConvergence("-- " + spec.name + " --", series);
+  }
+  const std::vector<bench::ConvergenceSeries> series = sweep.Run();
+  for (size_t c = 0; c < cases.size(); ++c) {
+    bench::PrintConvergence(
+        "-- " + specs[c].name + " --",
+        {series.begin() + static_cast<std::ptrdiff_t>(c * algos.size()),
+         series.begin() + static_cast<std::ptrdiff_t>((c + 1) * algos.size())});
   }
   return 0;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -23,28 +24,12 @@
 namespace spardl {
 namespace {
 
-void ExploreOne(const TopologySpec& spec, size_t n, double k_ratio) {
-  const ModelProfile profile = {"-", "synthetic", "-", n, 0.0};
+/// The methods compared on `spec`: (registry name, team count).
+std::vector<std::pair<std::string, int>> MethodsFor(const TopologySpec& spec) {
   std::vector<std::pair<std::string, int>> methods = {
       {"topka", 1}, {"oktopk", 1}, {"gtopk", 1}, {"spardl", 1}};
   if (spec.num_workers % 2 == 0) methods.push_back({"spardl", 2});
-
-  TablePrinter table({"method", "comm/update", "words/update", "msgs"});
-  for (const auto& [algo, teams] : methods) {
-    bench::PerUpdateOptions options;
-    options.num_workers = spec.num_workers;
-    options.k_ratio = k_ratio;
-    options.num_teams = teams;
-    options.topology = spec;
-    options.measured_iterations = 2;
-    const bench::PerUpdateResult r =
-        bench::MeasurePerUpdate(algo, profile, options);
-    table.AddRow({r.algo_label, HumanSeconds(r.comm_seconds),
-                  StrFormat("%.0f", r.words_per_update),
-                  StrFormat("%.0f", r.messages_per_update)});
-  }
-  std::printf("--- %s ---\n%s\n", spec.Describe().c_str(),
-              table.ToString().c_str());
+  return methods;
 }
 
 }  // namespace
@@ -65,7 +50,32 @@ int spardl::bench::RunTopologyExplorer(const HarnessArgs& args) {
       args.topology.has_value()
           ? std::vector<TopologySpec>{*args.TopologyOr(std::nullopt, p)}
           : DefaultFabricSweep(p);
-  for (const TopologySpec& spec : specs) ExploreOne(spec, n, k_ratio);
+  const ModelProfile profile = {"-", "synthetic", "-", n, 0.0};
+  bench::Sweep<bench::PerUpdateResult> sweep;
+  for (const TopologySpec& spec : specs) {
+    for (const auto& [algo, teams] : MethodsFor(spec)) {
+      bench::PerUpdateOptions options;
+      options.num_workers = spec.num_workers;
+      options.k_ratio = k_ratio;
+      options.num_teams = teams;
+      options.topology = spec;
+      options.measured_iterations = 2;
+      bench::AddPerUpdate(sweep, algo, profile, options);
+    }
+  }
+  const std::vector<bench::PerUpdateResult> results = sweep.Run();
+  auto next = results.begin();
+  for (const TopologySpec& spec : specs) {
+    TablePrinter table({"method", "comm/update", "words/update", "msgs"});
+    for (size_t i = 0; i < MethodsFor(spec).size(); ++i) {
+      const bench::PerUpdateResult& r = *next++;
+      table.AddRow({r.algo_label, HumanSeconds(r.comm_seconds),
+                    StrFormat("%.0f", r.words_per_update),
+                    StrFormat("%.0f", r.messages_per_update)});
+    }
+    std::printf("--- %s ---\n%s\n", spec.Describe().c_str(),
+                table.ToString().c_str());
+  }
 
   std::printf(
       "Reading: pick the method whose traffic shape matches your fabric — "

@@ -126,6 +126,18 @@ ConvergenceSeries RunTrainingCase(const TrainingCaseSpec& spec,
   return series;
 }
 
+void AddTrainingCase(Sweep<ConvergenceSeries>& sweep,
+                     const TrainingCaseSpec& spec,
+                     const std::string& algo_name, const std::string& label,
+                     const TrainRunOptions& options) {
+  sweep.Add(
+      [&spec, algo_name, label, options] {
+        return RunTrainingCase(spec, algo_name, label, options);
+      },
+      static_cast<double>(options.epochs) * options.iterations_per_epoch *
+          options.num_workers);
+}
+
 void PrintConvergence(const std::string& title,
                       const std::vector<ConvergenceSeries>& series) {
   std::printf("%s\n", title.c_str());

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/residual.h"
 #include "core/spardl.h"
 #include "dl/cases.h"
@@ -73,6 +74,14 @@ ConvergenceSeries RunTrainingCase(const TrainingCaseSpec& spec,
                                   const std::string& algo_name,
                                   const std::string& label,
                                   const TrainRunOptions& options);
+
+/// Queues `RunTrainingCase(spec, algo_name, label, options)` on `sweep`,
+/// costed by the worker-iterations it trains. `spec` must outlive the
+/// sweep's `Run`.
+void AddTrainingCase(Sweep<ConvergenceSeries>& sweep,
+                     const TrainingCaseSpec& spec,
+                     const std::string& algo_name, const std::string& label,
+                     const TrainRunOptions& options);
 
 /// Prints curves as "sim time | metric" rows per series.
 void PrintConvergence(const std::string& title,

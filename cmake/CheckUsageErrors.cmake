@@ -17,6 +17,8 @@ set(cases
   "tune_teams --workers 8junk"
   "tune_teams --workers 1"
   "cost_model_explorer abc"
+  "fig15_epoch_stability --topology nosuchfabric"
+  "compare_algorithms --backend thread"
 )
 
 foreach(case IN LISTS cases)

@@ -1,9 +1,9 @@
 #include "des/coop_scheduler.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "des/event_engine.h"
 
 namespace spardl {
@@ -22,7 +22,8 @@ CoopScheduler::~CoopScheduler() = default;
 CoopScheduler* CoopScheduler::Current() { return g_current_scheduler; }
 
 void CoopScheduler::Run(int num_workers, EventEngine* engine,
-                        const std::function<void(int)>& body) {
+                        const std::function<void(int)>& body,
+                        uint64_t schedule_seed) {
   SPARDL_CHECK(g_current_scheduler == nullptr)
       << "nested CoopScheduler::Run";
   SPARDL_CHECK_GE(num_workers, 1);
@@ -32,19 +33,25 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
   runnable_.clear();
   woken_.clear();
   wake_all_ = false;
-  const size_t stack_bytes = FiberStackBytes();
   for (int rank = 0; rank < num_workers; ++rank) {
-    slots_[static_cast<size_t>(rank)].fiber = std::make_unique<Fiber>(
-        [rank, &body] { body(rank); }, stack_bytes);
+    slots_[static_cast<size_t>(rank)].fiber =
+        std::make_unique<Fiber>([rank, &body] { body(rank); });
     runnable_.push_back(rank);
   }
+  Rng shuffle(schedule_seed);
   g_current_scheduler = this;
   int done = 0;
   while (done < num_workers) {
-    // Run every runnable worker once, in rank order. A worker returns
-    // control only by blocking (state -> kWaiting) or finishing; `Wake`
-    // only marks, so the list cannot grow during the round.
+    // Run every runnable worker once, in rank order (or the seeded
+    // permutation of it). A worker returns control only by blocking
+    // (state -> kWaiting) or finishing; `Wake` only marks, so the list
+    // cannot grow during the round.
     std::sort(runnable_.begin(), runnable_.end());
+    if (schedule_seed != 0) {
+      for (size_t i = runnable_.size(); i > 1; --i) {
+        std::swap(runnable_[i - 1], runnable_[shuffle.NextBounded(i)]);
+      }
+    }
     for (const int rank : runnable_) {
       WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
       current_ = rank;
@@ -94,8 +101,8 @@ void CoopScheduler::Wake(int rank) {
 void CoopScheduler::WakeAll() { wake_all_ = true; }
 
 bool CoopScheduler::WakeReadyWaiters() {
-  // Predicates are evaluated lock-free: every fiber shares this OS
-  // thread, so nothing mutates predicate state concurrently.
+  // Every fiber shares this OS thread, so nothing mutates predicate
+  // state while the scheduler evaluates them.
   const auto try_wake = [this](int rank) {
     WorkerSlot& slot = slots_[static_cast<size_t>(rank)];
     if (slot.state == State::kWaiting && (*slot.pred)()) {
@@ -117,14 +124,13 @@ bool CoopScheduler::WakeReadyWaiters() {
 
 bool CoopScheduler::PumpEngine() {
   // Every worker is blocked, so this is exactly the engine's quiescent
-  // cut — the same point the thread backend pumps at, hence the same
-  // deterministic (time, key) event order. Pumping pauses as soon as a
-  // resolution makes its receiver runnable: that worker may inject new,
-  // earlier-keyed flows that must precede later queue entries.
+  // cut (see EventEngine), hence the deterministic (time, key) event
+  // order. Pumping pauses as soon as a resolution makes its receiver
+  // runnable: that worker may inject new, earlier-keyed flows that must
+  // precede later queue entries.
   const uint64_t p = slots_.size();
-  std::lock_guard<lockcheck::OrderedMutex> lock(engine_->mu());
-  while (!engine_->QueueEmptyLocked()) {
-    const uint64_t resolved = engine_->PumpOneLocked();
+  while (!engine_->QueueEmpty()) {
+    const uint64_t resolved = engine_->PumpOne();
     if (resolved == 0) continue;
     // The key's upper half is src*P + dst: only dst waits on this flow.
     Wake(static_cast<int>((resolved >> 32) % p));

@@ -13,20 +13,18 @@ namespace spardl {
 
 class EventEngine;
 
-/// The cooperative execution backend: P SPMD workers as stackful fibers
-/// multiplexed on the *calling* OS thread, replacing thread-per-worker
-/// execution for large clusters (P = 1024–4096 on one machine).
+/// The execution engine of `Cluster::Run`: P SPMD workers as stackful
+/// fibers multiplexed on the *calling* OS thread (the carrier), which
+/// scales one machine to P = 1024–4096 workers.
 ///
-/// Scheduling model. Workers run in rank order; a worker keeps the
-/// carrier thread until it blocks (`Wait`) or finishes. Each round
-/// resumes the sorted list of runnable ranks. When it is empty the
+/// Scheduling model. A worker keeps the carrier until it blocks (`Wait`)
+/// or finishes. Each round resumes the list of runnable ranks, in rank
+/// order (or in a seeded permutation, below). When it is empty the
 /// scheduler (1) re-checks the predicates of the waiters some event has
 /// marked with `Wake`/`WakeAll` and makes the ready ones runnable, and
 /// otherwise (2) pumps the event engine until a resolution readies some
 /// waiter. If neither helps, the SPMD program is deadlocked and the
-/// scheduler aborts immediately with every waiter's diagnostic — the
-/// cooperative analogue of the thread backend's wall-clock watchdog,
-/// minus the 120 s wait.
+/// scheduler aborts immediately with every waiter's diagnostic.
 ///
 /// Targeted wake-ups. A predicate is only re-evaluated after an event
 /// that can make it true, so one message costs O(1) scheduler work, not
@@ -44,18 +42,19 @@ class EventEngine;
 /// Because every ready waiter is marked, the woken set at each decision
 /// point equals a full scan's, and so does the schedule.
 ///
-/// Determinism. The carrier is one OS thread, so the interleaving is a
-/// pure function of the SPMD program: no wall-clock or scheduler
-/// dependence anywhere. Simulated results are identical to the thread
-/// backend's because blocking points and the engine's `(time, key)`
-/// event order are unchanged — only who runs between them differs.
+/// Determinism. Simulated results depend only on the blocking points and
+/// the engine's `(time, key)` event order, never on which runnable
+/// worker goes first within a round. A nonzero `schedule_seed` makes
+/// that explicit: each round's runnable workers are resumed in an order
+/// permuted by a PRNG with that seed, and the tests require every seed to
+/// reproduce seed 0 (rank order) bit for bit, so an order dependence
+/// fails a test instead of hiding behind one fixed schedule.
 ///
-/// Locking contract. Fibers share the carrier thread, so a mutex
-/// acquired by one fiber and held across a `Wait` would self-deadlock
-/// the next fiber: callers must release every lock before waiting
-/// (`Network::Wait` unlocks, calls `Wait`, relocks). That same
-/// single-thread property is what lets the scheduler evaluate wake
-/// predicates without taking the locks that guard their state.
+/// Threading. One scheduler runs on one carrier thread and holds no
+/// locks: every fiber shares that thread, so predicates and network state
+/// are only ever touched by whoever is running. `Current` is
+/// thread-local, so independent simulations may run on parallel carriers
+/// (`bench::Sweep` does) as long as they share no mutable state.
 class CoopScheduler {
  public:
   CoopScheduler();
@@ -67,15 +66,16 @@ class CoopScheduler {
   /// Runs `body(rank)` for every rank in [0, num_workers) to
   /// completion on fibers. `engine` is the fabric's event engine, or
   /// null on flat (nothing to pump; waiters are only released by other
-  /// workers' actions). Not reentrant.
+  /// workers' actions). `schedule_seed` 0 resumes each round in rank
+  /// order; any other value in a permutation drawn from a PRNG with that
+  /// seed. Not reentrant.
   void Run(int num_workers, EventEngine* engine,
-           const std::function<void(int)>& body);
+           const std::function<void(int)>& body, uint64_t schedule_seed = 0);
 
   /// From inside a worker fiber: cooperatively blocks until `pred()`
   /// returns true. `describe` is only invoked for the deadlock
-  /// diagnostic. The caller must hold no locks (see the class comment);
-  /// both references must stay valid across the wait (they live in the
-  /// caller's suspended frame).
+  /// diagnostic. Both references must stay valid across the wait (they
+  /// live in the caller's suspended frame).
   void Wait(const std::function<bool()>& pred,
             const std::function<std::string()>& describe);
 
@@ -90,8 +90,8 @@ class CoopScheduler {
   void WakeAll();
 
   /// The scheduler driving the calling thread's current fiber, or null
-  /// on a plain OS thread — the branch every blocking site takes
-  /// between cooperative yield and condition-variable wait.
+  /// outside any fiber — the branch `Network::Wait` takes between a
+  /// cooperative yield and pumping the event engine in place.
   static CoopScheduler* Current();
 
  private:

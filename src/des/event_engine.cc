@@ -1,36 +1,19 @@
 #include "des/event_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace spardl {
 
-EventEngine::EventEngine(const Topology& topology)
-    : topology_(topology),
-      clocks_(static_cast<size_t>(topology.num_workers())) {
+EventEngine::EventEngine(const Topology& topology) : topology_(topology) {
   links_.resize(static_cast<size_t>(topology.num_links()));
   send_seq_.assign(static_cast<size_t>(topology.num_workers()), 0);
 }
 
-void EventEngine::WorkerEnter() {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  ++active_;
-}
-
-void EventEngine::WorkerExit() {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  --active_;
-  SPARDL_DCHECK(active_ >= 0);
-  // One fewer runnable thread may make the remaining sleepers quiescent;
-  // wake one so it re-evaluates the pump condition.
-  cv_.notify_all();
-}
-
-uint64_t EventEngine::InjectFlowLocked(int src, int dst, size_t words,
-                                       double sent_at) {
+uint64_t EventEngine::InjectFlow(int src, int dst, size_t words,
+                                 double sent_at) {
   const int p = topology_.num_workers();
   SPARDL_DCHECK(src >= 0 && src < p);
   SPARDL_DCHECK(dst >= 0 && dst < p);
@@ -51,7 +34,7 @@ uint64_t EventEngine::InjectFlowLocked(int src, int dst, size_t words,
   return key;
 }
 
-double EventEngine::TakeArrivalLocked(uint64_t flow) {
+double EventEngine::TakeArrival(uint64_t flow) {
   auto it = resolved_.find(flow);
   SPARDL_CHECK(it != resolved_.end()) << "unresolved flow consumed";
   const double arrival = it->second;
@@ -59,23 +42,7 @@ double EventEngine::TakeArrivalLocked(uint64_t flow) {
   return arrival;
 }
 
-bool EventEngine::AnySleeperReadyLocked() const {
-  for (const Sleeper& sleeper : sleepers_) {
-    if ((*sleeper.pred)()) return true;
-  }
-  return false;
-}
-
-double EventEngine::HorizonLocked() const {
-  double horizon = std::numeric_limits<double>::infinity();
-  for (const PublishedClock& clock : clocks_) {
-    horizon =
-        std::min(horizon, clock.value.load(std::memory_order_relaxed));
-  }
-  return horizon;
-}
-
-uint64_t EventEngine::PumpOneLocked() {
+uint64_t EventEngine::PumpOne() {
   const EventQueue::Event event = queue_.PopEarliest();
   auto it = flows_.find(event.flow);
   SPARDL_DCHECK(it != flows_.end());
@@ -122,66 +89,17 @@ uint64_t EventEngine::PumpOneLocked() {
   return event.flow;
 }
 
-bool EventEngine::BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
-                             const std::function<bool()>& pred,
-                             std::chrono::steady_clock::time_point deadline) {
-  ++blocked_;
-  bool timed_out = false;
-  while (!pred() && !timed_out) {
-    // Pump when it is provably safe. Quiescent cut: every registered
-    // worker is blocked (this thread included) and no sleeper could make
-    // progress if it held the lock, so the pending flow set is
-    // scheduling-independent and the earliest event is safe to process.
-    // Safe horizon: even with workers still running, an event strictly
-    // below the min published clock precedes every flow any worker can
-    // still inject, so pumping it now cannot disturb the (time, key)
-    // order (see HorizonLocked). The sleeper check pauses pumping the
-    // moment a resolution releases someone: that worker must consume its
-    // arrival and run — possibly injecting earlier-keyed flows — before
-    // later events are touched.
-    if (!queue_.Empty() && !AnySleeperReadyLocked() &&
-        (blocked_ >= active_ || queue_.NextTime() < HorizonLocked())) {
-      const uint64_t resolved = PumpOneLocked();
-      if (resolved != 0 && AnySleeperReadyLocked()) {
-        // Hand the arrival over to the released sleeper and park.
-        cv_.notify_all();
-      } else {
-        // Mid-path hop, or a resolution whose receiver has not asked yet —
-        // keep pumping (after letting our own predicate notice it).
-        continue;
-      }
-    }
-    const auto me = sleepers_.insert(sleepers_.end(), Sleeper{&pred});
-    timed_out = cv_.wait_until(lock, deadline) == std::cv_status::timeout;
-    sleepers_.erase(me);
-  }
-  --blocked_;
-  return !timed_out || pred();
-}
-
 void EventEngine::Reset() {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   // resolved_ must drain too: a pre-reset arrival silently applied to
   // post-reset clocks would be a far worse bug than this abort.
-  SPARDL_CHECK(flows_.empty() && queue_.Empty() && resolved_.empty())
+  SPARDL_CHECK(Idle())
       << "event engine reset with flows in flight or unconsumed arrivals";
   for (LinkServer& link : links_) link.Reset();
 }
 
-bool EventEngine::Idle() const {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  return flows_.empty() && queue_.Empty() && resolved_.empty();
-}
-
 LinkUsage EventEngine::link_usage(LinkId id) const {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   SPARDL_CHECK(id >= 0 && id < static_cast<int>(links_.size()));
   return links_[static_cast<size_t>(id)].usage();
-}
-
-void EventEngine::set_trace_recorder(TraceRecorder* recorder) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
-  trace_recorder_ = recorder;
 }
 
 }  // namespace spardl

@@ -1,25 +1,18 @@
 #ifndef SPARDL_DES_EVENT_ENGINE_H_
 #define SPARDL_DES_EVENT_ENGINE_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <mutex>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "obs/trace.h"
 #include "topo/topology.h"
 
 namespace spardl {
 
 /// A message in flight through the event engine, identified by a
-/// deterministic key (see `EventEngine::InjectFlowLocked`). One flow has at
+/// deterministic key (see `EventEngine::InjectFlow`). One flow has at
 /// most one pending event: the arrival of its header at `path[hop]`.
 struct Flow {
   std::vector<LinkId> path;
@@ -44,7 +37,7 @@ struct Flow {
 /// The flow key embeds `(src, dst, sender's sequence)` in that
 /// significance order, so ties at equal simulated time break by sender
 /// rank, then receiver rank, then the sender's own (deterministic) send
-/// order — never by wall-clock arrival or thread interleaving.
+/// order — never by wall-clock arrival or fiber interleaving.
 class EventQueue {
  public:
   struct Event {
@@ -119,42 +112,24 @@ class LinkServer {
 /// needed), and per-hop transmission events are processed in
 /// `(time, flow key)` order from a global `EventQueue`. Two flows
 /// contending for a link therefore queue in an order fixed by the SPMD
-/// program, never by which receiving thread happened to run first, so
-/// contended times are bit-identical across runs and backends.
+/// program, never by which receiver happened to run first, so contended
+/// times are bit-identical across runs and schedules.
 ///
-/// Conservative processing: worker threads run freely between blocking
-/// points; the queue is pumped at *quiescent cuts* — every registered
-/// worker is blocked AND no sleeping worker's wake predicate currently
-/// holds. At such a cut the injected flow set is a pure function of the
-/// SPMD program, not of thread scheduling, and any flow a blocked worker
-/// can inject after being released carries a send time no earlier than the
-/// arrival that released it, which is itself no earlier than the earliest
-/// pending event — so consuming events in `(time, key)` order is safe.
-/// Pumping pauses the moment a resolution makes some sleeper's predicate
-/// true (the released worker may inject new, earlier-keyed flows that must
-/// precede later queue entries). Which thread pumps depends on
-/// scheduling; the event order does not.
+/// Conservative processing: the engine only pumps when told to. Inside a
+/// run the fiber scheduler pumps only at *quiescent cuts* — every worker
+/// fiber is blocked and none of their wake predicates holds
+/// (`CoopScheduler::PumpEngine`); outside one, a `Network` wait pumps in
+/// place because nothing else can run. At such a cut the
+/// injected flow set is a pure function of the SPMD program, and any flow
+/// a blocked worker can inject after being released carries a send time
+/// no earlier than the arrival that released it, which is itself no
+/// earlier than the earliest pending event — so consuming events in
+/// `(time, key)` order is safe. Pumping pauses the moment a resolution
+/// releases some waiter (the released worker may inject new,
+/// earlier-keyed flows that must precede later queue entries).
 ///
-/// Safe-horizon pumping: waiting for *full* quiescence serializes
-/// contended phases behind the last runnable thread, so a blocked thread
-/// may additionally pump any event strictly earlier than the min over
-/// all workers' published clocks (`PublishClock` / `HorizonLocked`):
-/// per-worker clocks are monotone, so every future injection sorts at or
-/// after that horizon and the global `(time, key)` pump order — and with
-/// it every simulated result — is bit-identical to quiescence-only
-/// pumping; events are simply processed earlier in wall time.
-///
-/// Cooperative backend: fibers never call `BlockUntil`. `Network` hands
-/// their waits to the scheduler, which pumps via the public
-/// `PumpOneLocked` hook at its own all-workers-blocked cuts, so the
-/// quiescence/sleeper machinery below sits idle.
-///
-/// Locking: one engine mutex guards everything — flows, links, queue,
-/// sleeper registry, and (via `mu()`) the `Network` state that must change
-/// atomically with them in event mode (inboxes, barrier, clock sync).
-/// Every worker-thread wait goes through `BlockUntil`, so the last
-/// runnable thread always pumps instead of sleeping and the queue can
-/// never be starved by sleepers.
+/// Not thread-safe: one simulation runs on one carrier thread, and the
+/// engine belongs to that simulation's `Network`.
 class EventEngine {
  public:
   /// `topology` must outlive the engine; link parameters (including
@@ -164,71 +139,30 @@ class EventEngine {
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
 
-  /// The engine mutex. `Network` holds it (via `std::unique_lock`) across
-  /// every event-mode inbox/barrier/sync operation. Lock-order checked
-  /// in debug builds (family "simnet.engine").
-  lockcheck::OrderedMutex& mu() { return mu_; }
-
-  /// Worker-thread registration (from `Cluster::Run`): `BlockUntil` pumps
-  /// only when all registered workers are blocked. With no registrations
-  /// (single-threaded use), every blocking wait pumps immediately.
-  void WorkerEnter();
-  void WorkerExit();
-
   /// Injects a `words`-word flow from `src` to `dst` at simulated time
   /// `sent_at` and returns its deterministic key: `(src*P + dst) << 32 |
   /// seq`, where `seq` counts every flow `src` has injected. Keys of
   /// distinct pairs order by the upper half; within a pair `seq` grows
-  /// with send order. Caller holds `mu()`. Key 0 is never returned (the
-  /// self-pair (0, 0) cannot send).
-  uint64_t InjectFlowLocked(int src, int dst, size_t words, double sent_at);
+  /// with send order. Key 0 is never returned (the self-pair (0, 0)
+  /// cannot send).
+  uint64_t InjectFlow(int src, int dst, size_t words, double sent_at);
 
-  /// True once `flow`'s arrival time has been computed. Caller holds
-  /// `mu()`.
-  bool ResolvedLocked(uint64_t flow) const {
-    return resolved_.count(flow) != 0;
-  }
+  /// True once `flow`'s arrival time has been computed.
+  bool Resolved(uint64_t flow) const { return resolved_.count(flow) != 0; }
 
   /// Consumes and returns `flow`'s arrival time; CHECK-fails unless
-  /// resolved. Caller holds `mu()`.
-  double TakeArrivalLocked(uint64_t flow);
+  /// resolved.
+  double TakeArrival(uint64_t flow);
 
-  /// Blocks a worker thread until `pred()` holds, pumping the event
-  /// queue at quiescent cuts. `pred` is evaluated only under `mu()` — by
-  /// this thread, and by whichever thread is deciding whether pumping may
-  /// proceed — so it must be a pure function of engine/network state
-  /// guarded by `mu()`. Like `condition_variable::wait_until`, returns
-  /// `pred()` once `deadline` passes; the caller turns false into its
-  /// deadlock diagnostic. Caller holds `mu()` via `lock`.
-  bool BlockUntil(std::unique_lock<lockcheck::OrderedMutex>& lock,
-                  const std::function<bool()>& pred,
-                  std::chrono::steady_clock::time_point deadline);
-
-  /// Wakes every blocked thread (after posting a packet, releasing a
-  /// barrier, ...). Caller holds `mu()`.
-  void NotifyAllLocked() { cv_.notify_all(); }
-
-  /// Publishes `rank`'s simulated clock for the safe-horizon pump rule
-  /// (called from `Comm` on every clock change, without `mu()`). Relaxed
-  /// atomics are sound here because per-worker clocks are *monotone
-  /// within a run*: any flow `rank` injects later carries
-  /// `sent_at >= now`, so a stale (lower) read only makes the horizon
-  /// more conservative, never wrong. `Comm::ResetClock` is the one
-  /// rewind, and it happens between runs while no worker executes.
-  void PublishClock(int rank, double now) {
-    clocks_[static_cast<size_t>(rank)].value.store(
-        now, std::memory_order_relaxed);
-  }
-
-  /// True when no per-hop event is pending. Caller holds `mu()`.
-  bool QueueEmptyLocked() const { return queue_.Empty(); }
+  /// True when no per-hop event is pending.
+  bool QueueEmpty() const { return queue_.Empty(); }
 
   /// Processes the earliest event: serves one hop, schedules the next,
   /// and on the final hop records the flow's arrival. Returns the
-  /// resolved flow key, or 0 for a mid-path hop. Caller holds `mu()`.
-  /// Public for the cooperative scheduler, which pumps at its own
-  /// all-workers-blocked cuts (`CoopScheduler::PumpEngine`).
-  uint64_t PumpOneLocked();
+  /// resolved flow key, or 0 for a mid-path hop. Undefined when
+  /// `QueueEmpty()`. The caller decides when pumping is safe (see the
+  /// class comment).
+  uint64_t PumpOne();
 
   /// Clears per-link busy clocks between measured phases; CHECK-fails if
   /// flows are still in flight (reset mid-collective is a bug).
@@ -236,57 +170,28 @@ class EventEngine {
 
   /// True when no flow is in flight or awaiting consumption (end-of-run
   /// invariant, checked by `Cluster::Run`).
-  bool Idle() const;
+  bool Idle() const {
+    return flows_.empty() && queue_.Empty() && resolved_.empty();
+  }
 
-  /// Cumulative charge counters for one link. Thread-safe.
+  /// Cumulative charge counters for one link.
   LinkUsage link_usage(LinkId id) const;
 
   /// Attaches a span recorder: every pumped hop records one `kLink`
   /// occupancy span, in the engine's deterministic `(time, flow key)`
-  /// order. Set while no worker threads run.
-  void set_trace_recorder(TraceRecorder* recorder);
+  /// order. Set between runs.
+  void set_trace_recorder(TraceRecorder* recorder) {
+    trace_recorder_ = recorder;
+  }
 
  private:
-  struct Sleeper {
-    const std::function<bool()>* pred;
-  };
-
-  /// One worker's published clock, cache-line padded: every clock change
-  /// stores here, and false sharing across 4096 workers would put the
-  /// stores on the simulation's hot path.
-  struct alignas(64) PublishedClock {
-    std::atomic<double> value{0.0};
-  };
-
-  /// True when some sleeping thread's predicate already holds — it must
-  /// wake and run before any further event is processed.
-  bool AnySleeperReadyLocked() const;
-
-  /// The safe horizon: min over all workers' published clocks. Every
-  /// *future* injection carries `sent_at >=` its sender's clock, so any
-  /// pending event strictly below this min is already globally earliest
-  /// and safe to pump before full quiescence (strict `<` so an event
-  /// tied at the horizon still waits — a runnable worker could inject an
-  /// equal-time, smaller-keyed flow).
-  double HorizonLocked() const;
-
   const Topology& topology_;
-  mutable lockcheck::OrderedMutex mu_{"simnet.engine"};
-  /// `_any` so waits release/re-acquire through the checked mutex (the
-  /// held-lock stack stays exact across the wait).
-  std::condition_variable_any cv_;
-
-  int active_ = 0;   // registered worker threads
-  int blocked_ = 0;  // threads currently inside BlockUntil
-
   EventQueue queue_;
-  std::vector<PublishedClock> clocks_;  // by rank, written lock-free
   TraceRecorder* trace_recorder_ = nullptr;
   std::vector<LinkServer> links_;                  // by LinkId
   std::vector<uint32_t> send_seq_;                 // flows injected, by src
   std::unordered_map<uint64_t, Flow> flows_;       // in flight
   std::unordered_map<uint64_t, double> resolved_;  // arrival times
-  std::list<Sleeper> sleepers_;                    // threads in cv_.wait
 };
 
 }  // namespace spardl

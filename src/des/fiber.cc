@@ -3,20 +3,26 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
 
 // ASan needs to be told about stack switches or it poisons/flags frames
-// on the inactive stack. TSan has no ucontext support at all — the
-// cluster layer pins the thread backend there (see Cluster) — so only
-// the ASan annotations are wired here.
+// on the inactive stack; TSan needs them to keep a separate shadow
+// context per fiber, or every switch would look like one thread racing
+// with itself across stacks.
 #if defined(__SANITIZE_ADDRESS__)
 #define SPARDL_FIBER_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SPARDL_FIBER_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define SPARDL_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SPARDL_FIBER_TSAN 1
 #endif
 #endif
 
@@ -28,6 +34,10 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      size_t* size_old);
 }
+#endif
+
+#ifdef SPARDL_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace spardl {
@@ -48,21 +58,6 @@ size_t PageBytes() {
 
 }  // namespace
 
-size_t FiberStackBytes() {
-  static const size_t bytes = [] {
-    size_t kb = 256;
-    if (const char* env = std::getenv("SPARDL_FIBER_STACK_KB")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 64) {
-        kb = static_cast<size_t>(parsed);
-      }
-    }
-    return kb * 1024;
-  }();
-  return bytes;
-}
-
 Fiber::Fiber(std::function<void()> fn, size_t stack_bytes)
     : fn_(std::move(fn)) {
   const size_t page = PageBytes();
@@ -76,29 +71,42 @@ Fiber::Fiber(std::function<void()> fn, size_t stack_bytes)
   map_ = static_cast<char*>(map);
   SPARDL_CHECK(::mprotect(map_, page, PROT_NONE) == 0)
       << "fiber guard page mprotect failed";
+#ifdef SPARDL_FIBER_TSAN
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber() {
   SPARDL_CHECK(!started_ || finished_)
       << "fiber destroyed while suspended mid-run";
+#ifdef SPARDL_FIBER_TSAN
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
 }
 
 Fiber* Fiber::Current() { return g_current_fiber; }
 
-void Fiber::StartSwitchInto() {
+inline void Fiber::StartSwitchInto() {
 #ifdef SPARDL_FIBER_ASAN
   __sanitizer_start_switch_fiber(&caller_fake_stack_, map_ + PageBytes(),
                                  stack_bytes_);
 #endif
+#ifdef SPARDL_FIBER_TSAN
+  tsan_caller_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
 }
 
-void Fiber::StartSwitchOutOf() {
+inline void Fiber::StartSwitchOutOf() {
 #ifdef SPARDL_FIBER_ASAN
   // A finishing fiber passes null so ASan releases its fake stack.
   __sanitizer_start_switch_fiber(
       finished_ ? nullptr : &fiber_fake_stack_, caller_stack_bottom_,
       caller_stack_size_);
+#endif
+#ifdef SPARDL_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
 }
 

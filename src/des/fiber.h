@@ -8,31 +8,33 @@
 
 namespace spardl {
 
-/// Fiber stack size in bytes: `SPARDL_FIBER_STACK_KB` (clamped to >= 64)
-/// or a 256 KiB default. Worker functions keep their bulk data on the
-/// heap (SparseVector and friends), so a quarter-megabyte covers the
+/// Fiber stack size in bytes. Worker functions keep their bulk data on
+/// the heap (SparseVector and friends), so a quarter-megabyte covers the
 /// deepest algorithm call chains with generous margin; at P = 4096 the
 /// total is 1 GiB of *virtual* address space, of which only the pages a
 /// worker actually touches become resident.
-size_t FiberStackBytes();
+inline constexpr size_t kFiberStackBytes = 256 * 1024;
 
-/// A stackful coroutine over `ucontext`: the execution primitive of the
-/// cooperative cluster backend (see `CoopScheduler`).
+/// A stackful coroutine over `ucontext`: the execution primitive of
+/// `Cluster::Run` (see `CoopScheduler`).
 ///
 /// One fiber runs `fn` on its own guard-paged stack. `Resume` switches
 /// the calling OS thread into the fiber and returns when the fiber calls
 /// `Yield` or when `fn` returns; all resumes of one fiber must come from
-/// the same OS thread (the scheduler's carrier thread). Under ASan every
-/// switch is bracketed with the sanitizer fiber annotations, so stack
-/// poisoning follows the active stack instead of flagging cross-stack
-/// reads.
+/// the same OS thread (the scheduler's carrier thread). Under ASan and
+/// TSan every switch is announced with the sanitizer's fiber API: ASan's
+/// stack poisoning follows the active stack instead of flagging
+/// cross-stack reads, and TSan keeps one shadow context per fiber, with
+/// each switch a happens-before edge, so it checks the carriers that run
+/// independent simulations side by side without false positives from
+/// the fibers inside one.
 class Fiber {
  public:
   /// Creates a suspended fiber; `fn` starts on the first `Resume`. The
   /// stack is `mmap`ed with an inaccessible low guard page, so overflow
   /// faults loudly instead of corrupting a neighbouring fiber's stack.
   explicit Fiber(std::function<void()> fn,
-                 size_t stack_bytes = FiberStackBytes());
+                 size_t stack_bytes = kFiberStackBytes);
 
   /// The fiber must be finished (or never started) when destroyed:
   /// unwinding a suspended stack is not supported.
@@ -59,9 +61,13 @@ class Fiber {
  private:
   static void Trampoline();
 
-  /// Sanitizer bookkeeping around a context switch; no-ops outside ASan.
-  void StartSwitchInto();   // caller stack -> this fiber's stack
-  void StartSwitchOutOf();  // this fiber's stack -> caller stack
+  /// Sanitizer bookkeeping around a context switch; no-ops outside ASan
+  /// and TSan. The two `Start` calls must inline into the function that
+  /// calls `swapcontext`: TSan swaps its shadow call stack together with
+  /// the fiber context, so a helper frame that returned in between would
+  /// pop an entry from the wrong fiber's stack.
+  [[gnu::always_inline]] inline void StartSwitchInto();  // caller -> fiber
+  [[gnu::always_inline]] inline void StartSwitchOutOf();  // fiber -> caller
   void FinishSwitch(void* restored_fake_stack, bool record_caller);
 
   std::function<void()> fn_;
@@ -80,6 +86,11 @@ class Fiber {
   void* fiber_fake_stack_ = nullptr;
   const void* caller_stack_bottom_ = nullptr;
   size_t caller_stack_size_ = 0;
+
+  // TSan fiber contexts: this fiber's own, and the carrier's (taken at
+  // each switch in, restored at each switch out).
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
 };
 
 }  // namespace spardl

@@ -19,8 +19,8 @@ LossResult ComputeLoss(const Dataset& dataset, const Matrix& outputs,
   return MeanSquaredError(outputs, batch.targets);
 }
 
-/// The bucketed modes' shared schedule, computed once on the main thread
-/// and read by every worker. Blocking collectives deadlock unless all
+/// The bucketed modes' shared schedule, computed once before the workers
+/// start and read by every worker. Blocking collectives deadlock unless all
 /// replicas launch buckets in the same order, and local clocks diverge
 /// mid-epoch, so the order must be a pure function of shared data (model
 /// layout, config, cost model) — never of a worker's own simulated times.

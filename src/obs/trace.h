@@ -121,12 +121,12 @@ struct IterationMark {
 /// creates one); every record site is gated on a null check, so the
 /// disabled path costs one branch and zero allocations.
 ///
-/// Thread safety: `RecordWorker(w, ...)` appends to worker `w`'s own
-/// vector and must only be called from the thread running that worker
-/// (the SPMD ownership the whole simulator is built on). `RecordLink` and
-/// `RecordFlow` are called from whichever thread is pumping the event
-/// engine and must hold the engine's mutex. `Clear` requires no workers
-/// running.
+/// Not thread-safe, like the cluster it belongs to: every worker fiber
+/// and the event engine's pump record from the cluster's one carrier
+/// thread. `RecordWorker(w, ...)` appends to worker `w`'s own vector and
+/// is only called by worker `w` (the SPMD ownership the whole simulator
+/// is built on); `RecordLink` and `RecordFlow` by the engine's pump.
+/// `Clear` requires no workers running.
 class TraceRecorder {
  public:
   explicit TraceRecorder(int num_workers);

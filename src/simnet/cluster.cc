@@ -1,36 +1,24 @@
 #include "simnet/cluster.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
-#include <thread>
+#include <atomic>
 
 #include "common/logging.h"
 #include "des/coop_scheduler.h"
 
-// TSan cannot follow ucontext stack switches (unlike ASan there is no
-// fiber annotation API for it), so fiber execution under TSan would
-// produce nothing but false positives. Detect it and pin the thread
-// backend; the TSan CI job exists precisely to watch real threads.
-#if defined(__SANITIZE_THREAD__)
-#define SPARDL_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SPARDL_TSAN 1
-#endif
-#endif
-
 namespace spardl {
 
 namespace {
-
-#ifdef SPARDL_TSAN
-constexpr bool kFibersAvailable = false;
-#else
-constexpr bool kFibersAvailable = true;
-#endif
-
+std::atomic<uint64_t> g_default_schedule_seed{0};
 }  // namespace
+
+void Cluster::set_default_schedule_seed(uint64_t seed) {
+  g_default_schedule_seed.store(seed, std::memory_order_relaxed);
+}
+
+uint64_t Cluster::default_schedule_seed() {
+  return g_default_schedule_seed.load(std::memory_order_relaxed);
+}
 
 Cluster::Cluster(int size, CostModel cost_model)
     : Cluster(std::make_unique<Network>(size, cost_model)) {}
@@ -43,7 +31,8 @@ Cluster::Cluster(const TopologySpec& spec)
       }())) {}
 
 Cluster::Cluster(std::unique_ptr<Network> network)
-    : network_(std::move(network)), backend_(DefaultExecBackend()) {
+    : network_(std::move(network)),
+      schedule_seed_(default_schedule_seed()) {
   const int size = network_->size();
   comms_.reserve(static_cast<size_t>(size));
   for (int r = 0; r < size; ++r) {
@@ -53,25 +42,6 @@ Cluster::Cluster(std::unique_ptr<Network> network)
 
 Cluster::~Cluster() = default;
 
-ExecBackend Cluster::DefaultExecBackend() {
-#ifdef SPARDL_TSAN
-  return ExecBackend::kThread;
-#else
-  static const ExecBackend backend = [] {
-    const char* env = std::getenv("SPARDL_EXEC_BACKEND");
-    if (env == nullptr || *env == '\0') return ExecBackend::kThread;
-    const std::string value(env);
-    if (value == "thread") return ExecBackend::kThread;
-    if (value == "fiber") return ExecBackend::kFiber;
-    SPARDL_CHECK(false) << "SPARDL_EXEC_BACKEND must be \"thread\" or "
-                           "\"fiber\", got \""
-                        << value << "\"";
-    __builtin_unreachable();
-  }();
-  return backend;
-#endif
-}
-
 Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
   SPARDL_CHECK(!poisoned_)
       << "Cluster::Run after a protocol violation: workers were unwound "
@@ -79,7 +49,7 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
   ProtocolChecker* checker = protocol_checker_.get();
   if (checker != nullptr) checker->BeginRun();
   Network* network = network_.get();
-  // One worker's whole run, on either backend.
+  // One worker's whole run.
   const std::function<void(int)> body = [this, &worker_fn, network,
                                          checker](int rank) {
     Comm& comm = *comms_[static_cast<size_t>(rank)];
@@ -98,33 +68,8 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
       network->InterruptWaiters();
     }
   };
-  if (kFibersAvailable && backend_ == ExecBackend::kFiber) {
-    // No WorkerEnter/Exit: the engine's quiescence counters exist to tell
-    // pump-eligible threads apart, and here there is exactly one OS
-    // thread — the scheduler pumps at its own all-workers-blocked cuts.
-    CoopScheduler scheduler;
-    scheduler.Run(size(), network->event_engine(), body);
-  } else {
-    // Register every worker with the event engine's quiescence detection
-    // (no-op on flat) BEFORE any thread starts: if the engine only
-    // learned about workers as their threads got scheduled, the
-    // already-started ones could look quiescent and pump contended events
-    // ahead of a not-yet-registered worker's earlier-keyed flows —
-    // exactly the startup-timing dependence the engine exists to
-    // eliminate.
-    for (int rank = 0; rank < size(); ++rank) network->WorkerEnter();
-    std::vector<std::thread> threads;
-    threads.reserve(comms_.size());
-    for (int rank = 0; rank < size(); ++rank) {
-      threads.emplace_back([&body, network, rank] {
-        body(rank);
-        // A worker that returns must deregister, or the remaining
-        // workers could never all be "blocked".
-        network->WorkerExit();
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
+  CoopScheduler scheduler;
+  scheduler.Run(size(), network->event_engine(), body, schedule_seed_);
   if (checker != nullptr && checker->failed()) {
     // Unwound mid-collective: inboxes may hold orphaned messages and the
     // engine unresolved flows — by design. Poison instead of CHECKing the

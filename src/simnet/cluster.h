@@ -1,6 +1,7 @@
 #ifndef SPARDL_SIMNET_CLUSTER_H_
 #define SPARDL_SIMNET_CLUSTER_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -13,22 +14,9 @@
 
 namespace spardl {
 
-/// How `Cluster::Run` executes the P SPMD workers (see `Cluster`).
-enum class ExecBackend {
-  /// One OS thread per worker — the legacy backend. The only backend
-  /// ThreadSanitizer can observe (ucontext switches are invisible to
-  /// it), so TSan builds force this choice.
-  kThread,
-  /// All workers as stackful fibers cooperatively scheduled on the
-  /// calling thread (`CoopScheduler`). Deterministic interleaving, no
-  /// per-worker OS thread — the backend that scales one machine to
-  /// P = 1024–4096 workers.
-  kFiber,
-};
-
 /// Owns a simulated cluster: the network plus one `Comm` endpoint per
-/// worker, and runs SPMD worker functions on an execution backend —
-/// thread-per-worker or cooperative fibers (`ExecBackend`).
+/// worker, and runs SPMD worker functions as cooperative fibers on the
+/// calling thread (`CoopScheduler`).
 ///
 /// ```
 /// Cluster cluster(14, CostModel::Ethernet());                  // flat
@@ -37,9 +25,10 @@ enum class ExecBackend {
 /// double t = cluster.MaxSimSeconds();
 /// ```
 ///
-/// Workers block on `Comm::Recv` (parking the thread or yielding the
-/// fiber), so the cluster works — slowly but correctly — even on a
-/// single hardware core.
+/// Workers block on `Comm::Recv` by yielding their fiber; one OS thread
+/// carries all P of them, so a cluster needs no locks and its simulated
+/// results are a pure function of the program. Independent clusters may
+/// run on different threads at once (`bench::Sweep` does).
 class Cluster {
  public:
   /// Flat crossbar (the paper's model) shorthand.
@@ -82,7 +71,7 @@ class Cluster {
   /// on, a divergent collective schedule (mismatched tag, unequal round
   /// counts, wrong team size, mixed barrier kinds) makes `Run` return a
   /// diagnostic `Status` naming both workers' op traces instead of
-  /// deadlocking until the wall-clock timeout.
+  /// aborting with the scheduler's deadlock dump.
   ProtocolChecker& EnableProtocolCheck();
 
   /// The attached verifier, or null when checking is off.
@@ -90,21 +79,18 @@ class Cluster {
     return protocol_checker_.get();
   }
 
-  /// The process-wide default backend: `SPARDL_EXEC_BACKEND` env
-  /// ("thread" | "fiber"; CHECK-fails on anything else), else
-  /// `kThread`. TSan builds always resolve to `kThread`.
-  static ExecBackend DefaultExecBackend();
+  /// Permutes the fiber schedule of every cluster constructed afterwards
+  /// (see `CoopScheduler`), including clusters that library and bench code
+  /// build internally: 0, the default, resumes each round's runnable
+  /// workers in rank order; any other seed in a PRNG-drawn order.
+  /// Simulated results must not depend on it, and the tests hold them to
+  /// that. Safe to call from any thread.
+  static void set_default_schedule_seed(uint64_t seed);
+  static uint64_t default_schedule_seed();
 
-  /// Overrides this cluster's backend (constructed with the process
-  /// default). Call between runs. Simulated results are identical on
-  /// both backends — see `CoopScheduler` — so this only trades wall
-  /// clock (fibers win at large P) against TSan observability.
-  /// TSan builds ignore `kFiber` and keep running threads.
-  void set_exec_backend(ExecBackend backend) { backend_ = backend; }
-  ExecBackend exec_backend() const { return backend_; }
-
-  /// Runs `worker_fn(comm)` on every rank concurrently; returns when all
-  /// workers finish. CHECK failures inside workers abort the process.
+  /// Runs `worker_fn(comm)` on every rank, each on its own fiber; returns
+  /// when all workers finish. CHECK failures inside workers, and a
+  /// collective deadlock, abort the process.
   ///
   /// Returns OK unless protocol checking (`EnableProtocolCheck`) is on
   /// and diagnosed a divergence — then every worker is unwound and the
@@ -137,7 +123,7 @@ class Cluster {
   std::vector<std::unique_ptr<Comm>> comms_;
   std::unique_ptr<TraceRecorder> trace_recorder_;
   std::unique_ptr<ProtocolChecker> protocol_checker_;
-  ExecBackend backend_ = ExecBackend::kThread;
+  const uint64_t schedule_seed_;
   /// Set once a run returned non-OK: workers were unwound mid-collective,
   /// so inboxes/clocks are garbage and further runs must not start.
   bool poisoned_ = false;

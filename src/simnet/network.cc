@@ -1,7 +1,6 @@
 #include "simnet/network.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,8 +13,8 @@ namespace spardl {
 
 namespace {
 
-// On the cooperative backend a wait ends only when someone says whom an
-// event can release (see CoopScheduler); on threads the cv notify does it.
+// A fiber's wait ends only when someone says whom an event can release
+// (see CoopScheduler). Outside a fiber there is nobody to wake.
 void WakeFiber(int rank) {
   if (CoopScheduler* scheduler = CoopScheduler::Current()) {
     scheduler->Wake(rank);
@@ -84,138 +83,99 @@ void Network::ThrowIfInterrupted() const {
   if (interrupted()) throw ProtocolViolation(protocol_->status());
 }
 
-void Network::NotifyAllLocked(std::condition_variable_any& cv) {
-  if (engine_) {
-    engine_->NotifyAllLocked();
-  } else {
-    cv.notify_all();
-  }
-}
-
-void Network::Wait(std::unique_lock<lockcheck::OrderedMutex>& lock,
-                   std::condition_variable_any& cv,
-                   const std::function<bool()>& pred,
+void Network::Wait(const std::function<bool()>& pred,
                    const std::function<std::string()>& describe) {
   const std::function<bool()> ready = [&] {
     return interrupted() || pred();  // the flag is monotonic
   };
   if (CoopScheduler* scheduler = CoopScheduler::Current();
       scheduler != nullptr) {
-    // Fibers share one OS thread: drop the lock across the switch (see
-    // CoopScheduler's locking contract). The scheduler polls `ready` and
-    // pumps the event engine at its own all-workers-blocked cuts.
-    lock.unlock();
+    // The scheduler polls `ready` and pumps the event engine at its own
+    // all-workers-blocked cuts.
     scheduler->Wait(ready, describe);
-    lock.lock();
   } else {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(recv_timeout_seconds_));
-    // Engine waiters must count as blocked for its quiescence detection,
-    // and the last runnable one pumps instead of sleeping.
-    const bool ready_in_time =
-        engine_ ? engine_->BlockUntil(lock, ready, deadline)
-                : cv.wait_until(lock, deadline, ready);
-    SPARDL_CHECK(ready_in_time)
-        << describe() << " timed out after " << recv_timeout_seconds_
-        << "s of wall time — collective deadlock?";
+    // Outside any fiber nobody else can run, so only pumping the engine
+    // can satisfy the wait.
+    while (!ready()) {
+      SPARDL_CHECK(engine_ != nullptr && !engine_->QueueEmpty())
+          << describe()
+          << " can never complete: no fiber to wait for and no event "
+             "left to pump";
+      engine_->PumpOne();
+    }
   }
   ThrowIfInterrupted();
 }
 
-void Network::InterruptWaiters() {
-  WakeAllFibers();
-  // Take each lock briefly before notifying: the failure flag is already
-  // visible (it is set before this call), so holding the lock closes the
-  // window where a waiter checked its predicate before the flag flipped
-  // but has not gone to sleep yet.
-  const auto interrupt = [this](lockcheck::OrderedMutex& mutex,
-                                std::condition_variable_any& cv) {
-    std::lock_guard<lockcheck::OrderedMutex> lock(MutexFor(mutex));
-    NotifyAllLocked(cv);
-  };
-  for (Inbox& inbox : inboxes_) interrupt(inbox.mutex, inbox.cv);
-  interrupt(sync_mutex_, sync_cv_);
-}
+void Network::InterruptWaiters() { WakeAllFibers(); }
 
 void Network::Post(int src, int dst, Packet packet) {
   SPARDL_DCHECK(src >= 0 && src < size_);
   SPARDL_DCHECK(dst >= 0 && dst < size_);
   packet.src = src;
-  Inbox& inbox = inboxes_[static_cast<size_t>(dst)];
-  std::unique_lock<lockcheck::OrderedMutex> lock(MutexFor(inbox.mutex));
+  std::deque<Packet>& inbox = inboxes_[static_cast<size_t>(dst)];
   if (engine_) {
     // Inject the flow at *send* time: its route and logical injection time
     // are fully known here, and charging from the sender side is what
-    // frees the engine from receiver-thread ordering. The receiver waits
-    // for the flow's resolution, which the pump announces.
+    // frees the engine from receiver ordering. The receiver waits for the
+    // flow's resolution, which the pump announces.
     packet.flow =
-        engine_->InjectFlowLocked(src, dst, packet.words, packet.sent_at);
-    inbox.queue.push_back(std::move(packet));
-    engine_->NotifyAllLocked();
+        engine_->InjectFlow(src, dst, packet.words, packet.sent_at);
+    inbox.push_back(std::move(packet));
     return;
   }
-  inbox.queue.push_back(std::move(packet));
-  lock.unlock();
-  inbox.cv.notify_all();
+  inbox.push_back(std::move(packet));
   WakeFiber(dst);
 }
 
 Network::Delivered Network::RecvPacket(int src, int dst, int tag,
                                        double receiver_now) {
-  Inbox& inbox = inboxes_[static_cast<size_t>(dst)];
+  std::deque<Packet>& inbox = inboxes_[static_cast<size_t>(dst)];
   // The oldest packet from `src` with `tag`: FIFO per (src, dst, tag). A
   // linear scan: the log-round collectives keep an inbox a few packets
   // deep; the direct-send baselines (Ok-Topk, TopkDSA) post to every peer
   // before receiving, so theirs hold up to 2(P-1), but they run at small P.
   const auto match = [&inbox, src, tag] {
-    return std::find_if(inbox.queue.begin(), inbox.queue.end(),
+    return std::find_if(inbox.begin(), inbox.end(),
                         [src, tag](const Packet& packet) {
                           return packet.src == src && packet.tag == tag;
                         });
   };
-  std::unique_lock<lockcheck::OrderedMutex> lock(MutexFor(inbox.mutex));
   Wait(
-      lock, inbox.cv,
       [&] {
         const auto it = match();
-        return it != inbox.queue.end() &&
-               (engine_ == nullptr || engine_->ResolvedLocked(it->flow));
+        return it != inbox.end() &&
+               (engine_ == nullptr || engine_->Resolved(it->flow));
       },
       [&] { return StrFormat("Recv dst=%d src=%d tag=%d", dst, src, tag); });
   const auto it = match();
   Delivered delivered{std::move(*it), 0.0};
-  inbox.queue.erase(it);
+  inbox.erase(it);
   const Packet& packet = delivered.packet;
   // On event fabrics traversal overlaps receiver compute, and consumption
   // waits for whichever finishes last.
   delivered.delivery_time =
-      engine_ ? std::max(receiver_now, engine_->TakeArrivalLocked(packet.flow))
+      engine_ ? std::max(receiver_now, engine_->TakeArrival(packet.flow))
               : flat_->ChargeMessage(dst, packet.words, packet.sent_at,
                                      receiver_now);
   return delivered;
 }
 
 void Network::BarrierWait() {
-  std::unique_lock<lockcheck::OrderedMutex> lock(MutexFor(sync_mutex_));
   const uint64_t my_generation = barrier_generation_;
   if (++barrier_waiting_ == size_) {
     // The last arriver releases everyone.
     barrier_waiting_ = 0;
     ++barrier_generation_;
-    NotifyAllLocked(sync_cv_);
     WakeAllFibers();
     return;
   }
-  Wait(
-      lock, sync_cv_, [&] { return barrier_generation_ != my_generation; },
-      [] { return std::string("BarrierWait"); });
+  Wait([&] { return barrier_generation_ != my_generation; },
+       [] { return std::string("BarrierWait"); });
 }
 
 double Network::MaxClockSync(int rank, double value) {
   (void)rank;
-  std::unique_lock<lockcheck::OrderedMutex> lock(MutexFor(sync_mutex_));
   const uint64_t my_generation = sync_generation_;
   if (value > sync_max_) sync_max_ = value;
   if (++sync_count_ == size_) {
@@ -224,19 +184,18 @@ double Network::MaxClockSync(int rank, double value) {
     sync_max_ = 0.0;
     sync_count_ = 0;
     ++sync_generation_;
-    NotifyAllLocked(sync_cv_);
     WakeAllFibers();
     return sync_result_;
   }
-  Wait(
-      lock, sync_cv_, [&] { return sync_generation_ != my_generation; },
-      [] { return std::string("MaxClockSync"); });
+  Wait([&] { return sync_generation_ != my_generation; },
+       [] { return std::string("MaxClockSync"); });
   return sync_result_;
 }
 
 bool Network::AllMailboxesEmpty() const {
-  return std::all_of(inboxes_.begin(), inboxes_.end(),
-                     [](const Inbox& inbox) { return inbox.queue.empty(); });
+  return std::all_of(
+      inboxes_.begin(), inboxes_.end(),
+      [](const std::deque<Packet>& inbox) { return inbox.empty(); });
 }
 
 void Network::ResetSimState() {

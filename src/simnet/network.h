@@ -1,17 +1,14 @@
 #ifndef SPARDL_SIMNET_NETWORK_H_
 #define SPARDL_SIMNET_NETWORK_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "des/event_engine.h"
 #include "simnet/cost_model.h"
 #include "sparse/sparse_vector.h"
@@ -53,26 +50,26 @@ struct Packet {
 ///
 /// Every packet posted to worker `dst` lands in inbox `dst`, and a
 /// receive takes the first packet that matches its `(src, tag)`, so
-/// delivery is FIFO per (src, dst, tag). Thread-safe; each of the P
-/// workers owns one endpoint (see `Comm`) and is the only one that waits
-/// on its inbox.
+/// delivery is FIFO per (src, dst, tag). Each of the P workers owns one
+/// endpoint (see `Comm`) and is the only one that waits on its inbox.
+/// Not thread-safe: a network belongs to one simulation, whose workers
+/// are fibers on one carrier thread (see `CoopScheduler`).
 ///
 /// Blocking: receive, barrier and clock sync all block through one
-/// private `Wait`. On the cooperative backend it yields the fiber; on
-/// threads it is the event engine's `BlockUntil` on a non-flat fabric and
-/// a condition wait on flat. Every thread-backend wait aborts the
-/// process after `recv_timeout_seconds` of *wall* time — a hung
-/// collective is always a bug, and a loud failure beats a silent
-/// deadlock in CI.
+/// private `Wait`. Inside a worker fiber it yields to the scheduler,
+/// which pumps the event engine at its all-workers-blocked cuts and
+/// aborts with a "collective deadlock" diagnosis naming every abandoned
+/// wait the moment nothing can run. Outside any fiber (a test driving
+/// `Comm` endpoints by hand) nobody else can run, so it pumps the engine
+/// in place until the wait is satisfied, and CHECK-fails with the wait's
+/// description when nothing is left to pump.
 ///
 /// Charging: the topology kind alone decides. `FlatTopology` is charged
-/// by its closed form inside `Recv` (`FlatTopology::ChargeMessage`),
-/// with per-inbox locks. Every other fabric runs a `des::`-style
-/// `EventEngine` — flows are injected at `Post` time, per-hop events are
-/// processed in `(time, flow key)` order, and the inboxes and barrier
-/// state are guarded by the engine's single mutex so the last runnable
-/// thread pumps the queue. Both paths are deterministic on both
-/// execution backends.
+/// by its closed form inside `Recv` (`FlatTopology::ChargeMessage`).
+/// Every other fabric runs a `des::`-style `EventEngine`: flows are
+/// injected at `Post` time and per-hop events are processed in
+/// `(time, flow key)` order. Both paths are deterministic under any
+/// fiber schedule.
 class Network {
  public:
   /// Flat crossbar shorthand: the paper's alpha-beta model.
@@ -94,10 +91,6 @@ class Network {
   Topology& topology() { return *topology_; }
   const Topology& topology() const { return *topology_; }
 
-  void set_recv_timeout_seconds(double seconds) {
-    recv_timeout_seconds_ = seconds;
-  }
-
   /// Heterogeneous-cluster support (the paper's §VI extension): scales the
   /// cost of `rank`'s receive path by `factor` (>= 1 models a straggler
   /// with a slower NIC/placement). Set before running workers. Folds into
@@ -117,7 +110,7 @@ class Network {
 
   /// Attaches a span recorder to the event engine (per-link occupancy
   /// spans and flow records; no-op on flat, which keeps no link state).
-  /// Call while no worker threads run; the recorder must outlive them.
+  /// Call between runs; the recorder must outlive them.
   /// `Cluster::EnableTracing` does this.
   void AttachTraceRecorder(TraceRecorder* recorder);
 
@@ -143,24 +136,6 @@ class Network {
   /// are delivered FIFO.
   Delivered RecvPacket(int src, int dst, int tag, double receiver_now);
 
-  /// Worker-thread registration for the event engine's quiescence
-  /// detection (no-ops on flat). `Cluster::Run` enters every worker
-  /// before spawning any thread — registration must not race with pump
-  /// eligibility — and each worker exits as its function returns.
-  void WorkerEnter() {
-    if (engine_) engine_->WorkerEnter();
-  }
-  void WorkerExit() {
-    if (engine_) engine_->WorkerExit();
-  }
-
-  /// Publishes `rank`'s simulated clock for the event engine's
-  /// safe-horizon pump rule (no-op on flat). Called by `Comm` on every
-  /// clock change, without any network lock held.
-  void PublishClock(int rank, double now) {
-    if (engine_) engine_->PublishClock(rank, now);
-  }
-
   /// Rewinds the event engine's per-link clocks and counters between
   /// measured phases (no-op on flat); worker clocks rewind separately.
   void ResetSimState();
@@ -184,77 +159,47 @@ class Network {
   /// Attaches the SPMD protocol verifier (see `simnet/protocol_check.h`).
   /// Once attached, every blocking wait also watches `checker->failed()`
   /// and throws `ProtocolViolation` instead of waiting out a diagnosed
-  /// divergence. Call while no worker threads run
-  /// (`Cluster::EnableProtocolCheck` does).
+  /// divergence. Call between runs (`Cluster::EnableProtocolCheck`
+  /// does).
   void set_protocol_checker(ProtocolChecker* checker) {
     protocol_ = checker;
   }
 
-  /// Wakes every thread blocked in a receive, barrier, or clock sync so it
+  /// Wakes every worker blocked in a receive, barrier, or clock sync so it
   /// can observe a diagnosed protocol violation and unwind. Called by the
-  /// detecting thread (which holds no network locks).
+  /// detecting worker.
   void InterruptWaiters();
 
  private:
-  /// One receiving worker's undelivered packets, from every sender, in
-  /// post order.
-  struct Inbox {
-    /// Flat fabric only (event fabrics guard inboxes with the engine
-    /// mutex). All P inbox mutexes are one lock-order family.
-    lockcheck::OrderedMutex mutex{"simnet.inbox"};
-    std::condition_variable_any cv;
-    std::deque<Packet> queue;
-  };
-
-  /// The mutex guarding state whose flat-fabric lock is `flat_mutex`:
-  /// the engine's on every other fabric, so that state changes
-  /// atomically with the flows.
-  lockcheck::OrderedMutex& MutexFor(lockcheck::OrderedMutex& flat_mutex) {
-    return engine_ ? engine_->mu() : flat_mutex;
-  }
-
-  /// Wakes every thread waiting on `cv` (flat) or in the engine. Caller
-  /// holds `MutexFor` of `cv`'s mutex.
-  void NotifyAllLocked(std::condition_variable_any& cv);
-
-  /// The one blocking primitive: waits under `lock` until `pred()` holds
-  /// or a protocol violation is diagnosed, then throws
-  /// `ProtocolViolation` in the latter case. `cv` is the flat fabric's
-  /// condition variable for the state `pred` reads; `describe` names the
-  /// wait in the timeout and deadlock diagnostics.
-  void Wait(std::unique_lock<lockcheck::OrderedMutex>& lock,
-            std::condition_variable_any& cv,
-            const std::function<bool()>& pred,
+  /// The one blocking primitive: waits until `pred()` holds or a protocol
+  /// violation is diagnosed, then throws `ProtocolViolation` in the
+  /// latter case. `describe` names the wait in the deadlock diagnostics.
+  void Wait(const std::function<bool()>& pred,
             const std::function<std::string()>& describe);
 
   /// Throws `ProtocolViolation` when the attached checker has diagnosed a
   /// divergence (no-op otherwise).
   void ThrowIfInterrupted() const;
 
-  /// Lock-free poll for wait predicates.
+  /// Cheap poll for wait predicates.
   bool interrupted() const;
 
   std::unique_ptr<Topology> topology_;
   /// Non-null exactly when `topology_` is a `FlatTopology`, whose closed
   /// form `RecvPacket` charges directly.
   const FlatTopology* flat_ = nullptr;
-  /// Non-null on every other fabric. There the engine's mutex guards the
-  /// inboxes and the barrier/sync state below; the inbox mutexes and
-  /// `sync_mutex_` go unused.
+  /// Non-null on every other fabric.
   std::unique_ptr<EventEngine> engine_;
   ProtocolChecker* protocol_ = nullptr;
   int size_;
-  double recv_timeout_seconds_ = 120.0;
-  std::vector<Inbox> inboxes_;  // by receiving rank
+  /// By receiving rank: its undelivered packets, from every sender, in
+  /// post order.
+  std::vector<std::deque<Packet>> inboxes_;
 
-  /// Flat fabric's lock and condition variable for both rendezvous
-  /// below. Their state machines stay separate, so a program that mixes
-  /// the two barrier kinds cannot rendezvous by accident.
-  lockcheck::OrderedMutex sync_mutex_{"simnet.sync"};
-  std::condition_variable_any sync_cv_;
+  // The two rendezvous below keep separate state machines, so a program
+  // that mixes the two barrier kinds cannot rendezvous by accident.
 
-  // Reusable barrier (generation-counted; std::barrier needs a fixed
-  // completion type, a hand-rolled one is simpler to reuse).
+  // Reusable barrier (generation-counted).
   int barrier_waiting_ = 0;
   uint64_t barrier_generation_ = 0;
 

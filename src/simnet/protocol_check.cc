@@ -44,12 +44,11 @@ void ProtocolChecker::BeginRun() {
   SPARDL_CHECK(!failed())
       << "ProtocolChecker reused after a violation; the cluster's "
          "simulated state is inconsistent past the first diagnosis";
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   for (Worker& worker : workers_) worker = Worker{};
   for (auto& channel : channels_) channel.clear();
 }
 
-void ProtocolChecker::RecordLocked(int rank, ProtocolRecord record) {
+void ProtocolChecker::Record(int rank, ProtocolRecord record) {
   Worker& worker = WorkerFor(rank);
   record.iteration = worker.iteration;
   ++worker.num_ops;
@@ -58,26 +57,23 @@ void ProtocolChecker::RecordLocked(int rank, ProtocolRecord record) {
 }
 
 void ProtocolChecker::OnSend(int src, int dst, int tag, size_t words) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   if (failed()) return;
-  RecordLocked(src, ProtocolRecord{ProtocolOp::kSend, dst, tag, words, 0});
-  ChannelLocked(src, dst).push_back(PendingSend{tag, words});
+  Record(src, ProtocolRecord{ProtocolOp::kSend, dst, tag, words, 0});
+  Channel(src, dst).push_back(PendingSend{tag, words});
 }
 
 void ProtocolChecker::OnRecvPosted(int rank, int src, int tag) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   if (failed()) return;
-  RecordLocked(rank, ProtocolRecord{ProtocolOp::kRecv, src, tag, 0, 0});
+  Record(rank, ProtocolRecord{ProtocolOp::kRecv, src, tag, 0, 0});
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kRecvWait;
   worker.wait_peer = src;
   worker.wait_tag = tag;
-  CheckStuckLocked();
+  CheckStuck();
 }
 
 void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
                                     size_t words) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   if (failed()) return;
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kRunning;
@@ -87,7 +83,7 @@ void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
   }
   // Consume the matched send, mirroring the inbox's semantics exactly:
   // first queued send with this tag, skipping other tags (FIFO per tag).
-  auto& channel = ChannelLocked(src, rank);
+  auto& channel = Channel(src, rank);
   const auto it =
       std::find_if(channel.begin(), channel.end(),
                    [tag](const PendingSend& s) { return s.tag == tag; });
@@ -99,9 +95,8 @@ void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
 }
 
 void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   if (failed()) return;
-  RecordLocked(rank, ProtocolRecord{clock_sync ? ProtocolOp::kClockSync
+  Record(rank, ProtocolRecord{clock_sync ? ProtocolOp::kClockSync
                                                : ProtocolOp::kBarrier,
                                     -1, 0, 0, 0});
   // A peer already waiting at the *other* barrier kind can never
@@ -113,14 +108,14 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
         other.wait_clock_sync == clock_sync) {
       continue;
     }
-    FailLocked("collective mismatch: worker " + std::to_string(rank) +
-               " entered " + std::string(clock_sync ? "BarrierSyncClocks"
-                                                    : "Barrier") +
-               " while worker " + std::to_string(peer) + " waits in " +
-               std::string(other.wait_clock_sync ? "BarrierSyncClocks"
-                                                 : "Barrier") +
-               " — divergent barrier kinds can never rendezvous\n" +
-               DescribeWorkerLocked(rank) + DescribeWorkerLocked(peer));
+    Fail("collective mismatch: worker " + std::to_string(rank) +
+         " entered " +
+         std::string(clock_sync ? "BarrierSyncClocks" : "Barrier") +
+         " while worker " + std::to_string(peer) + " waits in " +
+         std::string(other.wait_clock_sync ? "BarrierSyncClocks"
+                                           : "Barrier") +
+         " — divergent barrier kinds can never rendezvous\n" +
+         DescribeWorker(rank) + DescribeWorker(peer));
     return;
   }
   Worker& worker = WorkerFor(rank);
@@ -134,7 +129,7 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
   if (!all_waiting) {
     // Some peer is done (the barrier can then never complete) or still
     // blocked elsewhere — let the global progress check decide.
-    CheckStuckLocked();
+    CheckStuck();
     return;
   }
   // Logical completion (we are the last arriver; the network barrier we
@@ -145,9 +140,9 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
   if (clock_sync) {
     for (int src = 0; src < num_workers_; ++src) {
       for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& channel = ChannelLocked(src, dst);
+        const auto& channel = Channel(src, dst);
         if (channel.empty()) continue;
-        FailLocked(
+        Fail(
             "peer asymmetry: " + std::to_string(channel.size()) +
             " unmatched send(s) from worker " + std::to_string(src) +
             " to worker " + std::to_string(dst) + " (first: tag=" +
@@ -155,7 +150,7 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
             std::to_string(channel.front().words) +
             ") at a clock-sync barrier — the receiver never posted a "
             "matching recv this iteration\n" +
-            DescribeWorkerLocked(src) + DescribeWorkerLocked(dst));
+            DescribeWorker(src) + DescribeWorker(dst));
         return;
       }
     }
@@ -164,18 +159,16 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
 }
 
 void ProtocolChecker::OnIteration(int rank) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   ++WorkerFor(rank).iteration;
 }
 
 void ProtocolChecker::OnWorkerDone(int rank) {
-  std::lock_guard<lockcheck::OrderedMutex> lock(mu_);
   if (failed()) return;
   WorkerFor(rank).state = WorkerState::kDone;
-  CheckStuckLocked();
+  CheckStuck();
 }
 
-bool ProtocolChecker::RecvSatisfiableLocked(int rank) const {
+bool ProtocolChecker::RecvSatisfiable(int rank) const {
   const Worker& worker = workers_[static_cast<size_t>(rank)];
   const auto& channel =
       channels_[static_cast<size_t>(worker.wait_peer) *
@@ -187,7 +180,7 @@ bool ProtocolChecker::RecvSatisfiableLocked(int rank) const {
                      });
 }
 
-void ProtocolChecker::CheckStuckLocked() {
+void ProtocolChecker::CheckStuck() {
   if (failed()) return;
   bool all_done = true;
   for (const Worker& worker : workers_) {
@@ -197,7 +190,7 @@ void ProtocolChecker::CheckStuckLocked() {
   if (all_done) return;
   for (int rank = 0; rank < num_workers_; ++rank) {
     if (WorkerFor(rank).state == WorkerState::kRecvWait &&
-        RecvSatisfiableLocked(rank)) {
+        RecvSatisfiable(rank)) {
       return;  // that receive will complete and its worker will run
     }
   }
@@ -209,7 +202,7 @@ void ProtocolChecker::CheckStuckLocked() {
   for (int rank = 0; rank < num_workers_ && victim < 0; ++rank) {
     const Worker& worker = WorkerFor(rank);
     if (worker.state != WorkerState::kRecvWait) continue;
-    const auto& channel = ChannelLocked(worker.wait_peer, rank);
+    const auto& channel = Channel(worker.wait_peer, rank);
     if (!channel.empty()) {
       // Sends exist on the waited-on channel but none carries the awaited
       // tag: the classic mismatched-tag divergence.
@@ -273,8 +266,8 @@ void ProtocolChecker::CheckStuckLocked() {
              "send satisfies any pending recv (divergent schedules)";
   }
   std::string message = reason + "\n";
-  message += DescribeWorkerLocked(victim);
-  if (peer >= 0 && peer != victim) message += DescribeWorkerLocked(peer);
+  message += DescribeWorker(victim);
+  if (peer >= 0 && peer != victim) message += DescribeWorker(peer);
   std::ostringstream summary;
   summary << "worker states:";
   for (int rank = 0; rank < num_workers_; ++rank) {
@@ -297,17 +290,17 @@ void ProtocolChecker::CheckStuckLocked() {
         break;
     }
   }
-  FailLocked(message + summary.str());
+  Fail(message + summary.str());
 }
 
-void ProtocolChecker::FailLocked(std::string message) {
+void ProtocolChecker::Fail(std::string message) {
   if (failed()) return;  // first diagnosis wins
   status_ = Status::FailedPrecondition("protocol violation: " +
                                        std::move(message));
-  failed_.store(true, std::memory_order_release);
+  failed_ = true;
 }
 
-std::string ProtocolChecker::DescribeWorkerLocked(int rank) const {
+std::string ProtocolChecker::DescribeWorker(int rank) const {
   const Worker& worker = workers_[static_cast<size_t>(rank)];
   std::ostringstream out;
   out << "-- worker " << rank << " op trace (iter " << worker.iteration

@@ -1,14 +1,12 @@
 #ifndef SPARDL_SIMNET_PROTOCOL_CHECK_H_
 #define SPARDL_SIMNET_PROTOCOL_CHECK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <string>
 #include <vector>
 
-#include "common/lockcheck.h"
 #include "common/status.h"
 
 namespace spardl {
@@ -20,8 +18,9 @@ namespace spardl {
 /// receive with the same (peer, tag); all workers reach the same kind of
 /// barrier; nobody returns while a peer still waits). A divergence — a
 /// mismatched tag, an unequal SRS round count across replicas, a wrong
-/// team size — does not crash: it deadlocks, and the only diagnostic is a
-/// 120-second wall-clock timeout abort with one worker's view.
+/// team size — does not crash: it deadlocks, and without this checker the
+/// only diagnostic is the scheduler's abort listing each worker's
+/// abandoned wait, with no history of how they got there.
 ///
 /// `ProtocolChecker` is an always-compiled, flag-enabled
 /// (`Cluster::EnableProtocolCheck` / `--protocol-check`) verifier that
@@ -78,7 +77,7 @@ struct ProtocolRecord {
 };
 
 /// Thrown by `Comm`/`Network` blocking paths once a violation has been
-/// diagnosed, to unwind every worker thread back to `Cluster::Run` (which
+/// diagnosed, to unwind every worker fiber back to `Cluster::Run` (which
 /// converts it into the returned `Status`). Never escapes `Cluster::Run`.
 class ProtocolViolation : public std::exception {
  public:
@@ -93,9 +92,10 @@ class ProtocolViolation : public std::exception {
   Status status_;
 };
 
-/// The verifier. One instance per `Cluster`; hooks are thread-safe (worker
-/// threads call them concurrently) and `failed()` is a lock-free flag safe
-/// to poll from wait predicates.
+/// The verifier. One instance per `Cluster`; its workers call the hooks
+/// from their fibers on the cluster's one carrier thread, so the checker
+/// needs no lock, and `failed()` is a plain flag safe to poll from wait
+/// predicates.
 class ProtocolChecker {
  public:
   explicit ProtocolChecker(int num_workers);
@@ -104,7 +104,7 @@ class ProtocolChecker {
   ProtocolChecker& operator=(const ProtocolChecker&) = delete;
 
   /// Resets per-run state (worker states, channels, logs) at the top of
-  /// `Cluster::Run`. Call while no worker threads run. CHECK-fails if a
+  /// `Cluster::Run`. Call while no worker runs. CHECK-fails if a
   /// previous run's diagnosis was never consumed — a failed cluster is
   /// poisoned.
   void BeginRun();
@@ -122,12 +122,11 @@ class ProtocolChecker {
   /// The worker's function returned (called by `Cluster::Run`'s wrapper).
   void OnWorkerDone(int rank);
 
-  /// True once a violation has been diagnosed. Lock-free; safe in wait
-  /// predicates (monotonic false -> true).
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
+  /// True once a violation has been diagnosed. Safe in wait predicates
+  /// (monotonic false -> true).
+  bool failed() const { return failed_; }
 
-  /// The first diagnosis, or OK. Lock-free: the status is written once,
-  /// before `failed_` is published.
+  /// The first diagnosis, or OK.
   Status status() const {
     if (!failed()) return Status::OK();
     return status_;
@@ -164,40 +163,36 @@ class ProtocolChecker {
   Worker& WorkerFor(int rank) {
     return workers_[static_cast<size_t>(rank)];
   }
-  std::deque<PendingSend>& ChannelLocked(int src, int dst) {
+  std::deque<PendingSend>& Channel(int src, int dst) {
     return channels_[static_cast<size_t>(src) *
                          static_cast<size_t>(num_workers_) +
                      static_cast<size_t>(dst)];
   }
 
-  void RecordLocked(int rank, ProtocolRecord record);
+  void Record(int rank, ProtocolRecord record);
 
   /// True when `rank`'s pending receive has a matching unmatched send.
-  bool RecvSatisfiableLocked(int rank) const;
+  bool RecvSatisfiable(int rank) const;
 
   /// Global progress check, run at every blocking transition (recv posted,
   /// barrier entered, worker done): if no worker can make progress and not
   /// everyone is done, diagnoses the stuck state and fails the run.
-  void CheckStuckLocked();
+  void CheckStuck();
 
   /// Latches the first diagnosis and publishes `failed_`.
-  void FailLocked(std::string message);
+  void Fail(std::string message);
 
   /// "worker 2: recv-wait(src=0, tag=7) at iter 3 after 41 ops" plus the
   /// trailing op log, one op per line.
-  std::string DescribeWorkerLocked(int rank) const;
+  std::string DescribeWorker(int rank) const;
 
   const int num_workers_;
-  /// Guards all checker state below. A leaf in the lock order: held only
-  /// inside hook calls, never while taking an engine/network mutex.
-  mutable lockcheck::OrderedMutex mu_{"simnet.protocol"};
   std::vector<Worker> workers_;
   std::vector<std::deque<PendingSend>> channels_;  // [src * P + dst]
 
-  /// Written once (under `mu_`) before `failed_` is published with release
-  /// order; immutable afterwards, so readers need no lock.
+  /// Written once, together with `failed_`; immutable afterwards.
   Status status_;
-  std::atomic<bool> failed_{false};
+  bool failed_ = false;
 };
 
 }  // namespace spardl

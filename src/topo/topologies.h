@@ -88,7 +88,7 @@ class FatTreeTopology : public Topology {
   /// The core switch ECMP pins the (src, dst) flow to, in [0, num_cores).
   /// A deterministic hash of the pair — the simulated analogue of
   /// five-tuple ECMP hashing — so the same flow always takes the same
-  /// core, run to run and backend to backend.
+  /// core, run to run.
   int CoreFor(int src, int dst) const;
 
  private:

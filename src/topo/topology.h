@@ -59,7 +59,7 @@ struct LinkUsage {
 /// magically overlapping — the behaviour the flat alpha-beta model of the
 /// paper (§II) cannot express — and the queueing order is a pure function
 /// of the SPMD program, so contended times are bit-identical across runs
-/// and execution backends. Link occupancy is anchored at the *send* time,
+/// and fiber schedules. Link occupancy is anchored at the *send* time,
 /// so a receiver that sits in local compute before ingesting cannot
 /// retroactively occupy upstream links; its delivery is simply
 /// `max(receiver_now, network arrival)`. `FlatTopology` gives every
@@ -67,8 +67,8 @@ struct LinkUsage {
 /// form instead (bit-for-bit equal to the historical `CostModel`
 /// charging).
 ///
-/// Thread safety: `Route` and `link_info` must be const and thread-safe.
-/// `SetNodeScale` must be called before workers run.
+/// `Route` and `link_info` must be const. `SetNodeScale` must be called
+/// before workers run.
 class Topology {
  public:
   virtual ~Topology() = default;

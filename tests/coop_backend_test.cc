@@ -1,74 +1,41 @@
-// Cooperative (fiber) execution backend: the scheduler must be a drop-in
-// replacement for thread-per-worker — bit-identical simulated results at
-// P >= 1024 on a contended event-engine fabric, exact equality with the
-// thread backend on the same workload, protocol diagnosis intact, and a
-// bounded deadlock diagnosis (the scheduler aborts with a waiter dump the
-// moment no fiber can run and no event can be pumped, instead of hanging
-// on parked threads). Wake-ups are targeted: a waiter's predicate is
+// The fiber scheduler behind `Cluster::Run`: simulated results must be a
+// pure function of the SPMD program — bit-identical at P >= 1024 on a
+// contended event-engine fabric, and unchanged when each round's runnable
+// fibers are resumed in a seeded random order instead of rank order —
+// with protocol diagnosis intact and a bounded deadlock diagnosis (the
+// scheduler aborts with a waiter dump the moment no fiber can run and no
+// event can be pumped). Wake-ups are targeted: a waiter's predicate is
 // re-checked only after an event names it, so the scheduler's work per
 // message is O(1) at any P, and a missed wake aborts loudly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/registry.h"
 #include "common/logging.h"
 #include "des/coop_scheduler.h"
+#include "dl/cases.h"
 #include "dl/grad_profile.h"
+#include "dl/trainer.h"
 #include "simnet/cluster.h"
 #include "sparse/sparse_vector.h"
+#include "test_util.h"
 #include "topo/topology_spec.h"
-
-// TSan has no ucontext support, so the cluster compiles the fiber branch
-// out and always runs threads there (mirrors SPARDL_TSAN in cluster.cc).
-#if defined(__SANITIZE_THREAD__)
-#define SPARDL_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SPARDL_TEST_TSAN 1
-#endif
-#endif
 
 namespace spardl {
 namespace {
 
-bool FiberBackendAvailable() {
-#ifdef SPARDL_TEST_TSAN
-  return false;
-#else
-  return true;
-#endif
-}
-
-uint64_t HashCombine(uint64_t h, uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-uint64_t HashSparse(uint64_t h, const SparseVector& v) {
-  for (size_t i = 0; i < v.size(); ++i) {
-    h = HashCombine(h, v.index(i));
-    uint32_t bits;
-    const float value = v.value(i);
-    std::memcpy(&bits, &value, sizeof(bits));
-    h = HashCombine(h, bits);
-  }
-  return h;
-}
-
 struct RunOutcome {
-  /// Worker 0's per-iteration reduced gradients (the synchronous methods
-  /// replicate them, so one worker pins the math for all).
-  std::vector<SparseVector> outputs;
+  /// Every worker's per-iteration reduced gradients, by rank.
+  std::vector<std::vector<SparseVector>> outputs;
   /// Every worker's final simulated clock (pins the timing model).
   std::vector<double> clocks;
-  /// Hash over *all* workers' outputs — catches a replica diverging on a
-  /// worker other than 0.
-  uint64_t all_workers_hash = 0;
 };
 
 /// The repo's standard contended fabric: an oversubscribed fat-tree
@@ -78,14 +45,13 @@ TopologySpec ContendedFatTree(int p) {
                                CostModel::Ethernet(), /*num_cores=*/2);
 }
 
-/// One measured run of a log-round method on `spec` under the chosen
-/// backend.
-RunOutcome MeasuredRun(ExecBackend backend, const TopologySpec& spec,
+/// One measured run of `algo` on `spec` under the given fiber schedule.
+RunOutcome MeasuredRun(uint64_t schedule_seed, const TopologySpec& spec,
                        const std::string& algo, size_t n, size_t k,
                        int iterations) {
   const int p = spec.num_workers;
+  const testing::ScopedScheduleSeed seed(schedule_seed);
   Cluster cluster(spec);
-  cluster.set_exec_backend(backend);
 
   AlgorithmConfig config;
   config.n = n;
@@ -113,43 +79,36 @@ RunOutcome MeasuredRun(ExecBackend backend, const TopologySpec& spec,
     });
     SPARDL_CHECK_OK(status);
   }
-  outcome.outputs = std::move(per_worker[0]);
-  uint64_t h = 0;
   for (int r = 0; r < p; ++r) {
     outcome.clocks.push_back(cluster.comm(r).sim_now());
-    for (const SparseVector& v : per_worker[static_cast<size_t>(r)]) {
-      h = HashSparse(h, v);
-    }
   }
-  outcome.all_workers_hash = h;
+  outcome.outputs = std::move(per_worker);
   return outcome;
 }
 
-// The scale criterion: five fresh fiber-backend runs of a contended
-// event-engine workload at P = 1024 must agree bit for bit (outputs and
-// clocks). One OS thread is carrying 1024 workers here — any
-// scheduler-order leak into the simulation would show up as a hash or
-// clock mismatch.
+// The scale criterion: five fresh runs of a contended event-engine
+// workload at P = 1024 must agree bit for bit (outputs and clocks), each
+// under a different fiber schedule. One OS thread is carrying 1024
+// workers here — any scheduler-order leak into the simulation would show
+// up as an output or clock mismatch.
 TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   constexpr int kWorkers = 1024;
   constexpr size_t kN = 100'000;
   constexpr size_t kK = 100;
   RunOutcome first;
   for (int run = 0; run < 5; ++run) {
     RunOutcome outcome =
-        MeasuredRun(ExecBackend::kFiber, ContendedFatTree(kWorkers), "gtopk",
-                    kN, kK, /*iterations=*/1);
-    ASSERT_EQ(outcome.outputs.size(), 1u);
-    EXPECT_GT(outcome.outputs[0].size(), 0u);
+        MeasuredRun(/*schedule_seed=*/static_cast<uint64_t>(run),
+                    ContendedFatTree(kWorkers), "gtopk", kN, kK,
+                    /*iterations=*/1);
+    ASSERT_EQ(outcome.outputs[0].size(), 1u);
+    EXPECT_GT(outcome.outputs[0][0].size(), 0u);
     if (run == 0) {
       first = std::move(outcome);
       continue;
     }
-    EXPECT_EQ(outcome.all_workers_hash, first.all_workers_hash)
-        << "run " << run;
+    EXPECT_TRUE(outcome.outputs == first.outputs)
+        << "outputs diverged on run " << run;
     ASSERT_EQ(outcome.clocks.size(), first.clocks.size());
     for (int r = 0; r < kWorkers; ++r) {
       ASSERT_EQ(outcome.clocks[static_cast<size_t>(r)],
@@ -159,55 +118,127 @@ TEST(CoopBackendTest, BitIdenticalAcrossRunsAtP1024) {
   }
 }
 
-/// Thread-vs-fiber equivalence on the flat closed form and on the
-/// contended event-engine fat-tree: same workload, same fabric, exact
-/// equality of every worker's reduced gradients and final clock.
+/// Schedule-shuffle equivalence: every registry method on the flat closed
+/// form and on the contended event-engine fat-tree, run under rank-order
+/// scheduling (seed 0) and under three shuffled schedules, must agree
+/// exactly on every worker's reduced gradients and final clock.
 enum class Fabric { kFlat, kFatTree };
 
-class BackendEquivalenceTest : public ::testing::TestWithParam<Fabric> {};
+class ScheduleShuffleTest
+    : public ::testing::TestWithParam<std::tuple<Fabric, std::string>> {};
 
-TEST_P(BackendEquivalenceTest, FiberMatchesThreadExactly) {
+TEST_P(ScheduleShuffleTest, ShuffledSchedulesMatchRankOrderExactly) {
   constexpr int kWorkers = 16;
   constexpr size_t kN = 20'000;
   constexpr size_t kK = 200;
-  const TopologySpec spec = GetParam() == Fabric::kFlat
+  const auto& [fabric, algo] = GetParam();
+  const TopologySpec spec = fabric == Fabric::kFlat
                                 ? TopologySpec::Flat(kWorkers)
                                 : ContendedFatTree(kWorkers);
-  const RunOutcome threads = MeasuredRun(ExecBackend::kThread, spec,
-                                         "spardl", kN, kK, /*iterations=*/2);
-  const RunOutcome fibers = MeasuredRun(ExecBackend::kFiber, spec, "spardl",
-                                        kN, kK, /*iterations=*/2);
-  EXPECT_EQ(fibers.all_workers_hash, threads.all_workers_hash);
-  ASSERT_EQ(fibers.outputs.size(), threads.outputs.size());
-  for (size_t i = 0; i < fibers.outputs.size(); ++i) {
-    EXPECT_EQ(fibers.outputs[i], threads.outputs[i]) << "iteration " << i;
-  }
-  ASSERT_EQ(fibers.clocks.size(), threads.clocks.size());
-  for (int r = 0; r < kWorkers; ++r) {
-    EXPECT_EQ(fibers.clocks[static_cast<size_t>(r)],
-              threads.clocks[static_cast<size_t>(r)])
-        << "worker " << r;
+  const RunOutcome ranked =
+      MeasuredRun(/*schedule_seed=*/0, spec, algo, kN, kK, /*iterations=*/2);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const RunOutcome shuffled =
+        MeasuredRun(seed, spec, algo, kN, kK, /*iterations=*/2);
+    ASSERT_EQ(shuffled.outputs.size(), ranked.outputs.size());
+    for (int r = 0; r < kWorkers; ++r) {
+      const auto& mine = shuffled.outputs[static_cast<size_t>(r)];
+      const auto& theirs = ranked.outputs[static_cast<size_t>(r)];
+      ASSERT_EQ(mine.size(), theirs.size());
+      for (size_t i = 0; i < mine.size(); ++i) {
+        EXPECT_EQ(mine[i], theirs[i])
+            << "seed " << seed << " worker " << r << " iteration " << i;
+      }
+      EXPECT_EQ(shuffled.clocks[static_cast<size_t>(r)],
+                ranked.clocks[static_cast<size_t>(r)])
+          << "seed " << seed << " worker " << r;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Fabrics, BackendEquivalenceTest,
-                         ::testing::Values(Fabric::kFlat, Fabric::kFatTree),
-                         [](const auto& param_info) {
-                           return param_info.param == Fabric::kFlat
-                                      ? "Flat"
-                                      : "FatTree";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    MethodsAndFabrics, ScheduleShuffleTest,
+    ::testing::Combine(::testing::Values(Fabric::kFlat, Fabric::kFatTree),
+                       ::testing::ValuesIn(AlgorithmNames())),
+    [](const auto& param_info) {
+      return std::string(std::get<0>(param_info.param) == Fabric::kFlat
+                             ? "Flat_"
+                             : "FatTree_") +
+             std::get<1>(param_info.param);
+    });
 
-/// The protocol verifier's negative path must diagnose divergence on both
-/// backends (the fiber path funnels the violation out of the scheduler
-/// loop, not out of a dying thread).
-class BackendProtocolTest : public ::testing::TestWithParam<ExecBackend> {};
+/// One overlap-mode training run (bucketed priority scheduling, nonzero
+/// compute) on the contended fat-tree: per-epoch scoreboard, final
+/// parameters and every worker's clock and counters.
+struct TrainOutcome {
+  TrainResult result;
+  std::vector<double> clocks;
+  std::vector<uint64_t> words_received;
+};
 
-TEST_P(BackendProtocolTest, TagMismatchIsDiagnosed) {
+TrainOutcome OverlapTraining(uint64_t schedule_seed) {
+  constexpr int kWorkers = 8;
+  const TrainingCaseSpec spec = MakeTrainingCase("vgg16");
+  auto dataset = spec.dataset_factory();
+  TrainerConfig config = spec.default_config;
+  config.epochs = 2;
+  config.iterations_per_epoch = 6;
+  config.compute_seconds_per_iteration = 1e-2;
+  config.sync_mode = GradSyncMode::kBucketedPriority;
+  const testing::ScopedScheduleSeed seed(schedule_seed);
+  Cluster cluster(ContendedFatTree(kWorkers));
+  TrainOutcome outcome;
+  outcome.result = TrainDistributed(
+      cluster, *dataset, spec.model_factory,
+      [](size_t n) {
+        AlgorithmConfig algo;
+        algo.n = n;
+        algo.k = std::max<size_t>(1, n / 20);
+        algo.num_workers = kWorkers;
+        return std::move(*CreateAlgorithm("spardl", algo));
+      },
+      config);
+  for (int r = 0; r < kWorkers; ++r) {
+    outcome.clocks.push_back(cluster.comm(r).sim_now());
+    outcome.words_received.push_back(cluster.WorkerStats(r).words_received);
+  }
+  return outcome;
+}
+
+TEST(ScheduleShuffleTrainingTest, OverlapTrainingMatchesRankOrderExactly) {
+  const TrainOutcome ranked = OverlapTraining(/*schedule_seed=*/0);
+  ASSERT_TRUE(ranked.result.replicas_consistent);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const TrainOutcome shuffled = OverlapTraining(seed);
+    EXPECT_TRUE(shuffled.result.replicas_consistent) << "seed " << seed;
+    EXPECT_EQ(shuffled.result.final_param_checksum,
+              ranked.result.final_param_checksum)
+        << "seed " << seed;
+    ASSERT_EQ(shuffled.result.epochs.size(), ranked.result.epochs.size());
+    for (size_t e = 0; e < ranked.result.epochs.size(); ++e) {
+      const EpochRecord& mine = shuffled.result.epochs[e];
+      const EpochRecord& theirs = ranked.result.epochs[e];
+      EXPECT_EQ(mine.train_loss, theirs.train_loss) << "seed " << seed;
+      EXPECT_EQ(mine.test_metric, theirs.test_metric) << "seed " << seed;
+      EXPECT_EQ(mine.sim_seconds_cumulative, theirs.sim_seconds_cumulative)
+          << "seed " << seed << " epoch " << e;
+      EXPECT_EQ(mine.comm_seconds_epoch, theirs.comm_seconds_epoch)
+          << "seed " << seed << " epoch " << e;
+      EXPECT_EQ(mine.compute_seconds_epoch, theirs.compute_seconds_epoch)
+          << "seed " << seed << " epoch " << e;
+    }
+    EXPECT_EQ(shuffled.clocks, ranked.clocks) << "seed " << seed;
+    EXPECT_EQ(shuffled.words_received, ranked.words_received)
+        << "seed " << seed;
+  }
+}
+
+/// The protocol verifier's negative path must diagnose divergence from
+/// inside the scheduler (the violation unwinds every fiber and funnels
+/// out of the scheduler loop as a `Status`).
+TEST(BackendProtocolTest, TagMismatchIsDiagnosed) {
   Cluster cluster(TopologySpec::Flat(2, CostModel{1e-3, 1e-6}));
-  cluster.set_exec_backend(GetParam());
   cluster.EnableProtocolCheck();
-  cluster.network().set_recv_timeout_seconds(20.0);
   const Status status = cluster.Run([](Comm& comm) {
     if (comm.rank() == 0) {
       comm.Send(1, Payload(std::vector<float>{1.0f}), /*tag=*/7);
@@ -224,30 +255,15 @@ TEST_P(BackendProtocolTest, TagMismatchIsDiagnosed) {
   EXPECT_NE(message.find("op trace"), std::string::npos) << message;
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, BackendProtocolTest,
-                         ::testing::Values(ExecBackend::kThread,
-                                           ExecBackend::kFiber),
-                         [](const auto& param_info) {
-                           return param_info.param == ExecBackend::kFiber
-                                      ? "fiber"
-                                      : "thread";
-                         });
-
-// Without the verifier, a collective deadlock on the fiber backend must
-// die *immediately* with the scheduler's waiter dump — every fiber
-// suspended, nothing pumpable — rather than waiting out a watchdog on
-// parked threads.
+// Without the verifier, a collective deadlock must die *immediately* with
+// the scheduler's waiter dump — every fiber suspended, nothing pumpable.
 TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   auto spec = TopologySpec::Parse("fattree:2x2", 2);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_DEATH(
       {
         Cluster cluster(*spec);
-        cluster.set_exec_backend(ExecBackend::kFiber);
         (void)cluster.Run([](Comm& comm) {
           // Both workers receive, nobody sends.
           (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
@@ -259,14 +275,10 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedWithWaiterDump) {
 // On the flat fabric `Network::Wait` yields to the scheduler itself rather
 // than through the event engine; it must reach the same diagnosis.
 TEST(CoopBackendDeathTest, DeadlockDiagnosedOnFlatFabric) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
         Cluster cluster(TopologySpec::Flat(2, CostModel{1e-3, 1e-6}));
-        cluster.set_exec_backend(ExecBackend::kFiber);
         (void)cluster.Run([](Comm& comm) {
           (void)comm.Recv(1 - comm.rank(), /*tag=*/0);
         });
@@ -281,9 +293,6 @@ TEST(CoopBackendDeathTest, DeadlockDiagnosedOnFlatFabric) {
 // predicates; the targeted one evaluates each waiter's a constant number
 // of times per wait.
 TEST(CoopSchedulerTest, RingTokenEvaluatesPredicatesLinearly) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   constexpr int kWorkers = 1024;
   constexpr int kLaps = 3;
   int token = 0;
@@ -314,9 +323,6 @@ TEST(CoopSchedulerTest, RingTokenEvaluatesPredicatesLinearly) {
 // scheduler bug, and the stall must say so instead of blaming the SPMD
 // program with a false "collective deadlock?".
 TEST(CoopSchedulerDeathTest, MissedWakeIsReportedNotCalledDeadlock) {
-  if (!FiberBackendAvailable()) {
-    GTEST_SKIP() << "fiber backend compiled out under TSan";
-  }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {

@@ -282,8 +282,7 @@ std::vector<double> ContendedFatTreeRun(int iterations) {
 
 // The acceptance criterion: >= 5 repeated runs of a contended
 // fattree:4x8x2 workload produce bit-identical per-worker times. (Repeat
-// the whole cluster lifecycle so thread scheduling differs arbitrarily
-// between runs.)
+// the whole cluster lifecycle so no state carries over between runs.)
 TEST(EventOrderedDeterminismTest, ContendedFatTreeTimesAreBitIdentical) {
   const std::vector<double> reference = ContendedFatTreeRun(/*iterations=*/3);
   double contended_makespan = reference.back();

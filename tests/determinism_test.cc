@@ -1,9 +1,11 @@
-// Bit-reproducibility: two runs of the same configuration on fresh
-// clusters must produce byte-identical global gradients for every method.
-// This is what makes the repo's experiments and regressions trustworthy.
+// Bit-reproducibility: runs of the same configuration on fresh clusters
+// must produce byte-identical global gradients and traces for every
+// method, whatever order the fiber scheduler resumes workers in. This is
+// what makes the repo's experiments and regressions trustworthy.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +20,9 @@ namespace spardl {
 namespace {
 
 std::vector<SparseVector> OneRun(const std::string& name, int p, size_t n,
-                                 size_t k, int iterations) {
+                                 size_t k, int iterations,
+                                 uint64_t schedule_seed) {
+  const testing::ScopedScheduleSeed seed(schedule_seed);
   AlgorithmConfig config;
   config.n = n;
   config.k = k;
@@ -43,11 +47,14 @@ TEST_P(DeterminismSweep, IdenticalAcrossRuns) {
   const int p = 4;
   const size_t n = 400;
   const size_t k = 40;
-  const auto first = OneRun(name, p, n, k, 3);
-  const auto second = OneRun(name, p, n, k, 3);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], second[i]) << name << " iter " << i;
+  const auto first = OneRun(name, p, n, k, 3, /*schedule_seed=*/0);
+  for (uint64_t seed = 0; seed <= 3; ++seed) {
+    const auto again = OneRun(name, p, n, k, 3, seed);
+    ASSERT_EQ(first.size(), again.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i], again[i]) << name << " seed " << seed << " iter "
+                                    << i;
+    }
   }
 }
 
@@ -56,8 +63,10 @@ INSTANTIATE_TEST_SUITE_P(Methods, DeterminismSweep,
                                            "gtopk", "oktopk", "dense"));
 
 // One traced SparDL run on a contended oversubscribed fat-tree under the
-// event-ordered engine, exported as Chrome trace JSON.
-std::string OneTracedRun() {
+// event-ordered engine and the given fiber schedule, exported as Chrome
+// trace JSON.
+std::string OneTracedRun(uint64_t schedule_seed) {
+  const testing::ScopedScheduleSeed seed(schedule_seed);
   const int p = 8;
   auto spec = TopologySpec::Parse("fattree:4x8x2", p);
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();
@@ -87,12 +96,14 @@ std::string OneTracedRun() {
 
 // The observability acceptance bar: the exported trace — including the
 // contended per-link occupancy spans — is byte-identical across runs on
-// the event-ordered engine, regardless of thread scheduling.
+// the event-ordered engine, in rank order (seed 0) and under shuffled
+// fiber schedules.
 TEST(TraceDeterminism, ChromeTraceByteIdenticalAcrossRuns) {
-  const std::string first = OneTracedRun();
-  const std::string second = OneTracedRun();
+  const std::string first = OneTracedRun(/*schedule_seed=*/0);
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
+  for (uint64_t seed = 0; seed <= 3; ++seed) {
+    EXPECT_EQ(OneTracedRun(seed), first) << "seed " << seed;
+  }
 }
 
 }  // namespace

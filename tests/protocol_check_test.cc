@@ -1,10 +1,9 @@
 // SPMD protocol-verifier tests: deliberately divergent worker programs
 // (mismatched tag, unequal round counts, wrong team size, mixed barrier
 // kinds) must come back from `Cluster::Run` as a diagnostic `Status`
-// naming both workers' op traces — within one barrier, never by hanging
-// until the 120 s wait watchdog. Each run keeps a short watchdog anyway,
-// so a detector regression fails the test loudly instead of stalling the
-// suite.
+// naming both workers' op traces — within one barrier, never by the
+// scheduler's deadlock abort, which is where a detector regression would
+// end up (loudly and at once, so it cannot stall the suite).
 
 #include "simnet/protocol_check.h"
 
@@ -27,8 +26,9 @@ namespace {
 /// and the event engine on every other fabric.
 enum class Charge { kClosedForm, kEventOrdered };
 
-/// Every divergence case runs on both: they block differently (a
-/// condition wait on the inbox or sync cv vs. engine BlockUntil).
+/// Every divergence case runs on both: their waits are released
+/// differently (a flat inbox wakes its owner directly; an event fabric
+/// wakes it when the scheduler pumps the flow's arrival).
 class ProtocolCheckTest : public ::testing::TestWithParam<Charge> {
  protected:
   static constexpr int kWorkers = 4;
@@ -42,12 +42,11 @@ class ProtocolCheckTest : public ::testing::TestWithParam<Charge> {
     return *spec;
   }
 
-  /// A cluster with checking on and a short wall-clock watchdog, so a
-  /// missed detection aborts in seconds, not minutes.
+  /// A cluster with checking on (a missed detection still aborts at once
+  /// with the scheduler's deadlock dump).
   std::unique_ptr<Cluster> MakeCluster() {
     auto cluster = std::make_unique<Cluster>(Fabric());
     cluster->EnableProtocolCheck();
-    cluster->network().set_recv_timeout_seconds(20.0);
     return cluster;
   }
 };

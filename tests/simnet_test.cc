@@ -2,6 +2,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "simnet/cluster.h"
@@ -252,24 +253,42 @@ TEST(NetworkDeathTest, UnconsumedMessageFailsTheRun) {
       "left unconsumed messages");
 }
 
-// Every thread-backend wait has the wall-clock watchdog: a worker that
-// returns while its peer waits must abort the run after
-// `recv_timeout_seconds`, on the flat fabric's condition waits as on the
-// event engine's.
+// Outside any fiber (endpoints driven by hand) only pumping the event
+// engine can satisfy a wait; with nothing left to pump it must fail
+// naming the wait instead of hanging, on both charge paths.
+TEST(NetworkDeathTest, WaitOutsideFiberWithNothingToPumpFails) {
+  for (const char* fabric : {"flat", "star"}) {
+    auto spec = TopologySpec::Parse(fabric, 2);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    EXPECT_DEATH(
+        {
+          auto built = (*spec).Build();
+          Network network(std::move(*built));
+          Comm receiver(&network, 1);
+          (void)receiver.Recv(0);
+        },
+        "Recv dst=1 src=0 tag=0 can never complete")
+        << fabric;
+  }
+}
+
+// A worker that returns while its peer still waits is a collective
+// deadlock, and the scheduler must say so at once, naming the abandoned
+// wait — on the flat fabric's waits as on the event engine's.
 enum class PeerWait { kRecv, kBarrier, kBarrierSyncClocks };
 
-class WatchdogDeathTest
+class DeadlockDiagnosisDeathTest
     : public ::testing::TestWithParam<std::tuple<std::string, PeerWait>> {};
 
-TEST_P(WatchdogDeathTest, AbandonedWaitTimesOut) {
+TEST_P(DeadlockDiagnosisDeathTest, AbandonedWaitIsNamed) {
   const auto [fabric, wait] = GetParam();
   auto spec = TopologySpec::Parse(fabric, 2);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  static constexpr const char* kWaitDescriptions[] = {
+      "Recv dst=0 src=1 tag=0", "BarrierWait", "MaxClockSync"};
   EXPECT_DEATH(
       {
         Cluster cluster(*spec);
-        cluster.set_exec_backend(ExecBackend::kThread);
-        cluster.network().set_recv_timeout_seconds(1.0);
         (void)cluster.Run([wait = wait](Comm& comm) {
           if (comm.rank() == 1) return;
           switch (wait) {
@@ -285,11 +304,13 @@ TEST_P(WatchdogDeathTest, AbandonedWaitTimesOut) {
           }
         });
       },
-      "timed out");
+      std::string("collective deadlock\\?\n  worker 0: ") +
+          kWaitDescriptions[static_cast<int>(wait)]);
 }
 
-std::string WatchdogCaseName(
-    const ::testing::TestParamInfo<WatchdogDeathTest::ParamType>& info) {
+std::string DeadlockCaseName(
+    const ::testing::TestParamInfo<DeadlockDiagnosisDeathTest::ParamType>&
+        info) {
   static constexpr const char* kWaitNames[] = {"Recv", "Barrier",
                                                "BarrierSyncClocks"};
   return std::get<0>(info.param) + "_" +
@@ -297,12 +318,12 @@ std::string WatchdogCaseName(
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Waits, WatchdogDeathTest,
+    Waits, DeadlockDiagnosisDeathTest,
     ::testing::Combine(::testing::Values(std::string("flat"),
                                          std::string("star")),
                        ::testing::Values(PeerWait::kRecv, PeerWait::kBarrier,
                                          PeerWait::kBarrierSyncClocks)),
-    WatchdogCaseName);
+    DeadlockCaseName);
 
 }  // namespace
 }  // namespace spardl

@@ -38,6 +38,23 @@ inline std::vector<float> ReferenceSum(
   return sum;
 }
 
+/// Sets the fiber schedule seed of every cluster constructed in this scope
+/// (`Cluster::set_default_schedule_seed`) and restores the previous one on
+/// exit, so a test can pin seeds even inside a `--schedule-seed` rerun.
+class ScopedScheduleSeed {
+ public:
+  explicit ScopedScheduleSeed(uint64_t seed)
+      : previous_(Cluster::default_schedule_seed()) {
+    Cluster::set_default_schedule_seed(seed);
+  }
+  ~ScopedScheduleSeed() { Cluster::set_default_schedule_seed(previous_); }
+  ScopedScheduleSeed(const ScopedScheduleSeed&) = delete;
+  ScopedScheduleSeed& operator=(const ScopedScheduleSeed&) = delete;
+
+ private:
+  const uint64_t previous_;
+};
+
 /// Runs `fn(comm, rank)` on a fresh cluster of `p` workers with a free cost
 /// model and returns per-rank results.
 template <typename T>

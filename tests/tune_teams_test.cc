@@ -58,7 +58,8 @@ TEST(TuneTeamsTest, FatTreeTunesDifferentTeamCountThanFlat) {
   const bench::TeamTuneResult flat =
       Tune(TopologySpec::Flat(8), options);
   // The event engine makes the contended fat-tree times bit-identical
-  // across runs, so the argmin cannot flip on thread scheduling.
+  // across runs, so the argmin cannot flip with the fiber schedule or
+  // with which Sweep carrier ran a cell.
   const bench::TeamTuneResult fat_tree =
       Tune(TopologySpec::FatTree(8, /*rack_size=*/2, /*oversub=*/6.0),
            options);
