@@ -23,7 +23,8 @@ CoopScheduler* CoopScheduler::Current() { return g_current_scheduler; }
 
 void CoopScheduler::Run(int num_workers, EventEngine* engine,
                         const std::function<void(int)>& body,
-                        uint64_t schedule_seed) {
+                        uint64_t schedule_seed,
+                        const std::function<void()>& on_stall) {
   SPARDL_CHECK(g_current_scheduler == nullptr)
       << "nested CoopScheduler::Run";
   SPARDL_CHECK_GE(num_workers, 1);
@@ -66,6 +67,14 @@ void CoopScheduler::Run(int num_workers, EventEngine* engine,
     if (done >= num_workers) break;
     if (WakeReadyWaiters()) continue;
     if (engine_ != nullptr && PumpEngine()) continue;
+    CheckNoMissedWakeUp();
+    if (on_stall) {
+      // A diagnosis flips the flag every wait predicate polls, so the
+      // waiters unwind exactly as after an interrupt.
+      on_stall();
+      WakeAll();
+      if (WakeReadyWaiters()) continue;
+    }
     DiagnoseDeadlock();
   }
   g_current_scheduler = nullptr;
@@ -139,15 +148,18 @@ bool CoopScheduler::PumpEngine() {
   return false;
 }
 
-void CoopScheduler::DiagnoseDeadlock() {
-  // Terminal path only, so the full scan is free: a waiter that is in
-  // fact ready means some state change skipped its `Wake` — a scheduler
-  // bug, not an SPMD deadlock.
+void CoopScheduler::CheckNoMissedWakeUp() const {
+  // Stall path only, so the full scan is free: a waiter that is in fact
+  // ready means some state change skipped its `Wake` — a scheduler bug,
+  // not an SPMD deadlock.
   for (size_t rank = 0; rank < slots_.size(); ++rank) {
     const WorkerSlot& slot = slots_[rank];
     SPARDL_CHECK(slot.state != State::kWaiting || !(*slot.pred)())
         << "scheduler missed a wake-up for worker " << rank;
   }
+}
+
+void CoopScheduler::DiagnoseDeadlock() {
   std::string detail;
   int shown = 0;
   for (size_t rank = 0; rank < slots_.size(); ++rank) {

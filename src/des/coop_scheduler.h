@@ -23,8 +23,14 @@ class EventEngine;
 /// scheduler (1) re-checks the predicates of the waiters some event has
 /// marked with `Wake`/`WakeAll` and makes the ready ones runnable, and
 /// otherwise (2) pumps the event engine until a resolution readies some
-/// waiter. If neither helps, the SPMD program is deadlocked and the
-/// scheduler aborts immediately with every waiter's diagnostic.
+/// waiter. If neither helps, the run has stalled: the SPMD program is
+/// deadlocked. The scheduler is the one place that decides this. It
+/// first checks that no waiter is in fact ready (a missed wake-up, a
+/// scheduler bug), then calls the optional stall callback (`Cluster::Run`
+/// wires the protocol checker's diagnosis to it) and wakes every waiter;
+/// if the callback made some wait predicate true, those workers unwind
+/// as after any interrupt. Otherwise it aborts immediately with every
+/// waiter's diagnostic.
 ///
 /// Targeted wake-ups. A predicate is only re-evaluated after an event
 /// that can make it true, so one message costs O(1) scheduler work, not
@@ -35,7 +41,8 @@ class EventEngine;
 ///     owner, the only worker that waits on it;
 ///   - a barrier or clock-sync round completes: its last arriver calls
 ///     `WakeAll` (every other worker is a participant);
-///   - a protocol violation: `Network::InterruptWaiters` calls `WakeAll`.
+///   - a protocol violation: `Network::InterruptWaiters` calls `WakeAll`
+///     (at a stall, the scheduler wakes everyone after the callback).
 /// A new wait site whose predicate can become true some other way must
 /// add the matching `Wake`; a missed one aborts at the stall with
 /// "scheduler missed a wake-up" rather than a false deadlock report.
@@ -68,9 +75,12 @@ class CoopScheduler {
   /// null on flat (nothing to pump; waiters are only released by other
   /// workers' actions). `schedule_seed` 0 resumes each round in rank
   /// order; any other value in a permutation drawn from a PRNG with that
-  /// seed. Not reentrant.
+  /// seed. `on_stall`, if set, is called on the carrier when the run
+  /// stalls, before the deadlock abort; to end the stall it must make
+  /// some waiter's predicate true. Not reentrant.
   void Run(int num_workers, EventEngine* engine,
-           const std::function<void(int)>& body, uint64_t schedule_seed = 0);
+           const std::function<void(int)>& body, uint64_t schedule_seed = 0,
+           const std::function<void()>& on_stall = nullptr);
 
   /// From inside a worker fiber: cooperatively blocks until `pred()`
   /// returns true. `describe` is only invoked for the deadlock
@@ -114,8 +124,11 @@ class CoopScheduler {
   /// queue drains). Returns true if a waiter is now runnable.
   bool PumpEngine();
 
-  /// Aborts with every waiter's diagnostic, or with "scheduler missed a
-  /// wake-up" if some waiter's predicate in fact holds.
+  /// CHECK-fails with "scheduler missed a wake-up" if some waiter's
+  /// predicate in fact holds at a stall.
+  void CheckNoMissedWakeUp() const;
+
+  /// Aborts with every waiter's diagnostic.
   [[noreturn]] void DiagnoseDeadlock();
 
   std::vector<WorkerSlot> slots_;

@@ -41,164 +41,8 @@ std::string JsonEscape(std::string_view text) {
 
 namespace {
 
-/// Recursive-descent JSON checker over a cursor into the document.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool CheckDocument() {
-    SkipSpace();
-    if (!CheckValue()) return false;
-    SkipSpace();
-    return pos_ == text_.size();  // no trailing garbage
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void SkipSpace() {
-    while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\n' ||
-                        Peek() == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (AtEnd() || Peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  bool CheckValue() {
-    if (++depth_ > 256) return false;  // bound recursion
-    SkipSpace();
-    if (AtEnd()) return false;
-    bool ok = false;
-    switch (Peek()) {
-      case '{':
-        ok = CheckObject();
-        break;
-      case '[':
-        ok = CheckArray();
-        break;
-      case '"':
-        ok = CheckString();
-        break;
-      case 't':
-        ok = ConsumeLiteral("true");
-        break;
-      case 'f':
-        ok = ConsumeLiteral("false");
-        break;
-      case 'n':
-        ok = ConsumeLiteral("null");
-        break;
-      default:
-        ok = CheckNumber();
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool CheckObject() {
-    if (!Consume('{')) return false;
-    SkipSpace();
-    if (Consume('}')) return true;
-    for (;;) {
-      SkipSpace();
-      if (!CheckString()) return false;
-      SkipSpace();
-      if (!Consume(':')) return false;
-      if (!CheckValue()) return false;
-      SkipSpace();
-      if (Consume('}')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool CheckArray() {
-    if (!Consume('[')) return false;
-    SkipSpace();
-    if (Consume(']')) return true;
-    for (;;) {
-      if (!CheckValue()) return false;
-      SkipSpace();
-      if (Consume(']')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool CheckString() {
-    if (!Consume('"')) return false;
-    while (!AtEnd()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (AtEnd()) return false;
-        const char esc = text_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (AtEnd() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool CheckDigits() {
-    if (AtEnd() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return false;
-    }
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      ++pos_;
-    }
-    return true;
-  }
-
-  bool CheckNumber() {
-    Consume('-');
-    if (Consume('0')) {
-      // leading zero must not be followed by more digits
-      if (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return false;
-      }
-    } else if (!CheckDigits()) {
-      return false;
-    }
-    if (Consume('.')) {
-      if (!CheckDigits()) return false;
-    }
-    if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
-      ++pos_;
-      if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos_;
-      if (!CheckDigits()) return false;
-    }
-    return true;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-/// Recursive-descent parser sharing the checker's grammar, building the
-/// small DOM `spardl-analyze` consumes.
+/// Recursive-descent JSON parser over a cursor into the document,
+/// building the small DOM `spardl-analyze` consumes.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -446,10 +290,6 @@ class JsonParser {
 };
 
 }  // namespace
-
-bool IsValidJson(std::string_view text) {
-  return JsonChecker(text).CheckDocument();
-}
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;

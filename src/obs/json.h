@@ -13,12 +13,6 @@ namespace spardl {
 /// backslashes, control characters).
 std::string JsonEscape(std::string_view text);
 
-/// Strict structural validation of one JSON document (objects, arrays,
-/// strings, numbers, true/false/null; trailing garbage rejected). A
-/// dependency-free checker so the exporters' output can be verified in
-/// tests and tools without a JSON library in the image.
-bool IsValidJson(std::string_view text);
-
 /// A parsed JSON value — the minimal DOM `spardl-analyze` needs to read
 /// the exporters' artifacts back. Object members keep document order
 /// (duplicate keys: `Find` returns the first).
@@ -54,9 +48,9 @@ struct JsonValue {
   std::string StringOr(std::string_view key, std::string fallback) const;
 };
 
-/// Parses one complete JSON document (same grammar the checker accepts;
-/// trailing garbage rejected). `\uXXXX` escapes decode to UTF-8;
-/// surrogate pairs are combined. Returns nullopt on any syntax error.
+/// Parses one complete JSON document (trailing garbage rejected).
+/// `\uXXXX` escapes decode to UTF-8; surrogate pairs are combined, and a
+/// lone surrogate is an error. Returns nullopt on any syntax error.
 std::optional<JsonValue> JsonParse(std::string_view text);
 
 }  // namespace spardl

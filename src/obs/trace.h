@@ -152,8 +152,8 @@ class TraceRecorder {
     return recv_records_[static_cast<size_t>(worker)];
   }
 
-  /// Flow dependency records, keyed by the engine's flow key. Called
-  /// under the event-engine mutex (same rule as `RecordLink`).
+  /// Flow dependency records, keyed by the engine's flow key. Called by
+  /// the engine's pump (same rule as `RecordLink`).
   void RecordFlow(uint64_t key, FlowRecord rec);
   const FlowRecord* FindFlow(uint64_t key) const;
   const std::unordered_map<uint64_t, FlowRecord>& flow_records() const {

@@ -48,28 +48,26 @@ Status Cluster::Run(const std::function<void(Comm&)>& worker_fn) {
          "mid-collective, so the simulated state is inconsistent";
   ProtocolChecker* checker = protocol_checker_.get();
   if (checker != nullptr) checker->BeginRun();
-  Network* network = network_.get();
   // One worker's whole run.
-  const std::function<void(int)> body = [this, &worker_fn, network,
+  const std::function<void(int)> body = [this, &worker_fn,
                                          checker](int rank) {
     Comm& comm = *comms_[static_cast<size_t>(rank)];
     try {
       worker_fn(comm);
       // A worker that returns while a peer still waits on it is itself a
-      // divergence; the checker diagnoses it from this transition.
+      // divergence, which the checker names if the run then stalls.
       if (checker != nullptr) checker->OnWorkerDone(rank);
     } catch (const ProtocolViolation&) {
-      // The diagnosis is latched in the checker; just unwind this worker.
-      // (Only thrown when a checker is attached.)
-    }
-    if (checker != nullptr && checker->failed()) {
-      // Wake any peers still blocked so they observe the failure and
-      // unwind too — whoever detected first may have been this worker.
-      network->InterruptWaiters();
+      // The diagnosis is latched in the checker, and whoever made it woke
+      // every waiter; just unwind this worker. (Only thrown when a
+      // checker is attached.)
     }
   };
+  std::function<void()> on_stall;
+  if (checker != nullptr) on_stall = [checker] { checker->DiagnoseStall(); };
   CoopScheduler scheduler;
-  scheduler.Run(size(), network->event_engine(), body, schedule_seed_);
+  scheduler.Run(size(), network_->event_engine(), body, schedule_seed_,
+                on_stall);
   if (checker != nullptr && checker->failed()) {
     // Unwound mid-collective: inboxes may hold orphaned messages and the
     // engine unresolved flows — by design. Poison instead of CHECKing the
@@ -95,7 +93,7 @@ TraceRecorder& Cluster::EnableTracing() {
 
 ProtocolChecker& Cluster::EnableProtocolCheck() {
   if (!protocol_checker_) {
-    protocol_checker_ = std::make_unique<ProtocolChecker>(size());
+    protocol_checker_ = std::make_unique<ProtocolChecker>(*network_);
     for (auto& comm : comms_) {
       comm->set_protocol_checker(protocol_checker_.get());
     }

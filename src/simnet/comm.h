@@ -86,10 +86,7 @@ class Comm {
           rank_, TraceSpan{rank_, kStreamMain, phase_, "send", dst, -1,
                            sim_now_, sim_now_, words * sizeof(float)});
     }
-    if (protocol_ != nullptr) {
-      protocol_->OnSend(rank_, dst, tag, words);
-      ThrowIfProtocolFailed();
-    }
+    if (protocol_ != nullptr) protocol_->OnSend(rank_, dst, tag, words);
     network_->Post(rank_, dst,
                    Packet{std::move(payload), words, sim_now_, tag});
   }
@@ -101,14 +98,11 @@ class Comm {
   /// accounted by the event engine.
   Payload Recv(int src, int tag = 0) {
     SPARDL_DCHECK(src != rank_) << "self-recv";
-    if (protocol_ != nullptr) {
-      protocol_->OnRecvPosted(rank_, src, tag);
-      ThrowIfProtocolFailed();
-    }
+    if (protocol_ != nullptr) protocol_->OnRecvPosted(rank_, src, tag);
     Network::Delivered delivered =
         network_->RecvPacket(src, rank_, tag, sim_now_);
     if (protocol_ != nullptr) {
-      protocol_->OnRecvMatched(rank_, src, tag, delivered.packet.words);
+      protocol_->OnRecvMatched(rank_, delivered.packet.words);
     }
     const double before = sim_now_;
     sim_now_ = delivered.delivery_time;
@@ -210,7 +204,7 @@ class Comm {
       ThrowIfProtocolFailed();
     }
     const double before = sim_now_;
-    sim_now_ = network_->MaxClockSync(rank_, sim_now_);
+    sim_now_ = network_->MaxClockSync(sim_now_);
     stats_.phase_seconds[static_cast<size_t>(Phase::kBarrier)] +=
         sim_now_ - before;
     if (tracer_ != nullptr) {
@@ -242,10 +236,10 @@ class Comm {
  private:
   friend class TraceScope;
 
-  /// Unwinds this worker once the checker has a diagnosis, waking every
-  /// peer still blocked in the network so they unwind too. The exception
-  /// is caught by `Cluster::Run`, which returns the diagnosis as a
-  /// `Status`.
+  /// Unwinds this worker once its barrier entry was diagnosed, waking
+  /// every peer still blocked in the network so they unwind too. The
+  /// exception is caught by `Cluster::Run`, which returns the diagnosis as
+  /// a `Status`.
   void ThrowIfProtocolFailed() {
     if (protocol_->failed()) {
       network_->InterruptWaiters();

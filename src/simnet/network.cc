@@ -174,8 +174,7 @@ void Network::BarrierWait() {
        [] { return std::string("BarrierWait"); });
 }
 
-double Network::MaxClockSync(int rank, double value) {
-  (void)rank;
+double Network::MaxClockSync(double value) {
   const uint64_t my_generation = sync_generation_;
   if (value > sync_max_) sync_max_ = value;
   if (++sync_count_ == size_) {

@@ -57,9 +57,10 @@ struct Packet {
 ///
 /// Blocking: receive, barrier and clock sync all block through one
 /// private `Wait`. Inside a worker fiber it yields to the scheduler,
-/// which pumps the event engine at its all-workers-blocked cuts and
-/// aborts with a "collective deadlock" diagnosis naming every abandoned
-/// wait the moment nothing can run. Outside any fiber (a test driving
+/// which pumps the event engine at its all-workers-blocked cuts and,
+/// the moment nothing can run, lets an attached protocol checker
+/// diagnose the stall or else aborts with a "collective deadlock"
+/// diagnosis naming every abandoned wait. Outside any fiber (a test driving
 /// `Comm` endpoints by hand) nobody else can run, so it pumps the engine
 /// in place until the wait is satisfied, and CHECK-fails with the wait's
 /// description when nothing is left to pump.
@@ -147,14 +148,21 @@ class Network {
   /// Reusable rendezvous for all `size` workers.
   void BarrierWait();
 
-  /// Publishes `value` to a per-rank slot and returns the max over all
-  /// ranks once everyone has published (used to align simulated clocks).
-  double MaxClockSync(int rank, double value);
+  /// Publishes the caller's `value` and returns the max over all ranks
+  /// once everyone has published (used to align simulated clocks).
+  double MaxClockSync(double value);
 
   /// True if every inbox is empty (end-of-run invariant: no stray
   /// messages). Call only while no worker runs; `Cluster::Run` does,
   /// after its workers finish.
   bool AllMailboxesEmpty() const;
+
+  /// Worker `rank`'s undelivered packets, from every sender, in post
+  /// order: the sends no receive has matched yet. Read-only; the protocol
+  /// checker diagnoses from it.
+  const std::deque<Packet>& inbox(int rank) const {
+    return inboxes_[static_cast<size_t>(rank)];
+  }
 
   /// Attaches the SPMD protocol verifier (see `simnet/protocol_check.h`).
   /// Once attached, every blocking wait also watches `checker->failed()`
@@ -166,8 +174,9 @@ class Network {
   }
 
   /// Wakes every worker blocked in a receive, barrier, or clock sync so it
-  /// can observe a diagnosed protocol violation and unwind. Called by the
-  /// detecting worker.
+  /// can observe a diagnosed protocol violation and unwind. Called by a
+  /// worker whose barrier entry was diagnosed; at a stall the scheduler
+  /// wakes the waiters itself.
   void InterruptWaiters();
 
  private:

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "simnet/network.h"
 
 namespace spardl {
 
@@ -32,12 +33,9 @@ std::string_view ProtocolOpName(ProtocolOp op) {
   return "?";
 }
 
-ProtocolChecker::ProtocolChecker(int num_workers)
-    : num_workers_(num_workers) {
-  SPARDL_CHECK_GE(num_workers_, 1);
+ProtocolChecker::ProtocolChecker(const Network& network)
+    : network_(network), num_workers_(network.size()) {
   workers_.resize(static_cast<size_t>(num_workers_));
-  channels_.resize(static_cast<size_t>(num_workers_) *
-                   static_cast<size_t>(num_workers_));
 }
 
 void ProtocolChecker::BeginRun() {
@@ -45,7 +43,6 @@ void ProtocolChecker::BeginRun() {
       << "ProtocolChecker reused after a violation; the cluster's "
          "simulated state is inconsistent past the first diagnosis";
   for (Worker& worker : workers_) worker = Worker{};
-  for (auto& channel : channels_) channel.clear();
 }
 
 void ProtocolChecker::Record(int rank, ProtocolRecord record) {
@@ -59,7 +56,6 @@ void ProtocolChecker::Record(int rank, ProtocolRecord record) {
 void ProtocolChecker::OnSend(int src, int dst, int tag, size_t words) {
   if (failed()) return;
   Record(src, ProtocolRecord{ProtocolOp::kSend, dst, tag, words, 0});
-  Channel(src, dst).push_back(PendingSend{tag, words});
 }
 
 void ProtocolChecker::OnRecvPosted(int rank, int src, int tag) {
@@ -69,11 +65,9 @@ void ProtocolChecker::OnRecvPosted(int rank, int src, int tag) {
   worker.state = WorkerState::kRecvWait;
   worker.wait_peer = src;
   worker.wait_tag = tag;
-  CheckStuck();
 }
 
-void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
-                                    size_t words) {
+void ProtocolChecker::OnRecvMatched(int rank, size_t words) {
   if (failed()) return;
   Worker& worker = WorkerFor(rank);
   worker.state = WorkerState::kRunning;
@@ -81,17 +75,6 @@ void ProtocolChecker::OnRecvMatched(int rank, int src, int tag,
   if (!worker.log.empty() && worker.log.back().op == ProtocolOp::kRecv) {
     worker.log.back().words = words;
   }
-  // Consume the matched send, mirroring the inbox's semantics exactly:
-  // first queued send with this tag, skipping other tags (FIFO per tag).
-  auto& channel = Channel(src, rank);
-  const auto it =
-      std::find_if(channel.begin(), channel.end(),
-                   [tag](const PendingSend& s) { return s.tag == tag; });
-  SPARDL_CHECK(it != channel.end())
-      << "protocol checker out of sync: worker " << rank
-      << " received tag " << tag << " from " << src
-      << " with no recorded unmatched send";
-  channel.erase(it);
 }
 
 void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
@@ -126,33 +109,45 @@ void ProtocolChecker::OnBarrierEnter(int rank, bool clock_sync) {
       std::all_of(workers_.begin(), workers_.end(), [](const Worker& w) {
         return w.state == WorkerState::kBarrierWait;
       });
-  if (!all_waiting) {
-    // Some peer is done (the barrier can then never complete) or still
-    // blocked elsewhere — let the global progress check decide.
-    CheckStuck();
-    return;
-  }
+  // Otherwise some peer is done (the barrier can then never complete) or
+  // still blocked elsewhere — the scheduler's stall decides.
+  if (!all_waiting) return;
   // Logical completion (we are the last arriver; the network barrier we
   // are about to enter will release everyone). A clock-sync barrier is an
   // iteration boundary: every send must have found its receive by now, so
   // surviving unmatched sends are a peer asymmetry — diagnose them here
-  // rather than as a confusing tag mismatch an iteration later.
+  // rather than as a confusing tag mismatch an iteration later. Every
+  // peer has finished its receives, so the inboxes hold exactly the
+  // unmatched sends; report the lowest (src, dst) pair.
   if (clock_sync) {
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& channel = Channel(src, dst);
-        if (channel.empty()) continue;
-        Fail(
-            "peer asymmetry: " + std::to_string(channel.size()) +
-            " unmatched send(s) from worker " + std::to_string(src) +
-            " to worker " + std::to_string(dst) + " (first: tag=" +
-            std::to_string(channel.front().tag) + ", words=" +
-            std::to_string(channel.front().words) +
-            ") at a clock-sync barrier — the receiver never posted a "
-            "matching recv this iteration\n" +
-            DescribeWorker(src) + DescribeWorker(dst));
-        return;
+    // Inboxes are scanned by ascending receiver, each in post order, so
+    // the first packet seen from the lowest sender is that pair's oldest.
+    const Packet* first = nullptr;
+    int src = num_workers_;
+    int dst = -1;
+    for (int to = 0; to < num_workers_; ++to) {
+      for (const Packet& packet : network_.inbox(to)) {
+        if (packet.src < src) {
+          first = &packet;
+          src = packet.src;
+          dst = to;
+        }
       }
+    }
+    if (first != nullptr) {
+      const auto& inbox = network_.inbox(dst);
+      const auto count =
+          std::count_if(inbox.begin(), inbox.end(),
+                        [src](const Packet& p) { return p.src == src; });
+      Fail("peer asymmetry: " + std::to_string(count) +
+           " unmatched send(s) from worker " + std::to_string(src) +
+           " to worker " + std::to_string(dst) + " (first: tag=" +
+           std::to_string(first->tag) + ", words=" +
+           std::to_string(first->words) +
+           ") at a clock-sync barrier — the receiver never posted a "
+           "matching recv this iteration\n" +
+           DescribeWorker(src) + DescribeWorker(dst));
+      return;
     }
   }
   for (Worker& w : workers_) w.state = WorkerState::kRunning;
@@ -165,52 +160,27 @@ void ProtocolChecker::OnIteration(int rank) {
 void ProtocolChecker::OnWorkerDone(int rank) {
   if (failed()) return;
   WorkerFor(rank).state = WorkerState::kDone;
-  CheckStuck();
 }
 
-bool ProtocolChecker::RecvSatisfiable(int rank) const {
-  const Worker& worker = workers_[static_cast<size_t>(rank)];
-  const auto& channel =
-      channels_[static_cast<size_t>(worker.wait_peer) *
-                    static_cast<size_t>(num_workers_) +
-                static_cast<size_t>(rank)];
-  return std::any_of(channel.begin(), channel.end(),
-                     [&worker](const PendingSend& s) {
-                       return s.tag == worker.wait_tag;
-                     });
-}
-
-void ProtocolChecker::CheckStuck() {
-  if (failed()) return;
-  bool all_done = true;
-  for (const Worker& worker : workers_) {
-    if (worker.state == WorkerState::kRunning) return;  // progress possible
-    if (worker.state != WorkerState::kDone) all_done = false;
-  }
-  if (all_done) return;
-  for (int rank = 0; rank < num_workers_; ++rank) {
-    if (WorkerFor(rank).state == WorkerState::kRecvWait &&
-        RecvSatisfiable(rank)) {
-      return;  // that receive will complete and its worker will run
-    }
-  }
-  // Stuck: every worker is blocked or done, no wait is satisfiable, and
-  // at least one worker is not done. Pick the most specific diagnosis.
+void ProtocolChecker::DiagnoseStall() {
+  // Stuck: every worker is blocked or done, and no wait can be
+  // satisfied. Pick the most specific diagnosis.
   int victim = -1;
   int peer = -1;
   std::string reason;
   for (int rank = 0; rank < num_workers_ && victim < 0; ++rank) {
     const Worker& worker = WorkerFor(rank);
     if (worker.state != WorkerState::kRecvWait) continue;
-    const auto& channel = Channel(worker.wait_peer, rank);
-    if (!channel.empty()) {
-      // Sends exist on the waited-on channel but none carries the awaited
-      // tag: the classic mismatched-tag divergence.
-      std::string tags;
-      for (const PendingSend& s : channel) {
-        if (!tags.empty()) tags += ", ";
-        tags += std::to_string(s.tag);
-      }
+    // Sends from the awaited peer that none of its receives matched: at a
+    // stall none carries the awaited tag — the classic mismatched-tag
+    // divergence.
+    std::string tags;
+    for (const Packet& packet : network_.inbox(rank)) {
+      if (packet.src != worker.wait_peer) continue;
+      if (!tags.empty()) tags += ", ";
+      tags += std::to_string(packet.tag);
+    }
+    if (!tags.empty()) {
       reason = "tag mismatch: worker " + std::to_string(rank) +
                " waits for tag " + std::to_string(worker.wait_tag) +
                " from worker " + std::to_string(worker.wait_peer) +
@@ -262,6 +232,9 @@ void ProtocolChecker::CheckStuck() {
         break;
       }
     }
+    // No worker waits in a collective op the checker saw (a wait that
+    // bypassed `Comm`): leave the stall to the scheduler's deadlock dump.
+    if (victim < 0) return;
     reason = "collective deadlock: every worker is blocked and no recorded "
              "send satisfies any pending recv (divergent schedules)";
   }

@@ -11,6 +11,8 @@
 
 namespace spardl {
 
+class Network;
+
 /// SPMD collective-protocol verification.
 ///
 /// Every SparDL algorithm is SPMD code against `Comm`: all workers must
@@ -23,36 +25,36 @@ namespace spardl {
 /// abandoned wait, with no history of how they got there.
 ///
 /// `ProtocolChecker` is an always-compiled, flag-enabled
-/// (`Cluster::EnableProtocolCheck` / `--protocol-check`) verifier that
-/// mirrors the network's matching rules on cheap logical state: each
-/// worker's sequence of collective ops (kind, peer, tag, element count,
-/// iteration) is recorded into a bounded per-worker log, per-channel
-/// unmatched sends are tracked with the inbox's own (src, tag)-filtered
-/// FIFO semantics, and the cross-checks run at each blocking transition:
+/// (`Cluster::EnableProtocolCheck` / `--protocol-check`) verifier. It
+/// keeps only what no other module holds: each worker's sequence of
+/// collective ops (kind, peer, tag, element count, iteration) in a
+/// bounded per-worker log, and what each worker waits for. Unmatched
+/// sends are the network's own inboxes (`Network::inbox`), read when a
+/// diagnosis needs them, so the (src, tag) FIFO matching rule lives in
+/// `Network` alone. It detects at two places:
 ///
-///  * a worker entering `Barrier` while a peer waits in
+///  * at barrier entry: a worker entering `Barrier` while a peer waits in
 ///    `BarrierSyncClocks` (or vice versa) fails immediately — mismatched
-///    barrier kinds can never rendezvous;
-///  * a completed *clock-sync* barrier (an iteration boundary) with
-///    unmatched sends still queued fails — a peer asymmetry that plain
-///    FIFO matching would surface one iteration too late;
-///  * whenever every worker is blocked (or done) and no blocked worker's
-///    wait can be satisfied by the recorded unmatched sends, the run is
-///    diagnosed as stuck — with specialised messages for tag mismatches
-///    (wrong-tag sends queued on the waited-on channel) and for peers
-///    that finished early.
+///    barrier kinds can never rendezvous; and a completed *clock-sync*
+///    barrier (an iteration boundary) with unmatched sends still queued
+///    fails, naming the lowest (src, dst) pair — a peer asymmetry that
+///    plain FIFO matching would surface one iteration too late;
+///  * at the scheduler's stall: when no worker can run and no event is
+///    left to pump, `CoopScheduler::Run` calls `DiagnoseStall` (wired by
+///    `Cluster::Run`), which names the most specific cause — a tag
+///    mismatch (wrong-tag sends queued from the awaited peer), a peer
+///    that finished early, an incomplete barrier, or a plain collective
+///    deadlock.
 ///
-/// Soundness: hooks run *before* the corresponding network operation, so
-/// the checker's view of sends is never behind the inboxes'; a wait the
-/// checker deems satisfiable really can complete, so there are no false
-/// stuck reports — at worst a transiently missed one, caught at the next
-/// blocking transition.
+/// The scheduler is thus the one place that decides a run is stuck, so
+/// there are no false stuck reports by construction.
 ///
-/// On detection the first diagnosis wins (later ones are dropped), the
-/// failure flag flips, and the detecting `Comm` interrupts every blocked
-/// waiter via `Network::InterruptWaiters`; all workers unwind with
-/// `ProtocolViolation` and `Cluster::Run` returns the diagnosis as a
-/// `Status` naming both workers' op traces — instead of hanging.
+/// On detection the first diagnosis wins (later ones are dropped) and the
+/// failure flag flips. The waiters are woken — by the detecting worker
+/// through `Network::InterruptWaiters`, or by the scheduler after a stall
+/// diagnosis — and unwind with `ProtocolViolation`; `Cluster::Run`
+/// returns the diagnosis as a `Status` naming both workers' op traces —
+/// instead of aborting.
 
 /// One recorded collective operation in a worker's log.
 enum class ProtocolOp : uint8_t {
@@ -98,12 +100,14 @@ class ProtocolViolation : public std::exception {
 /// predicates.
 class ProtocolChecker {
  public:
-  explicit ProtocolChecker(int num_workers);
+  /// Checks the workers of `network`, whose inboxes it reads; `network`
+  /// must outlive the checker.
+  explicit ProtocolChecker(const Network& network);
 
   ProtocolChecker(const ProtocolChecker&) = delete;
   ProtocolChecker& operator=(const ProtocolChecker&) = delete;
 
-  /// Resets per-run state (worker states, channels, logs) at the top of
+  /// Resets per-run state (worker states and logs) at the top of
   /// `Cluster::Run`. Call while no worker runs. CHECK-fails if a
   /// previous run's diagnosis was never consumed — a failed cluster is
   /// poisoned.
@@ -114,13 +118,21 @@ class ProtocolChecker {
 
   void OnSend(int src, int dst, int tag, size_t words);
   void OnRecvPosted(int rank, int src, int tag);
-  void OnRecvMatched(int rank, int src, int tag, size_t words);
+  void OnRecvMatched(int rank, size_t words);
+  /// Runs both barrier-entry checks; the only hook that can fail.
   void OnBarrierEnter(int rank, bool clock_sync);
   /// `Comm::MarkIteration` — advances the worker's iteration counter used
   /// to label log entries.
   void OnIteration(int rank);
   /// The worker's function returned (called by `Cluster::Run`'s wrapper).
   void OnWorkerDone(int rank);
+
+  /// The scheduler's stall: every worker is blocked or done and nothing
+  /// can release anyone. Diagnoses the most specific cause and fails the
+  /// run; leaves it unfailed only when no worker is blocked in a
+  /// collective the checker saw (the scheduler then aborts with its
+  /// deadlock dump).
+  void DiagnoseStall();
 
   /// True once a violation has been diagnosed. Safe in wait predicates
   /// (monotonic false -> true).
@@ -154,30 +166,11 @@ class ProtocolChecker {
     std::deque<ProtocolRecord> log;
   };
 
-  /// One unmatched send on a (src, dst) channel.
-  struct PendingSend {
-    int tag = 0;
-    size_t words = 0;
-  };
-
   Worker& WorkerFor(int rank) {
     return workers_[static_cast<size_t>(rank)];
   }
-  std::deque<PendingSend>& Channel(int src, int dst) {
-    return channels_[static_cast<size_t>(src) *
-                         static_cast<size_t>(num_workers_) +
-                     static_cast<size_t>(dst)];
-  }
 
   void Record(int rank, ProtocolRecord record);
-
-  /// True when `rank`'s pending receive has a matching unmatched send.
-  bool RecvSatisfiable(int rank) const;
-
-  /// Global progress check, run at every blocking transition (recv posted,
-  /// barrier entered, worker done): if no worker can make progress and not
-  /// everyone is done, diagnoses the stuck state and fails the run.
-  void CheckStuck();
 
   /// Latches the first diagnosis and publishes `failed_`.
   void Fail(std::string message);
@@ -186,9 +179,9 @@ class ProtocolChecker {
   /// trailing op log, one op per line.
   std::string DescribeWorker(int rank) const;
 
+  const Network& network_;
   const int num_workers_;
   std::vector<Worker> workers_;
-  std::vector<std::deque<PendingSend>> channels_;  // [src * P + dst]
 
   /// Written once, together with `failed_`; immutable afterwards.
   Status status_;

@@ -7,38 +7,19 @@
 
 namespace spardl {
 
-FlatTopology::FlatTopology(int num_workers, CostModel cost)
-    : Topology(num_workers, cost) {
-  const size_t p = static_cast<size_t>(num_workers);
-  pair_link_.assign(p * p, -1);
-  for (int s = 0; s < num_workers; ++s) {
-    for (int d = 0; d < num_workers; ++d) {
-      if (s == d) continue;
-      const LinkId id = AddLink(s, d, cost.alpha, cost.beta);
-      pair_link_[static_cast<size_t>(s) * p + static_cast<size_t>(d)] = id;
-      // The (s, d) link is d's ingress: legacy WorkerSlowdown(d) scaled the
-      // whole message cost of everything d receives.
-      RegisterIngress(d, id);
-    }
-  }
-}
-
-void FlatTopology::Route(int src, int dst,
+void FlatTopology::Route(int /*src*/, int /*dst*/,
                          std::vector<LinkId>* path) const {
   path->clear();
-  path->push_back(pair_link_[static_cast<size_t>(src) *
-                                 static_cast<size_t>(num_workers()) +
-                             static_cast<size_t>(dst)]);
 }
 
 double FlatTopology::ChargeMessage(int dst, size_t words, double sent_at,
                                    double receiver_now) const {
   // Exact legacy arithmetic (same operation order as the old Comm::Recv,
   // including the branch-style max), so flat simulated times stay
-  // bit-for-bit reproducible. No link state: a per-pair link only carries
-  // (src, dst) traffic, and the receiver's own clock already serializes
-  // those messages, so the link can never be busy when the next message
-  // is ready.
+  // bit-for-bit reproducible. No link state: a dedicated (src, dst)
+  // channel only carries that pair's traffic, and the receiver's own clock
+  // already serializes those messages, so it can never be busy when the
+  // next message is ready.
   const double ready = sent_at > receiver_now ? sent_at : receiver_now;
   return ready + base_cost().MessageSeconds(words) * NodeScale(dst);
 }

@@ -9,31 +9,29 @@
 
 namespace spardl {
 
-/// Single crossbar: every ordered worker pair gets a dedicated link with
-/// the full base alpha/beta. This is the paper's flat full-duplex
-/// alpha-beta network (§II) and the historical `CostModel` charging —
+/// Single crossbar: the paper's flat full-duplex alpha-beta network (§II)
+/// and the historical `CostModel` charging. Every ordered worker pair
+/// talks over its own dedicated channel, which can never contend beyond
+/// the receiver serialization the `Comm` clock already models, so the
+/// fabric builds no links at all: `Route` returns an empty path, and
+/// `Network` charges `ChargeMessage` directly and runs no event engine.
 /// `ChargeMessage` is the exact legacy arithmetic
 /// (`ready + (alpha + beta*words) * node_scale(dst)`), so simulated times
-/// are bit-for-bit identical to the pre-topology simulator. Dedicated
-/// per-pair links can never contend beyond the receiver serialization the
-/// `Comm` clock already models, so `Network` charges this closed form
-/// directly and runs no event engine.
+/// are bit-for-bit identical to the pre-topology simulator.
 class FlatTopology : public Topology {
  public:
-  FlatTopology(int num_workers, CostModel cost);
+  FlatTopology(int num_workers, CostModel cost)
+      : Topology(num_workers, cost) {}
 
   std::string_view name() const override { return "flat"; }
+  /// Clears `path`: flat has no links to cross.
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
   /// Delivery time at `dst` of a `words`-word message sent at `sent_at`
-  /// to a receiver whose clock reads `receiver_now`. Pure: reads no link
-  /// state.
+  /// to a receiver whose clock reads `receiver_now`. Pure: reads only the
+  /// base cost and `NodeScale(dst)`.
   double ChargeMessage(int dst, size_t words, double sent_at,
                        double receiver_now) const;
-
- private:
-  // pair_link_[src * P + dst]; the diagonal is unused (-1).
-  std::vector<LinkId> pair_link_;
 };
 
 /// All workers behind one switch: each worker has an uplink and a downlink

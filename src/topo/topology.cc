@@ -12,10 +12,13 @@ Topology::Topology(int num_workers, CostModel base_cost)
   node_scale_.assign(static_cast<size_t>(num_workers), 1.0);
 }
 
+std::string Topology::DescribeSpec(std::string_view name, int num_workers) {
+  return StrFormat("%.*s(P=%d)", static_cast<int>(name.size()), name.data(),
+                   num_workers);
+}
+
 std::string Topology::Describe() const {
-  return StrFormat("%.*s(P=%d, %d links)",
-                   static_cast<int>(name().size()), name().data(),
-                   num_workers_, num_links());
+  return DescribeSpec(name(), num_workers_);
 }
 
 LinkId Topology::AddLink(int tail, int head, double alpha, double beta) {

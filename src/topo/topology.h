@@ -62,10 +62,9 @@ struct LinkUsage {
 /// and fiber schedules. Link occupancy is anchored at the *send* time,
 /// so a receiver that sits in local compute before ingesting cannot
 /// retroactively occupy upstream links; its delivery is simply
-/// `max(receiver_now, network arrival)`. `FlatTopology` gives every
-/// ordered worker pair a dedicated link and charges the paper's closed
-/// form instead (bit-for-bit equal to the historical `CostModel`
-/// charging).
+/// `max(receiver_now, network arrival)`. `FlatTopology` builds no links
+/// and charges the paper's closed form instead (bit-for-bit equal to the
+/// historical `CostModel` charging); its routes are empty.
 ///
 /// `Route` and `link_info` must be const. `SetNodeScale` must be called
 /// before workers run.
@@ -84,16 +83,25 @@ class Topology {
 
   virtual std::string_view name() const = 0;
 
-  /// One-line human description ("fattree(P=8, racks of 4, oversub 4)").
+  /// One-line human description, the same string `TopologySpec::Describe`
+  /// prints for the spec that built this fabric ("star(P=8)",
+  /// "fattree(P=8, racks of 4, oversub 4.0)").
   virtual std::string Describe() const;
 
+  /// The "kind(P=N)" format both `Describe` and `TopologySpec::Describe`
+  /// print for the kinds without parameters (flat, star, ring), so the two
+  /// surfaces cannot drift.
+  static std::string DescribeSpec(std::string_view name, int num_workers);
+
   /// Writes the link ids a message from worker `src` to worker `dst`
-  /// crosses, in order, into `*path` (cleared first). src != dst.
+  /// crosses, in order, into `*path` (cleared first; left empty on a
+  /// fabric without links). src != dst.
   virtual void Route(int src, int dst, std::vector<LinkId>* path) const = 0;
 
   /// Folds per-worker heterogeneity (the legacy `WorkerSlowdown`) into the
   /// fabric: scales the cost of `node`'s ingress link(s) by `factor`
-  /// (>= 1 models a straggler NIC). Call before running workers.
+  /// (>= 1 models a straggler NIC); flat's closed form reads `NodeScale`
+  /// instead. Call before running workers.
   void SetNodeScale(int node, double factor);
   double NodeScale(int node) const {
     return node_scale_[static_cast<size_t>(node)];

@@ -244,9 +244,7 @@ std::string TopologySpec::Describe() const {
       return TorusTopology::DescribeSpec(num_workers, torus_width,
                                          torus_height);
     default:
-      return StrFormat("%.*s(P=%d)",
-                       static_cast<int>(TopologyKindName(kind).size()),
-                       TopologyKindName(kind).data(), num_workers);
+      return Topology::DescribeSpec(TopologyKindName(kind), num_workers);
   }
 }
 

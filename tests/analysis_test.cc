@@ -134,7 +134,7 @@ TEST(CriticalPathTest, AnalysisJsonByteIdenticalAcrossRuns) {
     const CriticalPathReport report = ExtractCriticalPath(cluster);
     const std::string json =
         AnalysisJson(report, EstimateWhatIfs(report, cluster));
-    EXPECT_TRUE(IsValidJson(json));
+    EXPECT_TRUE(JsonParse(json).has_value());
     if (run == 0) {
       first = json;
     } else {
@@ -179,7 +179,7 @@ TEST(TimeSeriesTest, JsonByteIdenticalAcrossRunsOnEventEngine) {
     EXPECT_EQ(report.iterations, 3);
     ASSERT_EQ(report.series.size(), 3u);
     const std::string json = TimeSeriesJson(report, "spardl");
-    EXPECT_TRUE(IsValidJson(json));
+    EXPECT_TRUE(JsonParse(json).has_value());
     if (run == 0) {
       first = json;
     } else {

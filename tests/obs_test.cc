@@ -241,7 +241,7 @@ TEST(ExportersTest, ChromeTraceAndMetricsAreValidJson) {
   RunSparDl(cluster, /*iterations=*/1);
 
   const std::string trace = ChromeTraceJson(cluster);
-  EXPECT_TRUE(IsValidJson(trace)) << trace.substr(0, 200);
+  EXPECT_TRUE(JsonParse(trace).has_value()) << trace.substr(0, 200);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("thread_name"), std::string::npos);
   EXPECT_NE(trace.find("sparsify"), std::string::npos);
@@ -251,7 +251,7 @@ TEST(ExportersTest, ChromeTraceAndMetricsAreValidJson) {
   EXPECT_GT(metrics.makespan_seconds, 0.0);
   EXPECT_FALSE(metrics.links.empty());
   const std::string json = RunMetricsJson({metrics});
-  EXPECT_TRUE(IsValidJson(json)) << json.substr(0, 200);
+  EXPECT_TRUE(JsonParse(json).has_value()) << json.substr(0, 200);
   EXPECT_NE(json.find("spardl-run-metrics/2"), std::string::npos);
   EXPECT_FALSE(LinkUtilizationTable(metrics).empty());
   EXPECT_FALSE(TopPhasesTable(metrics).empty());
@@ -260,11 +260,11 @@ TEST(ExportersTest, ChromeTraceAndMetricsAreValidJson) {
 TEST(ExportersTest, DisabledTracingStillExportsValidDocuments) {
   Cluster cluster(4, CostModel::Ethernet());
   const std::string trace = ChromeTraceJson(cluster);
-  EXPECT_TRUE(IsValidJson(trace));
+  EXPECT_TRUE(JsonParse(trace).has_value());
   const RunMetrics metrics = CollectRunMetrics(cluster, "idle");
   EXPECT_EQ(metrics.makespan_seconds, 0.0);
   EXPECT_TRUE(metrics.links.empty());  // flat fabric: closed-form charge
-  EXPECT_TRUE(IsValidJson(RunMetricsJson({metrics})));
+  EXPECT_TRUE(JsonParse(RunMetricsJson({metrics})).has_value());
 }
 
 TEST(ExportersTest, WriteTextFileReportsFailures) {

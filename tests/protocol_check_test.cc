@@ -16,6 +16,7 @@
 
 #include "common/logging.h"
 #include "simnet/cluster.h"
+#include "simnet/network.h"
 #include "topo/topology.h"
 #include "topo/topology_spec.h"
 
@@ -182,13 +183,90 @@ INSTANTIATE_TEST_SUITE_P(Engines, ProtocolCheckTest,
                                       : std::string("EventOrdered");
                          });
 
-/// Non-cluster unit coverage of the checker's bookkeeping.
+/// Divergences the suite above does not pin, on the same two fabrics.
+using ProtocolDiagnosisTest = ProtocolCheckTest;
+
+TEST_P(ProtocolDiagnosisTest, LowestPairIsReportedAmongUnmatchedSends) {
+  auto cluster = MakeCluster();
+  // Six unmatched sends reach one clock-sync barrier. The lowest
+  // (src, dst) pair, 1->2, is neither the first posted (3->0), nor in the
+  // first non-empty inbox (0), nor worker 1's first send (1->3), and its
+  // inbox also holds a send from worker 3.
+  const Status status = cluster->Run([](Comm& comm) {
+    if (comm.rank() == 3) {
+      comm.Send(0, OneWord(), /*tag=*/8);
+      comm.Send(2, OneWord(), /*tag=*/9);
+    }
+    if (comm.rank() == 2) comm.Send(1, OneWord(), /*tag=*/5);
+    comm.Barrier();
+    if (comm.rank() == 1) {
+      comm.Send(3, OneWord(), /*tag=*/4);
+      comm.Send(2, OneWord(), /*tag=*/6);
+      comm.Send(2, Payload(std::vector<float>{1.0f, 2.0f}), /*tag=*/7);
+    }
+    comm.BarrierSyncClocks();
+  });
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.ToString();
+  EXPECT_NE(message.find("peer asymmetry: 2 unmatched send(s) from worker 1 "
+                         "to worker 2 (first: tag=6, words=1)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("worker 1 op trace"), std::string::npos) << message;
+  EXPECT_NE(message.find("worker 2 op trace"), std::string::npos) << message;
+}
+
+TEST_P(ProtocolDiagnosisTest, WorkerReturningBeforeABarrierIsDiagnosed) {
+  auto cluster = MakeCluster();
+  const Status status = cluster->Run([](Comm& comm) {
+    if (comm.rank() != 2) comm.Barrier();
+  });
+  ASSERT_FALSE(status.ok());
+  const std::string message = status.ToString();
+  EXPECT_NE(message.find("incomplete barrier: worker 0 waits at Barrier but "
+                         "worker 2 can never arrive"),
+            std::string::npos)
+      << message;
+}
+
+TEST_P(ProtocolDiagnosisTest, StallOutsideTheCheckersViewStillAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  auto cluster = MakeCluster();
+  Network& network = cluster->network();
+  // Rank 0 waits at the network's barrier behind `Comm`'s back, so the
+  // checker sees no blocked worker and leaves the stall to the
+  // scheduler's deadlock abort.
+  ASSERT_DEATH((void)cluster->Run([&network](Comm& comm) {
+    if (comm.rank() == 0) network.BarrierWait();
+  }),
+               "cooperative scheduler stalled");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ProtocolDiagnosisTest,
+                         ::testing::Values(Charge::kClosedForm,
+                                           Charge::kEventOrdered),
+                         [](const auto& suite_info) {
+                           return suite_info.param == Charge::kClosedForm
+                                      ? std::string("ClosedForm")
+                                      : std::string("EventOrdered");
+                         });
+
+/// Non-cluster unit coverage of the checker's bookkeeping, over a bare
+/// network: no scheduler runs, so each test calls `DiagnoseStall` by hand
+/// where the scheduler would.
+Packet OneWordPacket(int tag) {
+  return Packet{OneWord(), /*words=*/1, /*sent_at=*/0.0, tag};
+}
+
 TEST(ProtocolCheckerUnitTest, StatusIsOkUntilDiagnosis) {
-  ProtocolChecker checker(2);
+  Network network(2, CostModel::Ethernet());
+  ProtocolChecker checker(network);
   checker.BeginRun();
-  checker.OnSend(0, 1, /*tag=*/0, /*words=*/4);
+  checker.OnSend(0, 1, /*tag=*/0, /*words=*/1);
+  network.Post(0, 1, OneWordPacket(/*tag=*/0));
   checker.OnRecvPosted(1, 0, /*tag=*/0);
-  checker.OnRecvMatched(1, 0, /*tag=*/0, /*words=*/4);
+  (void)network.RecvPacket(0, 1, /*tag=*/0, /*receiver_now=*/0.0);
+  checker.OnRecvMatched(1, /*words=*/1);
   checker.OnWorkerDone(0);
   checker.OnWorkerDone(1);
   EXPECT_FALSE(checker.failed());
@@ -196,27 +274,33 @@ TEST(ProtocolCheckerUnitTest, StatusIsOkUntilDiagnosis) {
 }
 
 TEST(ProtocolCheckerUnitTest, FirstDiagnosisWins) {
-  ProtocolChecker checker(2);
+  Network network(2, CostModel::Ethernet());
+  ProtocolChecker checker(network);
   checker.BeginRun();
-  // Worker 1 waits on tag 9 while tag 7 sits on the channel; worker 0 is
+  // Worker 1 waits on tag 9 while tag 7 sits in its inbox; worker 0 is
   // done -> stuck, diagnosed as a tag mismatch.
   checker.OnSend(0, 1, /*tag=*/7, /*words=*/1);
+  network.Post(0, 1, OneWordPacket(/*tag=*/7));
   checker.OnWorkerDone(0);
   checker.OnRecvPosted(1, 0, /*tag=*/9);
+  checker.DiagnoseStall();
   ASSERT_TRUE(checker.failed());
   const std::string first = checker.status().ToString();
   EXPECT_NE(first.find("tag"), std::string::npos) << first;
   // Later events must not replace the latched diagnosis.
   checker.OnWorkerDone(1);
+  checker.DiagnoseStall();
   EXPECT_EQ(checker.status().ToString(), first);
 }
 
 TEST(ProtocolCheckerUnitTest, BeginRunAfterFailureDies) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  ProtocolChecker checker(2);
+  Network network(2, CostModel::Ethernet());
+  ProtocolChecker checker(network);
   checker.BeginRun();
   checker.OnWorkerDone(0);
   checker.OnRecvPosted(1, 0, /*tag=*/0);  // peer done, recv unsatisfiable
+  checker.DiagnoseStall();
   ASSERT_TRUE(checker.failed());
   ASSERT_DEATH(checker.BeginRun(), "");
 }

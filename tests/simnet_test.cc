@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <string>
 #include <tuple>
@@ -240,6 +241,32 @@ TEST(NetworkTest, MailboxesEmptyAfterBalancedTraffic) {
     }
   });
   EXPECT_TRUE(cluster.network().AllMailboxesEmpty());
+}
+
+// Heap bytes in use (arena plus mmap'd blocks).
+double HeapMiB() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / (1 << 20);
+}
+
+// No P^2 state: a fresh cluster grows with P, never with P^2 — not on flat
+// (whose closed form needs no links), on any other fabric, or with the
+// protocol checker on (which reads the network's inboxes). At P = 4096
+// one pointer per worker pair alone would be 128 MiB.
+TEST(ClusterHeapTest, FreshClusterAtP4096HoldsUnder10MiB) {
+  constexpr int kWorkers = 4096;
+  for (const char* fabric :
+       {"flat", "star", "fattree:8x4x2", "ring", "torus:64x64"}) {
+    for (const bool checked : {false, true}) {
+      SCOPED_TRACE(std::string(fabric) + (checked ? " + protocol check" : ""));
+      auto spec = TopologySpec::Parse(fabric, kWorkers);
+      ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+      const double before = HeapMiB();
+      Cluster cluster(*spec);
+      if (checked) cluster.EnableProtocolCheck();
+      EXPECT_LT(HeapMiB() - before, 10.0);
+    }
+  }
 }
 
 TEST(NetworkDeathTest, UnconsumedMessageFailsTheRun) {

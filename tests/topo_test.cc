@@ -31,11 +31,12 @@ std::vector<TopologySpec> AllSpecs(int p, CostModel cm) {
           TopologySpec::Ring(p, cm), TopologySpec::Torus(p, 1, cm)};
 }
 
-// Every route must be a contiguous walk from src's terminal to dst's
-// terminal over valid, non-repeating links.
+// Every route of a fabric with links must be a contiguous walk from
+// src's terminal to dst's terminal over valid, non-repeating links.
 TEST(TopologyRoutingTest, PathsAreContiguousWalks) {
   for (int p : {2, 3, 7, 8}) {
     for (const TopologySpec& spec : AllSpecs(p, CostModel::Ethernet())) {
+      if (spec.kind == TopologyKind::kFlat) continue;  // no links to walk
       auto built = spec.Build();
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       const std::unique_ptr<Topology>& topo = *built;
@@ -64,6 +65,34 @@ TEST(TopologyRoutingTest, PathsAreContiguousWalks) {
       }
     }
   }
+}
+
+// Flat's closed form reads no link state, so the fabric builds no links
+// and every route is empty, at any P.
+TEST(TopologyRoutingTest, FlatHasNoLinksAndEmptyRoutes) {
+  for (int p : {2, 7, 4096}) {
+    const FlatTopology flat(p, CostModel::Ethernet());
+    EXPECT_EQ(flat.num_links(), 0) << p;
+    for (const auto& [src, dst] :
+         {std::pair{0, p - 1}, std::pair{p - 1, 0}, std::pair{1, 0}}) {
+      std::vector<LinkId> path = {7};  // Route clears whatever was there
+      flat.Route(src, dst, &path);
+      EXPECT_TRUE(path.empty()) << p << ": " << src << "->" << dst;
+    }
+  }
+}
+
+// A built fabric and the spec that built it print one string, on every
+// kind: it reaches the [obs] lines and the metrics' `topology` field.
+TEST(TopologyDescribeTest, BuiltFabricDescribesLikeItsSpec) {
+  for (int p : {2, 3, 7, 8}) {
+    for (const TopologySpec& spec : AllSpecs(p, CostModel::Ethernet())) {
+      auto built = spec.Build();
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      EXPECT_EQ((*built)->Describe(), spec.Describe());
+    }
+  }
+  EXPECT_EQ(TopologySpec::Flat(4).Describe(), "flat(P=4)");
 }
 
 TEST(TopologyRoutingTest, RingTakesShorterDirection) {
