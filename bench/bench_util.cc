@@ -246,23 +246,6 @@ void WriteMetricsCsvOrDie(const std::string& path,
   if (!WriteCsv(path, names, columns)) DieWriteFailure(path);
 }
 
-// `SPARDL_STRAGGLER_FACTOR`: a worker is a straggler when its mean
-// iteration wall time exceeds this multiple of the cross-worker median.
-double StragglerFactorFromEnv() {
-  const char* value = std::getenv("SPARDL_STRAGGLER_FACTOR");
-  if (value == nullptr || *value == '\0') return kDefaultStragglerFactor;
-  char* end = nullptr;
-  const double factor = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(factor > 0.0)) {
-    std::fprintf(stderr,
-                 "bad value '%s' for SPARDL_STRAGGLER_FACTOR: want a "
-                 "positive number\n",
-                 value);
-    std::exit(2);
-  }
-  return factor;
-}
-
 }  // namespace
 
 void ObserveRun(Cluster& cluster, const std::string& label) {
@@ -275,7 +258,7 @@ void ObserveRun(Cluster& cluster, const std::string& label) {
   const std::vector<WhatIfResult> what_ifs = EstimateWhatIfs(report, cluster);
   run.analysis_json = AnalysisJson(report, what_ifs);
   const TimeSeriesReport series =
-      BuildTimeSeries(cluster, StragglerFactorFromEnv());
+      BuildTimeSeries(cluster, kDefaultStragglerFactor);
   if (args.trace_out.has_value() &&
       !WriteTextFile(*args.trace_out, ChromeTraceJson(cluster))) {
     DieWriteFailure(*args.trace_out);
@@ -331,6 +314,12 @@ TopologySpec ResolveFabric(const std::optional<TopologySpec>& topology,
 }
 
 namespace {
+
+// MeasurePerUpdate's fixed workload: candidate entries per worker as a
+// multiple of k, unmeasured warm-up iterations, and the generator seed.
+constexpr double kCandidateFactor = 1.5;
+constexpr int kWarmupIterations = 1;
+constexpr uint64_t kGeneratorSeed = 2024;
 
 int CeilLog2(int x) {
   int l = 0;
@@ -393,8 +382,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   const size_t k = std::max<size_t>(
       1, static_cast<size_t>(options.k_ratio * static_cast<double>(n)));
   const size_t candidates_per_worker = std::max<size_t>(
-      k, static_cast<size_t>(options.candidate_factor *
-                             static_cast<double>(k)));
+      k, static_cast<size_t>(kCandidateFactor * static_cast<double>(k)));
 
   const TopologySpec fabric = ResolveFabric(
       options.topology, options.num_workers, options.cost_model);
@@ -423,7 +411,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
     algos[static_cast<size_t>(r)] = std::move(*created);
   }
 
-  ProfileGradientGenerator generator(n, options.seed);
+  ProfileGradientGenerator generator(n, kGeneratorSeed);
   for (const auto& [worker, factor] : options.compute_multipliers) {
     generator.SetComputeMultiplier(worker, factor);
   }
@@ -431,10 +419,9 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   result.algo_label = std::string(algos[0]->name());
   result.compute_seconds = profile.compute_seconds;
 
-  const int total_iterations =
-      options.warmup_iterations + options.measured_iterations;
+  const int total_iterations = kWarmupIterations + options.measured_iterations;
   for (int iter = 0; iter < total_iterations; ++iter) {
-    if (iter == options.warmup_iterations) cluster.ResetClocksAndStats();
+    if (iter == kWarmupIterations) cluster.ResetClocksAndStats();
     SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       // Heterogeneous-compute mode charges each worker's (scaled)
       // forward+backward time to its clock, so compute-slow workers
@@ -478,7 +465,7 @@ void AddPerUpdate(Sweep<PerUpdateResult>& sweep, const std::string& algo,
   const double candidates =
       static_cast<double>(profile.num_params) * options.k_ratio *
       options.num_workers *
-      (options.warmup_iterations + options.measured_iterations);
+      (kWarmupIterations + options.measured_iterations);
   sweep.Add(
       [algo, &profile, options] {
         return MeasurePerUpdate(algo, profile, options);

@@ -103,8 +103,8 @@ void ConfigureCluster(Cluster& cluster);
 /// runs: the *last* trace/time-series wins; the metrics files keep every
 /// run). Prints the top-links, critical-path, what-if, and straggler
 /// tables to stdout. The straggler threshold is
-/// `SPARDL_STRAGGLER_FACTOR` (default 1.5). Exits non-zero with a message
-/// on any write failure. No-op when no sink was given.
+/// `kDefaultStragglerFactor`. Exits non-zero with a message on any write
+/// failure. No-op when no sink was given.
 void ObserveRun(Cluster& cluster, const std::string& label);
 
 /// The untyped engine behind `Sweep::Run`: calls `run(i)` once for every
@@ -233,16 +233,13 @@ struct PerUpdateOptions {
   /// `cost_model` crossbar. A `num_workers` of 0 in the spec inherits
   /// `num_workers` above; otherwise the two must agree.
   std::optional<TopologySpec> topology;
-  /// Candidate entries per worker = candidate_factor * k.
-  double candidate_factor = 1.5;
-  int warmup_iterations = 1;
+  /// Measured iterations, after one unmeasured warm-up iteration.
   int measured_iterations = 2;
   int num_teams = 1;          // for "spardl"
   int value_bits = 32;        // SparDL wire quantization
   /// Team layout planned against the run's resolved fabric (for "spardl"
   /// with num_teams > 1; ignored by the baselines).
   PlacementPolicy placement = PlacementPolicy::kContiguous;
-  uint64_t seed = 2024;
   /// Heterogeneous compute (the §VI extension on the compute side):
   /// (worker, multiplier) pairs fed to
   /// `ProfileGradientGenerator::SetComputeMultiplier`. When non-empty,
@@ -254,7 +251,8 @@ struct PerUpdateOptions {
 };
 
 /// Runs `algo_name` on synthetic candidate gradients of `profile`'s size
-/// and returns the per-update costs. Residual collection is disabled (the
+/// (1.5 k candidates per worker, generator seed 2024) and returns the
+/// per-update costs. Residual collection is disabled (the
 /// O(n) dense buffer would not fit for 133.5M-parameter profiles); this
 /// matches the paper's per-update-time measurements, which isolate
 /// communication.

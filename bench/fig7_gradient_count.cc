@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/spardl.h"
@@ -41,20 +42,21 @@ int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
       "training.\n\n",
       p, d, n, k, iterations);
 
-  SparDLConfig config;
+  AlgorithmConfig config;
   config.n = n;
   config.k = k;
   config.num_workers = p;
   config.num_teams = d;
-  config.sag_mode = SagMode::kBruck;
   config.residual_mode = ResidualMode::kNone;
 
   Cluster cluster(p, CostModel::Free());
   bench::ConfigureCluster(cluster);
-  std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
+  std::vector<std::unique_ptr<SparseAllReduce>> algos(static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
-    algos[static_cast<size_t>(r)] = std::move(*SparDL::Create(config));
+    algos[static_cast<size_t>(r)] =
+        std::move(*CreateAlgorithm("spardl-bsag", config));
   }
+  const auto& observed = static_cast<const SparDL&>(*algos[0]);
   const ProfileGradientGenerator generator(n, 99, 64, /*drift_period=*/40);
 
   std::vector<double> series;
@@ -66,10 +68,9 @@ int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
                                                            candidates);
     }));
-    series.push_back(
-        static_cast<double>(algos[0]->last_bsag_union()));
+    series.push_back(static_cast<double>(observed.last_bsag_union()));
   }
-  bench::ObserveRun(cluster, std::string(algos[0]->name()));
+  bench::ObserveRun(cluster, std::string(observed.name()));
 
   TablePrinter table({"batch", "union nnz", "target L=dk/P"});
   const size_t target = d * k / p;

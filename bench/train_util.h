@@ -7,7 +7,7 @@
 
 #include "bench_util.h"
 #include "core/residual.h"
-#include "core/spardl.h"
+#include "core/sparse_allreduce.h"
 #include "dl/cases.h"
 #include "dl/trainer.h"
 #include "topo/placement.h"

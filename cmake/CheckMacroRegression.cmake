@@ -7,7 +7,6 @@
 #
 # Inputs: -DMETRICS_JSON=<path> -DUPDATES=<count>
 #         -DMAX_UPDATE_MICROS=<bound, simulated microseconds>
-# Env:    SPARDL_MACRO_GATE_MAX_US overrides MAX_UPDATE_MICROS.
 
 foreach(var METRICS_JSON UPDATES MAX_UPDATE_MICROS)
   if(NOT DEFINED ${var})
@@ -18,13 +17,9 @@ if(NOT EXISTS "${METRICS_JSON}")
   message(FATAL_ERROR "${METRICS_JSON} does not exist")
 endif()
 
-set(max_micros "$ENV{SPARDL_MACRO_GATE_MAX_US}")
-if(max_micros STREQUAL "")
-  set(max_micros "${MAX_UPDATE_MICROS}")
-endif()
-if(NOT max_micros MATCHES "^[0-9]+$" OR max_micros EQUAL 0)
+if(NOT MAX_UPDATE_MICROS MATCHES "^[0-9]+$" OR MAX_UPDATE_MICROS EQUAL 0)
   message(FATAL_ERROR
-    "macro gate bound '${max_micros}' must be a positive integer "
+    "macro gate bound '${MAX_UPDATE_MICROS}' must be a positive integer "
     "(simulated microseconds per update)")
 endif()
 if(NOT UPDATES MATCHES "^[0-9]+$" OR UPDATES EQUAL 0)
@@ -102,13 +97,14 @@ foreach(i RANGE 0 ${last_run})
   endif()
   seconds_to_micros("${makespan}" total_micros)
   math(EXPR per_update "${total_micros} / ${UPDATES}")
-  if(per_update GREATER max_micros)
+  if(per_update GREATER MAX_UPDATE_MICROS)
     message(FATAL_ERROR
       "macro gate: run '${label}' takes ${per_update} simulated "
-      "microseconds per update (> bound ${max_micros}); the contended "
-      "fat-tree path got slower — re-pin SPARDL_MACRO_MAX_UPDATE_MICROS "
+      "microseconds per update (> bound ${MAX_UPDATE_MICROS}); the simulated "
+      "path got slower — re-pin the bound's cache variable "
+      "(SPARDL_MACRO_MAX_UPDATE_MICROS or SPARDL_LARGE_P_MAX_UPDATE_MICROS) "
       "only for a deliberate model change")
   endif()
   message(STATUS "macro gate: '${label}' ${per_update} us/update "
-    "<= ${max_micros}")
+    "<= ${MAX_UPDATE_MICROS}")
 endforeach()

@@ -14,8 +14,8 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "common/random.h"
-#include "core/spardl.h"
 #include "simnet/cluster.h"
 
 int main() {
@@ -31,15 +31,15 @@ int main() {
   Cluster cluster(num_workers, CostModel::Ethernet());
 
   // 2. One SparDL instance per worker (it owns that worker's residuals).
-  SparDLConfig config;
+  AlgorithmConfig config;
   config.n = n;
   config.k = k;
   config.num_workers = num_workers;
   config.num_teams = 1;  // plain SparDL: SRS + Bruck all-gather
 
-  std::vector<std::unique_ptr<SparDL>> spardl(num_workers);
+  std::vector<std::unique_ptr<SparseAllReduce>> spardl(num_workers);
   for (int r = 0; r < num_workers; ++r) {
-    auto created = SparDL::Create(config);
+    auto created = CreateAlgorithm("spardl", config);
     if (!created.ok()) {
       std::fprintf(stderr, "config error: %s\n",
                    created.status().ToString().c_str());

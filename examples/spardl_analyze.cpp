@@ -1,17 +1,16 @@
 // Offline viewer for the observability artifacts the bench harness
-// writes: loads a `spardl-run-metrics` JSON (whose runs embed their
-// critical-path analysis since schema /2) and/or a standalone
-// `spardl-timeseries` JSON, and renders the critical-path, what-if,
-// per-iteration, and straggler tables without re-running the simulation.
+// writes: loads a `spardl-run-metrics/2` JSON (whose runs embed their
+// critical-path analysis) and/or a standalone `spardl-timeseries/1`
+// JSON, and renders the critical-path, what-if, per-iteration, and
+// straggler tables without re-running the simulation.
 //
 //   $ ./build/examples/spardl-analyze --metrics metrics.json
 //         [--timeseries timeseries.json]
 //
-// Positional arguments work too: the first is the metrics file, the
-// second the time-series file. Exits non-zero when an artifact is
-// missing/malformed or a run's critical-path identity is broken (the
-// segments no longer sum to the end-to-end simulated time), so CI can
-// gate on it directly.
+// Exits 2 on a bad command line (no flag, a positional argument, an
+// unknown flag), and 1 when an artifact is missing/malformed or a run's
+// critical-path identity is broken (the segments no longer sum to the
+// end-to-end simulated time), so CI can gate on it directly.
 
 #include <cstdio>
 #include <cstring>
@@ -30,8 +29,7 @@ namespace spardl {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: spardl-analyze [--metrics FILE] [--timeseries FILE]\n"
-    "       spardl-analyze METRICS_FILE [TIMESERIES_FILE]\n";
+    "usage: spardl-analyze [--metrics FILE] [--timeseries FILE]\n";
 
 JsonValue LoadJsonOrDie(const std::string& path) {
   std::ifstream file(path);
@@ -120,11 +118,10 @@ bool PrintAnalysis(const JsonValue& analysis) {
 int PrintMetricsDoc(const std::string& path) {
   const JsonValue doc = LoadJsonOrDie(path);
   const std::string schema = doc.StringOr("schema", "");
-  if (schema != "spardl-run-metrics/1" &&
-      schema != "spardl-run-metrics/2") {
+  if (schema != "spardl-run-metrics/2") {
     std::fprintf(stderr,
                  "spardl-analyze: '%s' has schema '%s', want "
-                 "spardl-run-metrics/1|2\n",
+                 "spardl-run-metrics/2\n",
                  path.c_str(), schema.c_str());
     std::exit(1);
   }
@@ -144,7 +141,7 @@ int PrintMetricsDoc(const std::string& path) {
                 run.NumberOr("makespan_seconds", 0.0));
     const JsonValue* analysis = run.Find("analysis");
     if (analysis == nullptr || !analysis->is_object()) {
-      std::printf("(no embedded analysis — schema /1 artifact)\n");
+      std::printf("(no embedded analysis)\n");
       continue;
     }
     if (!PrintAnalysis(*analysis)) ++broken;
@@ -201,7 +198,6 @@ void PrintTimeSeriesDoc(const std::string& path) {
 int Main(int argc, char** argv) {
   std::optional<std::string> metrics_path;
   std::optional<std::string> timeseries_path;
-  std::vector<std::string> positionals;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto take_value = [&](const char* flag) -> std::optional<std::string> {
@@ -219,20 +215,8 @@ int Main(int argc, char** argv) {
       metrics_path = *v;
     } else if (auto ts = take_value("--timeseries")) {
       timeseries_path = *ts;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr, "unknown flag '%s'\n%s", arg, kUsage);
-      std::exit(2);
     } else {
-      positionals.emplace_back(arg);
-    }
-  }
-  for (const std::string& positional : positionals) {
-    if (!metrics_path.has_value()) {
-      metrics_path = positional;
-    } else if (!timeseries_path.has_value()) {
-      timeseries_path = positional;
-    } else {
-      std::fprintf(stderr, "too many positional arguments\n%s", kUsage);
+      std::fprintf(stderr, "unexpected argument '%s'\n%s", arg, kUsage);
       std::exit(2);
     }
   }

@@ -1,32 +1,24 @@
 #include "baselines/baseline_common.h"
 
+#include <utility>
+
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace spardl {
 
-Status BaselineConfig::Validate() const {
-  if (n == 0) return Status::InvalidArgument("n must be positive");
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, n]; got k=%zu n=%zu", k, n));
-  }
-  if (num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-  return Status::OK();
-}
-
-BaselineBase::BaselineBase(BaselineConfig config, std::string name)
-    : config_(config),
+BaselineBase::BaselineBase(const AlgorithmConfig& config, std::string name,
+                           ResidualMode natural_residual_mode)
+    : n_(config.n),
+      k_(config.k),
+      num_workers_(config.num_workers),
       residuals_(config.residual_mode == ResidualMode::kNone ? 0 : config.n,
-                 config.residual_mode),
+                 config.residual_mode.value_or(natural_residual_mode)),
       name_(std::move(name)) {}
 
 SparseVector BaselineBase::LocalSelectDense(std::span<const float> grad) {
   SparseVector kept;
   SparseVector discarded;
-  selector_.SelectDense(grad, 0, config_.k, &kept, &discarded);
+  selector_.SelectDense(grad, 0, k_, &kept, &discarded);
   residuals_.AddLocalDiscard(discarded);
   return kept;
 }
@@ -34,14 +26,14 @@ SparseVector BaselineBase::LocalSelectDense(std::span<const float> grad) {
 SparseVector BaselineBase::LocalSelectSparse(const SparseVector& candidates) {
   SparseVector kept;
   SparseVector discarded;
-  selector_.SelectSparse(candidates, config_.k, &kept, &discarded);
+  selector_.SelectSparse(candidates, k_, &kept, &discarded);
   residuals_.AddLocalDiscard(discarded);
   return kept;
 }
 
 SparseVector BaselineBase::Run(Comm& comm, std::span<float> grad) {
-  SPARDL_CHECK_EQ(grad.size(), config_.n);
-  SPARDL_CHECK_EQ(comm.size(), config_.num_workers);
+  SPARDL_CHECK_EQ(grad.size(), n_);
+  SPARDL_CHECK_EQ(comm.size(), num_workers_);
   residuals_.ApplyAndReset(grad);
   SparseVector local;
   {
@@ -62,7 +54,7 @@ SparseVector BaselineBase::Run(Comm& comm, std::span<float> grad) {
 
 SparseVector BaselineBase::RunOnSparse(Comm& comm,
                                        const SparseVector& candidates) {
-  SPARDL_CHECK_EQ(comm.size(), config_.num_workers);
+  SPARDL_CHECK_EQ(comm.size(), num_workers_);
   SparseVector local;
   {
     TraceScope scope(comm, Phase::kSparsify, "local-select");

@@ -2,30 +2,12 @@
 #define SPARDL_BASELINES_BASELINE_COMMON_H_
 
 #include <string>
-#include <utility>
 
-#include "common/status.h"
 #include "core/residual.h"
 #include "core/sparse_allreduce.h"
 #include "sparse/topk.h"
 
 namespace spardl {
-
-/// Shared configuration for the four baseline sparse All-Reduce methods.
-struct BaselineConfig {
-  /// Dense gradient length n.
-  size_t n = 0;
-  /// Global sparse budget k.
-  size_t k = 0;
-  /// Cluster size P.
-  int num_workers = 0;
-  /// Error-feedback policy. Pass the method's natural policy (see the
-  /// registry) to match the paper's classification: TopkA/TopkDSA -> LRES,
-  /// gTopk/Ok-Topk -> PRES.
-  ResidualMode residual_mode = ResidualMode::kLocal;
-
-  Status Validate() const;
-};
 
 /// Skeleton shared by the baselines: error feedback + a global local top-k
 /// selection feeding a method-specific communication core.
@@ -39,12 +21,15 @@ class BaselineBase : public SparseAllReduce {
                            const SparseVector& candidates) final;
   std::string_view name() const final { return name_; }
 
-  const BaselineConfig& config() const { return config_; }
   const ResidualStore& residuals() const { return residuals_; }
   ResidualStore& residuals() { return residuals_; }
 
  protected:
-  BaselineBase(BaselineConfig config, std::string name);
+  /// `config` must pass `AlgorithmConfig::Validate`; an unset
+  /// residual_mode means `natural_residual_mode`, the method's policy in
+  /// the paper's classification.
+  BaselineBase(const AlgorithmConfig& config, std::string name,
+               ResidualMode natural_residual_mode);
 
   /// Method-specific local selection from the (residual-compensated) dense
   /// gradient. The default keeps the global top-k and records discards as
@@ -55,7 +40,10 @@ class BaselineBase : public SparseAllReduce {
   /// The communication core; consumes this worker's selected gradient.
   virtual SparseVector Core(Comm& comm, SparseVector local) = 0;
 
-  BaselineConfig config_;
+  /// Dense gradient length n, global budget k and cluster size P.
+  const size_t n_;
+  const size_t k_;
+  const int num_workers_;
   ResidualStore residuals_;
   TopKSelector selector_;
 

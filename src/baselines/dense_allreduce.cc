@@ -7,16 +7,6 @@
 
 namespace spardl {
 
-Result<std::unique_ptr<DenseAllReduce>> DenseAllReduce::Create(
-    size_t n, int num_workers) {
-  if (n == 0) return Status::InvalidArgument("n must be positive");
-  if (num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-  return std::unique_ptr<DenseAllReduce>(
-      new DenseAllReduce(n, num_workers));
-}
-
 SparseVector DenseAllReduce::Run(Comm& comm, std::span<float> grad) {
   SPARDL_CHECK_EQ(grad.size(), n_);
   SPARDL_CHECK_EQ(comm.size(), num_workers_);

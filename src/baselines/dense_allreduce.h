@@ -1,9 +1,6 @@
 #ifndef SPARDL_BASELINES_DENSE_ALLREDUCE_H_
 #define SPARDL_BASELINES_DENSE_ALLREDUCE_H_
 
-#include <memory>
-
-#include "common/status.h"
 #include "core/sparse_allreduce.h"
 
 namespace spardl {
@@ -14,8 +11,9 @@ namespace spardl {
 /// experiments and as the bandwidth yardstick in cost tables.
 class DenseAllReduce final : public SparseAllReduce {
  public:
-  static Result<std::unique_ptr<DenseAllReduce>> Create(size_t n,
-                                                        int num_workers);
+  /// Reads n and P; `config` must pass `AlgorithmConfig::Validate`.
+  explicit DenseAllReduce(const AlgorithmConfig& config)
+      : n_(config.n), num_workers_(config.num_workers) {}
 
   SparseVector Run(Comm& comm, std::span<float> grad) override;
   SparseVector RunOnSparse(Comm& comm,
@@ -23,9 +21,6 @@ class DenseAllReduce final : public SparseAllReduce {
   std::string_view name() const override { return "Dense"; }
 
  private:
-  DenseAllReduce(size_t n, int num_workers)
-      : n_(n), num_workers_(num_workers) {}
-
   size_t n_;
   int num_workers_;
 };

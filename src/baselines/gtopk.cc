@@ -6,12 +6,6 @@
 
 namespace spardl {
 
-Result<std::unique_ptr<GTopk>> GTopk::Create(const BaselineConfig& config) {
-  Status status = config.Validate();
-  if (!status.ok()) return status;
-  return std::unique_ptr<GTopk>(new GTopk(config));
-}
-
 SparseVector GTopk::Core(Comm& comm, SparseVector local) {
   const int p = comm.size();
   const int rank = comm.rank();
@@ -27,8 +21,8 @@ SparseVector GTopk::Core(Comm& comm, SparseVector local) {
     MergeSumInPlace(&local, incoming, &scratch);
     // Re-select top-k: the gTopk SGA fix. Merged supports come from
     // disjoint worker sets, so discards are credited at full weight.
-    if (local.size() > config_.k) {
-      selector_.SelectSparse(local, config_.k, &kept, &discarded);
+    if (local.size() > k_) {
+      selector_.SelectSparse(local, k_, &kept, &discarded);
       residuals_.AddCommDiscard(discarded, 1.0f);
       std::swap(local, kept);
     }

@@ -1,8 +1,6 @@
 #ifndef SPARDL_BASELINES_GTOPK_H_
 #define SPARDL_BASELINES_GTOPK_H_
 
-#include <memory>
-
 #include "baselines/baseline_common.h"
 
 namespace spardl {
@@ -27,12 +25,10 @@ namespace spardl {
 /// unchanged.
 class GTopk final : public BaselineBase {
  public:
-  static Result<std::unique_ptr<GTopk>> Create(const BaselineConfig& config);
+  explicit GTopk(const AlgorithmConfig& config)
+      : BaselineBase(config, "gTopk", ResidualMode::kPartial) {}
 
  private:
-  explicit GTopk(const BaselineConfig& config)
-      : BaselineBase(config, "gTopk") {}
-
   SparseVector Core(Comm& comm, SparseVector local) override;
 };
 

@@ -9,18 +9,8 @@
 
 namespace spardl {
 
-Result<std::unique_ptr<OkTopk>> OkTopk::Create(const BaselineConfig& config,
-                                               int rebalance_period) {
-  Status status = config.Validate();
-  if (!status.ok()) return status;
-  if (rebalance_period <= 0) {
-    return Status::InvalidArgument("rebalance_period must be positive");
-  }
-  return std::unique_ptr<OkTopk>(new OkTopk(config, rebalance_period));
-}
-
-OkTopk::OkTopk(const BaselineConfig& config, int rebalance_period)
-    : BaselineBase(config, "Ok-Topk"), rebalance_period_(rebalance_period) {
+OkTopk::OkTopk(const AlgorithmConfig& config)
+    : BaselineBase(config, "Ok-Topk", ResidualMode::kPartial) {
   // Start from uniform region boundaries.
   const size_t p = static_cast<size_t>(config.num_workers);
   const size_t width = (config.n + p - 1) / p;
@@ -40,20 +30,20 @@ void OkTopk::AdjustThreshold(size_t count) {
     threshold_ *= 0.5;
     return;
   }
-  if (threshold_ <= 0.0 && count > config_.k) {
+  if (threshold_ <= 0.0 && count > k_) {
     // A zero threshold can never recover multiplicatively; force an exact
     // recalibration on the next iteration.
     threshold_initialized_ = false;
     return;
   }
   const double ratio =
-      static_cast<double>(count) / static_cast<double>(config_.k);
+      static_cast<double>(count) / static_cast<double>(k_);
   threshold_ *= std::sqrt(ratio);
 }
 
 SparseVector OkTopk::LocalSelectDense(std::span<const float> grad) {
   if (!threshold_initialized_) {
-    threshold_ = KthLargestAbs(grad, config_.k, &abs_scratch_);
+    threshold_ = KthLargestAbs(grad, k_, &abs_scratch_);
     threshold_initialized_ = true;
   }
   SparseVector kept;
@@ -78,8 +68,8 @@ SparseVector OkTopk::LocalSelectSparse(const SparseVector& candidates) {
     // Estimate the initial threshold from the candidates' k-th magnitude
     // (shared radix-select kernel; k at or beyond the candidate count
     // calibrates to 0, keeping everything, exactly as before).
-    threshold_ = (config_.k < candidates.size())
-                     ? KthLargestAbs(candidates, config_.k, &abs_scratch_)
+    threshold_ = (k_ < candidates.size())
+                     ? KthLargestAbs(candidates, k_, &abs_scratch_)
                      : 0.0;
     threshold_initialized_ = true;
   }
@@ -128,7 +118,7 @@ SparseVector OkTopk::Core(Comm& comm, SparseVector local) {
   // Phase B: owner-side pruning to ~k/P, ties included (threshold pruning,
   // so the kept count can exceed the target).
   const size_t target = std::max<size_t>(
-      1, (config_.k + static_cast<size_t>(p) - 1) / static_cast<size_t>(p));
+      1, (k_ + static_cast<size_t>(p) - 1) / static_cast<size_t>(p));
   if (my_region.size() > target) {
     const float region_tau = KthLargestAbs(my_region, target, &abs_scratch_);
     SparseVector kept;
@@ -147,19 +137,19 @@ SparseVector OkTopk::Core(Comm& comm, SparseVector local) {
 
   // Phase D: periodic region rebalancing from the (replicated) support.
   ++iteration_;
-  if (iteration_ % rebalance_period_ == 0) {
+  if (iteration_ % kRebalancePeriod == 0) {
     RebalanceBoundaries(final_gradient);
   }
   return final_gradient;
 }
 
 void OkTopk::RebalanceBoundaries(const SparseVector& final_gradient) {
-  const size_t p = static_cast<size_t>(config_.num_workers);
+  const size_t p = static_cast<size_t>(num_workers_);
   if (final_gradient.size() < p) return;  // too sparse to matter
   // Equal-count cuts through the global support. Every worker holds the
   // same final gradient, so all replicas derive identical boundaries.
   boundaries_.front() = 0;
-  boundaries_.back() = static_cast<GradIndex>(config_.n);
+  boundaries_.back() = static_cast<GradIndex>(n_);
   for (size_t r = 1; r < p; ++r) {
     const size_t cut = r * final_gradient.size() / p;
     GradIndex boundary = final_gradient.index(cut);

@@ -1,7 +1,6 @@
 #ifndef SPARDL_BASELINES_OKTOPK_H_
 #define SPARDL_BASELINES_OKTOPK_H_
 
-#include <memory>
 #include <vector>
 
 #include "baselines/baseline_common.h"
@@ -20,14 +19,16 @@ namespace spardl {
 ///  3. Region owners sum and prune to ~k/P with a ties-inclusive threshold.
 ///  4. A chunk-size all-gather plus an uneven-chunk Bruck all-gather (the
 ///     "extra transmission steps to balance the uneven distribution").
-///  5. Every `rebalance_period` (64 in the paper) iterations the region
-///     boundaries are recomputed from the global support so region loads
-///     even out; between rebalances they drift apart, which is the paper's
+///  5. Every `kRebalancePeriod` iterations the region boundaries are
+///     recomputed from the global support so region loads even out;
+///     between rebalances they drift apart, which is the paper's
 ///     criticism §I(i).
 class OkTopk final : public BaselineBase {
  public:
-  static Result<std::unique_ptr<OkTopk>> Create(const BaselineConfig& config,
-                                                int rebalance_period = 64);
+  /// Iterations between region rebalances (64 in the paper).
+  static constexpr int kRebalancePeriod = 64;
+
+  explicit OkTopk(const AlgorithmConfig& config);
 
   /// Current region boundaries (size P+1); exposed for tests.
   const std::vector<GradIndex>& boundaries() const { return boundaries_; }
@@ -36,8 +37,6 @@ class OkTopk final : public BaselineBase {
   size_t last_local_count() const { return last_local_count_; }
 
  private:
-  OkTopk(const BaselineConfig& config, int rebalance_period);
-
   SparseVector LocalSelectDense(std::span<const float> grad) override;
   SparseVector LocalSelectSparse(const SparseVector& candidates) override;
   SparseVector Core(Comm& comm, SparseVector local) override;
@@ -47,7 +46,6 @@ class OkTopk final : public BaselineBase {
 
   std::vector<GradIndex> boundaries_;  // region r = [b[r], b[r+1])
   std::vector<float> abs_scratch_;     // KthLargestAbs bucket, reused
-  int rebalance_period_;
   double threshold_ = 0.0;
   bool threshold_initialized_ = false;
   int64_t iteration_ = 0;

@@ -1,6 +1,8 @@
 #include "baselines/registry.h"
 
-#include <utility>
+#include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "baselines/dense_allreduce.h"
 #include "baselines/gtopk.h"
@@ -8,77 +10,51 @@
 #include "baselines/topk_allgather.h"
 #include "baselines/topk_dsa.h"
 #include "common/strings.h"
+#include "core/spardl.h"
 
 namespace spardl {
 
 namespace {
 
-BaselineConfig ToBaselineConfig(const AlgorithmConfig& config,
-                                ResidualMode natural_mode) {
-  BaselineConfig out;
-  out.n = config.n;
-  out.k = config.k;
-  out.num_workers = config.num_workers;
-  out.residual_mode = config.residual_mode.value_or(natural_mode);
-  return out;
+template <typename T>
+std::unique_ptr<SparseAllReduce> Construct(const AlgorithmConfig& config) {
+  return std::make_unique<T>(config);
 }
 
-template <typename T>
-Result<std::unique_ptr<SparseAllReduce>> Upcast(
-    Result<std::unique_ptr<T>> result) {
-  if (!result.ok()) return result.status();
-  return std::unique_ptr<SparseAllReduce>(std::move(result.value()));
-}
+struct Method {
+  std::string_view name;
+  std::unique_ptr<SparseAllReduce> (*construct)(const AlgorithmConfig&);
+  /// The SAG variant an alias forces over `AlgorithmConfig::sag_mode`.
+  std::optional<SagMode> sag_mode;
+};
+
+constexpr Method kMethods[] = {
+    {"spardl", Construct<SparDL>, std::nullopt},
+    {"spardl-rsag", Construct<SparDL>, SagMode::kRecursive},
+    {"spardl-bsag", Construct<SparDL>, SagMode::kBruck},
+    {"topka", Construct<TopkAllGather>, std::nullopt},
+    {"topkdsa", Construct<TopkDsa>, std::nullopt},
+    {"gtopk", Construct<GTopk>, std::nullopt},
+    {"oktopk", Construct<OkTopk>, std::nullopt},
+    {"dense", Construct<DenseAllReduce>, std::nullopt},
+};
 
 }  // namespace
 
 Result<std::unique_ptr<SparseAllReduce>> CreateAlgorithm(
     std::string_view name, const AlgorithmConfig& config) {
-  // "spardl" honours config.sag_mode (kAuto by default); the -rsag/-bsag
-  // aliases force one SAG family, which the d-sweep benches need.
-  // Team-shape errors (bad d, mismatched placement) surface as
-  // InvalidArgument through SparDLConfig::Validate inside Create — the
-  // registry is the process boundary CLIs and benches funnel user input
-  // through, so nothing here may die on a SPARDL_CHECK instead.
-  if (name == "spardl" || name == "spardl-rsag" || name == "spardl-bsag") {
-    SparDLConfig spardl_config;
-    spardl_config.n = config.n;
-    spardl_config.k = config.k;
-    spardl_config.num_workers = config.num_workers;
-    spardl_config.num_teams = config.num_teams;
-    spardl_config.sag_mode = config.sag_mode;
-    if (name == "spardl-rsag") spardl_config.sag_mode = SagMode::kRecursive;
-    if (name == "spardl-bsag") spardl_config.sag_mode = SagMode::kBruck;
-    spardl_config.residual_mode =
-        config.residual_mode.value_or(ResidualMode::kGlobal);
-    spardl_config.lazy_sparsify = config.lazy_sparsify;
-    spardl_config.value_bits = config.value_bits;
-    spardl_config.placement = config.placement;
-    return Upcast(SparDL::Create(spardl_config));
+  const Method* method =
+      std::find_if(std::begin(kMethods), std::end(kMethods),
+                   [name](const Method& m) { return m.name == name; });
+  if (method == std::end(kMethods)) {
+    return Status::NotFound(
+        StrFormat("unknown algorithm '%.*s'", static_cast<int>(name.size()),
+                  name.data()));
   }
-  if (name == "topka") {
-    return Upcast(
-        TopkAllGather::Create(ToBaselineConfig(config, ResidualMode::kLocal)));
-  }
-  if (name == "topkdsa") {
-    return Upcast(
-        TopkDsa::Create(ToBaselineConfig(config, ResidualMode::kLocal)));
-  }
-  if (name == "gtopk") {
-    return Upcast(
-        GTopk::Create(ToBaselineConfig(config, ResidualMode::kPartial)));
-  }
-  if (name == "oktopk") {
-    return Upcast(
-        OkTopk::Create(ToBaselineConfig(config, ResidualMode::kPartial),
-                       config.oktopk_rebalance_period));
-  }
-  if (name == "dense") {
-    return Upcast(DenseAllReduce::Create(config.n, config.num_workers));
-  }
-  return Status::NotFound(
-      StrFormat("unknown algorithm '%.*s'", static_cast<int>(name.size()),
-                name.data()));
+  AlgorithmConfig resolved = config;
+  if (method->sag_mode.has_value()) resolved.sag_mode = *method->sag_mode;
+  SPARDL_RETURN_NOT_OK(resolved.Validate());
+  return method->construct(resolved);
 }
 
 std::vector<std::string> AlgorithmNames() {

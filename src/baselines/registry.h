@@ -2,53 +2,24 @@
 #define SPARDL_BASELINES_REGISTRY_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "core/sparse_allreduce.h"
-#include "core/spardl.h"
-#include "topo/placement.h"
 
 namespace spardl {
 
-/// One-stop configuration for building any sparse All-Reduce method by
-/// name. Fields irrelevant to a method are ignored (e.g. num_teams for the
-/// baselines).
-struct AlgorithmConfig {
-  size_t n = 0;
-  size_t k = 0;
-  int num_workers = 0;
-
-  // SparDL-only knobs.
-  int num_teams = 1;
-  SagMode sag_mode = SagMode::kAuto;
-  bool lazy_sparsify = true;
-  /// Team layout over the fabric (empty = contiguous). Plan one with
-  /// `PlanPlacement`; must match (num_workers, num_teams) when set.
-  TeamPlacement placement;
-
-  /// When unset, each method uses its natural policy from the literature:
-  /// SparDL -> GRES, TopkA/TopkDSA -> LRES, gTopk/Ok-Topk -> PRES,
-  /// Dense -> none.
-  std::optional<ResidualMode> residual_mode;
-
-  /// Ok-Topk's balancing period (64 in the paper).
-  int oktopk_rebalance_period = 64;
-
-  /// SparDL value quantization width (32 = off; see SparDLConfig).
-  int value_bits = 32;
-};
-
-/// Builds the method registered under `name`. Known names (case-sensitive):
-/// "spardl", "topka", "topkdsa", "gtopk", "oktopk", "dense".
+/// Builds the method registered under `name`: "spardl", "topka",
+/// "topkdsa", "gtopk", "oktopk" or "dense" (case-sensitive), or one of
+/// the "spardl-rsag"/"spardl-bsag" aliases, which force SparDL's SAG
+/// variant (the d-sweep benches need them).
 ///
-/// Team-shape errors (a `num_teams` that does not divide `num_workers`, a
-/// `placement` laid out for a different shape) are validated at this
-/// boundary and surface as `InvalidArgument` — they never reach the
-/// `SPARDL_CHECK`s inside the communicator-group machinery.
+/// An unknown name is `NotFound` whatever the config. Otherwise `config`
+/// is validated once, by `AlgorithmConfig::Validate`, whatever the
+/// method: every invalid field surfaces as `InvalidArgument` and never
+/// reaches a `SPARDL_CHECK` inside the communicator-group machinery.
 Result<std::unique_ptr<SparseAllReduce>> CreateAlgorithm(
     std::string_view name, const AlgorithmConfig& config);
 

@@ -7,13 +7,6 @@
 
 namespace spardl {
 
-Result<std::unique_ptr<TopkAllGather>> TopkAllGather::Create(
-    const BaselineConfig& config) {
-  Status status = config.Validate();
-  if (!status.ok()) return status;
-  return std::unique_ptr<TopkAllGather>(new TopkAllGather(config));
-}
-
 SparseVector TopkAllGather::Core(Comm& comm, SparseVector local) {
   const CommGroup world = CommGroup::World(comm);
   const int p = comm.size();

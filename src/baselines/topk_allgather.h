@@ -1,8 +1,6 @@
 #ifndef SPARDL_BASELINES_TOPK_ALLGATHER_H_
 #define SPARDL_BASELINES_TOPK_ALLGATHER_H_
 
-#include <memory>
-
 #include "baselines/baseline_common.h"
 
 namespace spardl {
@@ -17,13 +15,10 @@ namespace spardl {
 /// otherwise).
 class TopkAllGather final : public BaselineBase {
  public:
-  static Result<std::unique_ptr<TopkAllGather>> Create(
-      const BaselineConfig& config);
+  explicit TopkAllGather(const AlgorithmConfig& config)
+      : BaselineBase(config, "TopkA", ResidualMode::kLocal) {}
 
  private:
-  explicit TopkAllGather(const BaselineConfig& config)
-      : BaselineBase(config, "TopkA") {}
-
   SparseVector Core(Comm& comm, SparseVector local) override;
 };
 

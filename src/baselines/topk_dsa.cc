@@ -9,13 +9,6 @@
 
 namespace spardl {
 
-Result<std::unique_ptr<TopkDsa>> TopkDsa::Create(
-    const BaselineConfig& config) {
-  Status status = config.Validate();
-  if (!status.ok()) return status;
-  return std::unique_ptr<TopkDsa>(new TopkDsa(config));
-}
-
 SparseVector TopkDsa::Core(Comm& comm, SparseVector local) {
   const int p = comm.size();
   const int rank = comm.rank();

@@ -1,8 +1,6 @@
 #ifndef SPARDL_BASELINES_TOPK_DSA_H_
 #define SPARDL_BASELINES_TOPK_DSA_H_
 
-#include <memory>
-
 #include "baselines/baseline_common.h"
 #include "sparse/block_partition.h"
 
@@ -19,14 +17,11 @@ namespace spardl {
 /// bandwidth range of Table I).
 class TopkDsa final : public BaselineBase {
  public:
-  static Result<std::unique_ptr<TopkDsa>> Create(
-      const BaselineConfig& config);
-
- private:
-  explicit TopkDsa(const BaselineConfig& config)
-      : BaselineBase(config, "TopkDSA"),
+  explicit TopkDsa(const AlgorithmConfig& config)
+      : BaselineBase(config, "TopkDSA", ResidualMode::kLocal),
         partition_(config.n, config.num_workers) {}
 
+ private:
   SparseVector Core(Comm& comm, SparseVector local) override;
 
   BlockPartition partition_;

@@ -21,16 +21,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string HumanBytes(double bytes) {
   static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   int unit = 0;

@@ -2,17 +2,12 @@
 #define SPARDL_COMMON_STRINGS_H_
 
 #include <string>
-#include <vector>
 
 namespace spardl {
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Joins `parts` with `sep` ("a", "b" -> "a,b").
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep);
 
 /// Formats a byte count with binary units ("1.5 MiB").
 std::string HumanBytes(double bytes);

@@ -23,8 +23,8 @@ SparseVector RSag(Comm& comm, const CommGroup& cross_team_group,
   for (int distance = 1; distance < d; distance *= 2) {
     TraceScope scope(comm, Phase::kSag, "rsag-round", step_index);
     const int peer = cross_team_group.GlobalRank(pos ^ distance);
-    SparseVector incoming =
-        comm.ExchangeAs<SparseVector>(peer, peer, Payload(block));
+    comm.Send(peer, Payload(block));
+    SparseVector incoming = comm.RecvAs<SparseVector>(peer);
     MergeSumInPlace(&block, incoming, &scratch);
     ++step_index;
     if (block.size() > target_l) {

@@ -15,7 +15,7 @@ namespace spardl {
 /// same L(k, d, P) = d*k/P sparse gradients.
 ///
 /// `cross_team_group` is the group of the d workers at this worker's team
-/// position (CommGroup::SamePositionAcrossTeams); `block` is this worker's
+/// position (`CommGroup::CrossTeam`); `block` is this worker's
 /// SRS output; `target_l` is L(k, d, P).
 
 /// R-SAG — recursive-doubling variant, for d a power of two. Each of the

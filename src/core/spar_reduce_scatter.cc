@@ -78,14 +78,13 @@ class SrsEngine {
       SPARDL_CHECK_EQ(incoming.size(), incoming_blocks.size());
       for (size_t i = 0; i < incoming.size(); ++i) {
         const int b = incoming_blocks[i];
-        if (options_.check_theorem1) {
-          SPARDL_CHECK(held_[static_cast<size_t>(b)])
-              << "Theorem 1 violated: received block " << b
-              << " is no longer held by group position " << group_.my_pos;
-          SPARDL_CHECK(incoming[i].IndicesWithin(partition_.BlockStart(b),
-                                                 partition_.BlockEnd(b)))
-              << "received block " << b << " has out-of-range indices";
-        }
+        // Theorem 1: every received block is still held by the receiver.
+        SPARDL_CHECK(held_[static_cast<size_t>(b)])
+            << "Theorem 1 violated: received block " << b
+            << " is no longer held by group position " << group_.my_pos;
+        SPARDL_CHECK(incoming[i].IndicesWithin(partition_.BlockStart(b),
+                                               partition_.BlockEnd(b)))
+            << "received block " << b << " has out-of-range indices";
         MergeSumInPlace(&block_state_[static_cast<size_t>(b)], incoming[i],
                         &scratch_);
       }

@@ -22,10 +22,6 @@ struct SrsOptions {
   /// passes without changing the wire volume.
   bool lazy_sparsify = true;
 
-  /// When true, CHECK Theorem 1 (every received block rank is still held by
-  /// the receiver) at every step. Cheap; on by default.
-  bool check_theorem1 = true;
-
   /// Value quantization width for transmitted blocks (32 = off; 4/8/16
   /// supported). Quantization error is collected into the residual store
   /// at full weight, so error feedback covers it. The paper's §VI

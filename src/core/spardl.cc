@@ -1,6 +1,7 @@
 #include "core/spardl.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "collectives/sparse_allgather.h"
@@ -8,82 +9,40 @@
 #include "common/strings.h"
 #include "core/quantize.h"
 #include "core/spar_all_gather.h"
-#include "core/spar_reduce_scatter.h"
 
 namespace spardl {
 
 namespace {
 
-bool IsPowerOfTwo(int x) { return x > 0 && (x & (x - 1)) == 0; }
-
-size_t TargetL(const SparDLConfig& config) {
+size_t TargetL(const AlgorithmConfig& config) {
   // L(k, d, P) = d*k/P: the per-block budget of the team-level partition.
   const size_t team_size =
       static_cast<size_t>(config.num_workers / config.num_teams);
   return std::max<size_t>(1, (config.k + team_size - 1) / team_size);
 }
 
+// kAuto picks R-SAG for a power-of-two d, B-SAG otherwise; d = 1 runs no
+// SAG at all.
+std::optional<SagMode> ResolveSag(const AlgorithmConfig& config) {
+  if (config.num_teams == 1) return std::nullopt;
+  if (config.sag_mode != SagMode::kAuto) return config.sag_mode;
+  return std::has_single_bit(static_cast<unsigned>(config.num_teams))
+             ? SagMode::kRecursive
+             : SagMode::kBruck;
+}
+
 }  // namespace
 
-Status SparDLConfig::Validate() const {
-  if (n == 0) return Status::InvalidArgument("n must be positive");
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, n]; got k=%zu n=%zu", k, n));
-  }
-  if (num_workers <= 0) {
-    return Status::InvalidArgument("num_workers must be positive");
-  }
-  if (num_teams <= 0) {
-    return Status::InvalidArgument("num_teams must be positive");
-  }
-  if (num_workers % num_teams != 0) {
-    return Status::InvalidArgument(
-        StrFormat("num_teams (%d) must divide num_workers (%d)", num_teams,
-                  num_workers));
-  }
-  if (sag_mode == SagMode::kRecursive && num_teams > 1 &&
-      !IsPowerOfTwo(num_teams)) {
-    return Status::InvalidArgument(
-        StrFormat("R-SAG requires a power-of-two team count; got %d",
-                  num_teams));
-  }
-  if (!IsSupportedQuantization(value_bits)) {
-    return Status::InvalidArgument(
-        StrFormat("value_bits must be 4, 8, 16 or 32; got %d", value_bits));
-  }
-  SPARDL_RETURN_NOT_OK(placement.Validate(num_workers, num_teams));
-  return Status::OK();
-}
-
-Result<std::unique_ptr<SparDL>> SparDL::Create(const SparDLConfig& config) {
-  Status status = config.Validate();
-  if (!status.ok()) return status;
-  std::optional<SagMode> resolved;
-  if (config.num_teams > 1) {
-    switch (config.sag_mode) {
-      case SagMode::kAuto:
-        resolved = IsPowerOfTwo(config.num_teams) ? SagMode::kRecursive
-                                                  : SagMode::kBruck;
-        break;
-      case SagMode::kRecursive:
-      case SagMode::kBruck:
-        resolved = config.sag_mode;
-        break;
-    }
-  }
-  return std::unique_ptr<SparDL>(new SparDL(config, resolved));
-}
-
-SparDL::SparDL(const SparDLConfig& config, std::optional<SagMode> resolved)
+SparDL::SparDL(const AlgorithmConfig& config)
     : config_(config),
-      placement_(config.placement.empty()
-                     ? TeamPlacement::Contiguous(config.num_workers,
-                                                 config.num_teams)
-                     : config.placement),
-      resolved_sag_(resolved),
+      resolved_sag_(ResolveSag(config)),
+      srs_options_{.k = config.k, .value_bits = config.value_bits},
       residuals_(config.residual_mode == ResidualMode::kNone ? 0 : config.n,
-                 config.residual_mode) {
+                 config.residual_mode.value_or(ResidualMode::kGlobal)) {
+  if (config_.placement.empty()) {
+    config_.placement =
+        TeamPlacement::Contiguous(config_.num_workers, config_.num_teams);
+  }
   if (resolved_sag_ == SagMode::kBruck) {
     adjuster_.emplace(config_.k, config_.num_workers, config_.num_teams);
   }
@@ -97,12 +56,11 @@ SparDL::SparDL(const SparDLConfig& config, std::optional<SagMode> resolved)
   }
   // d = 1 has one team under any policy (the identity layout); tagging
   // the name would suggest a placement effect that cannot exist.
-  if (config_.num_teams > 1 &&
-      placement_.policy() != PlacementPolicy::kContiguous) {
+  const PlacementPolicy policy = config_.placement.policy();
+  if (config_.num_teams > 1 && policy != PlacementPolicy::kContiguous) {
     name_ += StrFormat(
-        "+%.*s",
-        static_cast<int>(PlacementPolicyName(placement_.policy()).size()),
-        PlacementPolicyName(placement_.policy()).data());
+        "+%.*s", static_cast<int>(PlacementPolicyName(policy).size()),
+        PlacementPolicyName(policy).data());
   }
   if (config_.value_bits != 32) {
     name_ += StrFormat("+q%d", config_.value_bits);
@@ -110,10 +68,10 @@ SparDL::SparDL(const SparDLConfig& config, std::optional<SagMode> resolved)
 }
 
 SparseVector SparDL::Synchronize(Comm& comm, SparseVector block) {
-  const CommGroup team_group = CommGroup::Team(comm, placement_);
+  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
 
   if (resolved_sag_.has_value()) {
-    const CommGroup cross = CommGroup::CrossTeam(comm, placement_);
+    const CommGroup cross = CommGroup::CrossTeam(comm, config_.placement);
     const size_t target_l = TargetL(config_);
     if (*resolved_sag_ == SagMode::kRecursive) {
       TraceScope scope(comm, Phase::kSag, "rsag");
@@ -163,26 +121,18 @@ SparseVector SparDL::Run(Comm& comm, std::span<float> grad) {
   TraceScope envelope(comm, Phase::kCollective, "spardl-allreduce");
   residuals_.ApplyAndReset(grad);
 
-  const CommGroup team_group = CommGroup::Team(comm, placement_);
-  SrsOptions options;
-  options.k = config_.k;
-  options.lazy_sparsify = config_.lazy_sparsify;
-  options.value_bits = config_.value_bits;
+  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
   SparseVector block =
-      SparReduceScatter(comm, team_group, grad, options, &residuals_);
+      SparReduceScatter(comm, team_group, grad, srs_options_, &residuals_);
   return Synchronize(comm, std::move(block));
 }
 
 SparseVector SparDL::RunOnSparse(Comm& comm, const SparseVector& candidates) {
   SPARDL_CHECK_EQ(comm.size(), config_.num_workers);
   TraceScope envelope(comm, Phase::kCollective, "spardl-allreduce");
-  const CommGroup team_group = CommGroup::Team(comm, placement_);
-  SrsOptions options;
-  options.k = config_.k;
-  options.lazy_sparsify = config_.lazy_sparsify;
-  options.value_bits = config_.value_bits;
+  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
   SparseVector block = SparReduceScatterOnSparse(
-      comm, team_group, candidates, config_.n, options, &residuals_);
+      comm, team_group, candidates, config_.n, srs_options_, &residuals_);
   return Synchronize(comm, std::move(block));
 }
 

@@ -1,58 +1,15 @@
 #ifndef SPARDL_CORE_SPARDL_H_
 #define SPARDL_CORE_SPARDL_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "common/status.h"
 #include "core/chunk_adjuster.h"
 #include "core/residual.h"
+#include "core/spar_reduce_scatter.h"
 #include "core/sparse_allreduce.h"
-#include "topo/placement.h"
 
 namespace spardl {
-
-/// Which Spar-All-Gather variant synchronises the d teams.
-enum class SagMode {
-  /// R-SAG when d is a power of two, B-SAG otherwise (the paper's rule).
-  kAuto,
-  /// Recursive-doubling SAG; requires d to be a power of two.
-  kRecursive,
-  /// Bruck-based SAG with the Algorithm-2 h controller; any d.
-  kBruck,
-};
-
-/// Configuration for one SparDL communicator instance.
-struct SparDLConfig {
-  /// Dense gradient length n.
-  size_t n = 0;
-  /// Global sparse budget k (number of entries). Typical: 0.01 * n.
-  size_t k = 0;
-  /// Cluster size P.
-  int num_workers = 0;
-  /// Team count d; must divide P. d = 1 disables SAG (plain SparDL).
-  int num_teams = 1;
-  SagMode sag_mode = SagMode::kAuto;
-  /// Residual collection policy (GRES is the paper's default).
-  ResidualMode residual_mode = ResidualMode::kGlobal;
-  /// The §III-B "Optimization for SRS": sparsify only the next outgoing
-  /// bag instead of every block after every summation.
-  bool lazy_sparsify = true;
-  /// Wire width of gradient values (32 = fp32, no quantization; 4/8/16
-  /// enable QSGD-style quantization with residual feedback of the
-  /// quantization error — the paper's §VI extension).
-  int value_bits = 32;
-  /// Which worker sits in which team. Empty (the default) means the
-  /// contiguous layout — bit-for-bit the historical behaviour. Plan a
-  /// topology-aware one with `PlanPlacement` so SRS traffic stays
-  /// rack-local on hierarchical fabrics; must match (num_workers,
-  /// num_teams) when set.
-  TeamPlacement placement;
-
-  /// Checks all invariants (k in [1, n], d | P, R-SAG power-of-two, ...).
-  Status Validate() const;
-};
 
 /// The SparDL sparse All-Reduce framework (paper Algorithm 1):
 /// Spar-Reduce-Scatter within each team, Spar-All-Gather across teams,
@@ -63,15 +20,15 @@ struct SparDLConfig {
 /// B-SAG) the persistent compression-ratio controller.
 class SparDL : public SparseAllReduce {
  public:
-  /// Validates `config` and builds an instance.
-  static Result<std::unique_ptr<SparDL>> Create(const SparDLConfig& config);
+  /// `config` must pass `AlgorithmConfig::Validate` (`CreateAlgorithm`
+  /// checks it). An unset residual_mode means GRES, the paper's default.
+  explicit SparDL(const AlgorithmConfig& config);
 
   SparseVector Run(Comm& comm, std::span<float> grad) override;
   SparseVector RunOnSparse(Comm& comm,
                            const SparseVector& candidates) override;
   std::string_view name() const override { return name_; }
 
-  const SparDLConfig& config() const { return config_; }
   const ResidualStore& residuals() const { return residuals_; }
   ResidualStore& residuals() { return residuals_; }
 
@@ -83,17 +40,17 @@ class SparDL : public SparseAllReduce {
   std::optional<SagMode> resolved_sag() const { return resolved_sag_; }
 
  private:
-  SparDL(const SparDLConfig& config, std::optional<SagMode> resolved_sag);
-
   /// The communication pipeline shared by Run and RunOnSparse; `block` is
   /// this worker's SRS output.
   SparseVector Synchronize(Comm& comm, SparseVector block);
 
-  SparDLConfig config_;
-  /// Resolved layout: config.placement, or the contiguous layout when the
-  /// config left it empty. Never empty after construction.
-  TeamPlacement placement_;
+  /// The config with its placement resolved: the contiguous layout when
+  /// the caller left it empty, so never empty after construction.
+  AlgorithmConfig config_;
   std::optional<SagMode> resolved_sag_;
+  /// SparDL always runs the §III-B lazy SRS; `SrsOptions` keeps the eager
+  /// variant for the `ablation_srs` comparison.
+  SrsOptions srs_options_;
   ResidualStore residuals_;
   std::optional<ChunkAdjuster> adjuster_;
   std::string name_;

@@ -1,14 +1,63 @@
 #ifndef SPARDL_CORE_SPARSE_ALLREDUCE_H_
 #define SPARDL_CORE_SPARSE_ALLREDUCE_H_
 
-#include <memory>
+#include <cstddef>
+#include <optional>
 #include <span>
 #include <string_view>
 
+#include "common/status.h"
+#include "core/residual.h"
 #include "simnet/comm.h"
 #include "sparse/sparse_vector.h"
+#include "topo/placement.h"
 
 namespace spardl {
+
+/// Which Spar-All-Gather variant synchronises SparDL's d teams.
+enum class SagMode {
+  /// R-SAG when d is a power of two, B-SAG otherwise (the paper's rule).
+  kAuto,
+  /// Recursive-doubling SAG; requires d to be a power of two.
+  kRecursive,
+  /// Bruck-based SAG with the Algorithm-2 h controller; any d.
+  kBruck,
+};
+
+/// The one input every sparse All-Reduce method is built from (see
+/// `CreateAlgorithm`): SparDL (Algorithm 1) and the four Table I
+/// baselines all take n, k and P; SparDL also reads the team fields and
+/// `value_bits`. `Validate` checks every field for every method.
+struct AlgorithmConfig {
+  /// Dense gradient length n.
+  size_t n = 0;
+  /// Global sparse budget k (number of entries). Typical: 0.01 * n.
+  size_t k = 0;
+  /// Cluster size P.
+  int num_workers = 0;
+  /// SparDL's team count d; must divide P. d = 1 disables SAG (plain
+  /// SparDL).
+  int num_teams = 1;
+  SagMode sag_mode = SagMode::kAuto;
+  /// Which worker sits in which team. Empty (the default) means the
+  /// contiguous layout. Plan a topology-aware one with `PlanPlacement`
+  /// so SRS traffic stays rack-local on hierarchical fabrics; must match
+  /// (num_workers, num_teams) when set.
+  TeamPlacement placement;
+  /// Error-feedback policy. When unset, each method uses its natural
+  /// policy from the literature: SparDL -> GRES, TopkA/TopkDSA -> LRES,
+  /// gTopk/Ok-Topk -> PRES, Dense -> none.
+  std::optional<ResidualMode> residual_mode;
+  /// Wire width of SparDL's gradient values (32 = fp32, no quantization;
+  /// 4/8/16 enable QSGD-style quantization with residual feedback of the
+  /// quantization error — the paper's §VI extension).
+  int value_bits = 32;
+
+  /// InvalidArgument naming the first bad field: n in [1, 2^32 - 1],
+  /// k in [1, n], P > 0, d > 0 dividing P, a power-of-two d under R-SAG,
+  /// value_bits in {4, 8, 16, 32}, and a placement laid out for (P, d).
+  Status Validate() const;
+};
 
 /// The contract every sparse All-Reduce method in this repo implements
 /// (SparDL and all four baselines).

@@ -56,9 +56,6 @@ class EventQueue {
     return event;
   }
 
-  /// Simulated time of the earliest event. Undefined when empty.
-  double NextTime() const { return heap_.top().time; }
-
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const {

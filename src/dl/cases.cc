@@ -130,9 +130,4 @@ TrainingCaseSpec MakeTrainingCase(const std::string& key) {
   __builtin_unreachable();
 }
 
-std::vector<std::string> TrainingCaseKeys() {
-  return {"vgg16", "vgg19",     "resnet50", "vgg11",
-          "lstm-imdb", "lstm-ptb", "bert"};
-}
-
 }  // namespace spardl

@@ -35,9 +35,6 @@ struct TrainingCaseSpec {
 /// Aborts on unknown keys.
 TrainingCaseSpec MakeTrainingCase(const std::string& key);
 
-/// All available case keys, Table II order.
-std::vector<std::string> TrainingCaseKeys();
-
 }  // namespace spardl
 
 #endif  // SPARDL_DL_CASES_H_

@@ -85,7 +85,7 @@ Matrix LinearLayer::Backward(const Matrix& grad_out) {
 }
 
 // ---------------------------------------------------------------------------
-// ReluLayer / TanhLayer
+// ReluLayer
 
 Matrix ReluLayer::Forward(const Matrix& x) {
   cached_input_ = x;
@@ -100,22 +100,6 @@ Matrix ReluLayer::Backward(const Matrix& grad_out) {
   Matrix grad_in = grad_out;
   for (size_t i = 0; i < grad_in.data().size(); ++i) {
     if (cached_input_.data()[i] <= 0.0f) grad_in.data()[i] = 0.0f;
-  }
-  return grad_in;
-}
-
-Matrix TanhLayer::Forward(const Matrix& x) {
-  Matrix y = x;
-  for (float& v : y.data()) v = std::tanh(v);
-  cached_output_ = y;
-  return y;
-}
-
-Matrix TanhLayer::Backward(const Matrix& grad_out) {
-  Matrix grad_in = grad_out;
-  for (size_t i = 0; i < grad_in.data().size(); ++i) {
-    const float y = cached_output_.data()[i];
-    grad_in.data()[i] *= 1.0f - y * y;
   }
   return grad_in;
 }

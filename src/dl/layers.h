@@ -74,17 +74,6 @@ class ReluLayer final : public Layer {
   Matrix cached_input_;
 };
 
-/// Element-wise tanh.
-class TanhLayer final : public Layer {
- public:
-  Matrix Forward(const Matrix& x) override;
-  Matrix Backward(const Matrix& grad_out) override;
-  std::string_view name() const override { return "Tanh"; }
-
- private:
-  Matrix cached_output_;
-};
-
 /// Token embedding: input [batch, seq_len] of token ids (stored as floats),
 /// output [batch, seq_len * dim] of concatenated embeddings.
 class EmbeddingLayer final : public Layer {

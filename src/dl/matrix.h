@@ -1,7 +1,6 @@
 #ifndef SPARDL_DL_MATRIX_H_
 #define SPARDL_DL_MATRIX_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -42,22 +41,11 @@ class Matrix {
   std::vector<float>& data() { return data_; }
   const std::vector<float>& data() const { return data_; }
 
-  void SetZero() { std::fill(data_.begin(), data_.end(), 0.0f); }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<float> data_;
 };
-
-/// out = a * b. Shapes: [m,k] x [k,n] -> [m,n].
-void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// out = a * b^T. Shapes: [m,k] x [n,k] -> [m,n].
-void MatMulBt(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// out = a^T * b. Shapes: [m,k] x [m,n] -> [k,n].
-void MatMulAt(const Matrix& a, const Matrix& b, Matrix* out);
 
 }  // namespace spardl
 

@@ -46,15 +46,8 @@ struct TrainerConfig {
   double compute_seconds_per_iteration = 0.0;
   /// Seed for model initialisation — identical on all replicas.
   uint64_t model_seed = 7;
-  size_t test_batch_size = 256;
   /// Gradient synchronisation schedule (see `GradSyncMode`).
   GradSyncMode sync_mode = GradSyncMode::kStepSynchronous;
-  /// Fraction of `compute_seconds_per_iteration` spent in backward; the
-  /// rest is the forward pass. Only the bucketed modes read the split:
-  /// backward slices stamp bucket-ready times, forward slices gate the
-  /// next iteration per layer (which is what priority scheduling speeds
-  /// up). Must lie in (0, 1].
-  double backward_fraction = 0.65;
   /// Optional per-parameter-layer share of forward/backward time, in
   /// forward layer order (`Model::param_spans()` order). Empty = split
   /// proportionally to each layer's parameter count. When set, the size

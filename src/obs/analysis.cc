@@ -460,41 +460,6 @@ std::string AnalysisJson(const CriticalPathReport& report,
   return out;
 }
 
-FixedBucketHistogram::FixedBucketHistogram(size_t buckets)
-    : buckets_(buckets == 0 ? 1 : buckets) {}
-
-void FixedBucketHistogram::Add(double value) { values_.push_back(value); }
-
-double FixedBucketHistogram::Quantile(double q) const {
-  if (values_.empty()) return 0.0;
-  double lo = values_.front();
-  double hi = values_.front();
-  for (const double v : values_) {
-    if (v < lo) lo = v;
-    if (v > hi) hi = v;
-  }
-  if (q <= 0.0) return lo;
-  if (q >= 1.0 || hi <= lo) return hi;
-  // Fixed linear buckets over [lo, hi]; the quantile reports the lower
-  // edge of the cell holding the q-th observation.
-  std::vector<uint64_t> counts(buckets_, 0);
-  const double width = (hi - lo) / static_cast<double>(buckets_);
-  for (const double v : values_) {
-    size_t cell = static_cast<size_t>((v - lo) / width);
-    if (cell >= buckets_) cell = buckets_ - 1;
-    ++counts[cell];
-  }
-  const double target = q * static_cast<double>(values_.size());
-  uint64_t cumulative = 0;
-  for (size_t cell = 0; cell < buckets_; ++cell) {
-    cumulative += counts[cell];
-    if (static_cast<double>(cumulative) >= target) {
-      return lo + width * static_cast<double>(cell);
-    }
-  }
-  return hi;
-}
-
 TimeSeriesReport BuildTimeSeries(const Cluster& cluster,
                                  double straggler_factor) {
   TimeSeriesReport report;
@@ -518,14 +483,12 @@ TimeSeriesReport BuildTimeSeries(const Cluster& cluster,
     stat.iteration = static_cast<int>(i);
     std::vector<double> walls;
     walls.reserve(static_cast<size_t>(p));
-    FixedBucketHistogram histogram;
     for (int w = 0; w < p; ++w) {
       const auto& marks = tracer->iteration_marks(w);
       const IterationMark& mark = marks[i];
       const IterationMark* prev = i > 0 ? &marks[i - 1] : nullptr;
       const double wall = mark.sim_now - (prev ? prev->sim_now : 0.0);
       walls.push_back(wall);
-      histogram.Add(wall);
       stat.comm_mean +=
           mark.comm_seconds - (prev ? prev->comm_seconds : 0.0);
       stat.compute_mean +=
@@ -539,7 +502,8 @@ TimeSeriesReport BuildTimeSeries(const Cluster& cluster,
     stat.wall_min = walls.front();
     stat.wall_max = walls.back();
     stat.wall_median = walls[walls.size() / 2];
-    stat.wall_p99 = histogram.Quantile(0.99);
+    // Nearest rank: the ceil(0.99 P)-th smallest wall (the max for P <= 99).
+    stat.wall_p99 = walls[(99 * walls.size() + 99) / 100 - 1];
     stat.comm_mean /= static_cast<double>(p);
     stat.compute_mean /= static_cast<double>(p);
     for (size_t ph = 0; ph < kNumPhases; ++ph) {

@@ -130,25 +130,6 @@ std::string WhatIfTable(const std::vector<WhatIfResult>& results);
 std::string AnalysisJson(const CriticalPathReport& report,
                          const std::vector<WhatIfResult>& what_ifs);
 
-/// Fixed-bucket histogram over a closed value range: `buckets` equal
-/// cells between the observed min and max. Quantiles interpolate to the
-/// lower edge of the covering bucket — coarse but allocation-bounded,
-/// which is all the per-iteration skew summary needs.
-class FixedBucketHistogram {
- public:
-  explicit FixedBucketHistogram(size_t buckets = 64);
-
-  void Add(double value);
-  size_t count() const { return values_.size(); }
-
-  /// q in [0, 1]; 0 when empty. Exact at q=0 and q=1 (observed min/max).
-  double Quantile(double q) const;
-
- private:
-  size_t buckets_;
-  std::vector<double> values_;
-};
-
 /// One iteration row of the time series: cross-worker distribution of
 /// the per-iteration wall clock plus mean comm/compute and phase deltas.
 struct IterationStat {
@@ -156,6 +137,7 @@ struct IterationStat {
   double wall_min = 0.0;
   double wall_median = 0.0;
   double wall_max = 0.0;
+  /// Nearest-rank 99th percentile (the max for P <= 99).
   double wall_p99 = 0.0;
   double comm_mean = 0.0;
   double compute_mean = 0.0;
@@ -181,8 +163,8 @@ struct TimeSeriesReport {
   std::vector<StragglerEntry> stragglers;  // ratio desc, worker asc
 };
 
-/// Default straggler threshold; `SPARDL_STRAGGLER_FACTOR` overrides it
-/// in the bench harness.
+/// Straggler threshold: a worker whose mean iteration wall exceeds this
+/// multiple of the cross-worker median is a straggler.
 inline constexpr double kDefaultStragglerFactor = 1.5;
 
 /// Builds the series from the `Comm::MarkIteration` marks recorded for

@@ -38,32 +38,4 @@ CommGroup CommGroup::CrossTeam(const Comm& comm,
   return group;
 }
 
-CommGroup CommGroup::ContiguousTeam(const Comm& comm, int num_teams,
-                                    int team) {
-  SPARDL_CHECK_GT(num_teams, 0);
-  SPARDL_CHECK_EQ(comm.size() % num_teams, 0)
-      << "team count must divide the worker count (d | P)";
-  const int team_size = comm.size() / num_teams;
-  SPARDL_CHECK_GE(team, 0);
-  SPARDL_CHECK_LT(team, num_teams);
-  // The contiguous layout is the kContiguous placement; keep the legacy
-  // my_pos arithmetic (relative to the *requested* team) so callers
-  // addressing a team other than their own see unchanged behaviour.
-  const TeamPlacement placement =
-      TeamPlacement::Contiguous(comm.size(), num_teams);
-  CommGroup group;
-  group.ranks = placement.TeamMembers(team);
-  group.my_pos = comm.rank() - team * team_size;
-  return group;
-}
-
-CommGroup CommGroup::SamePositionAcrossTeams(const Comm& comm,
-                                             int num_teams) {
-  SPARDL_CHECK_GT(num_teams, 0);
-  SPARDL_CHECK_EQ(comm.size() % num_teams, 0)
-      << "team count must divide the worker count (d | P)";
-  return CrossTeam(comm,
-                   TeamPlacement::Contiguous(comm.size(), num_teams));
-}
-
 }  // namespace spardl

@@ -136,13 +136,6 @@ class Comm {
     return std::move(*value);
   }
 
-  /// Send to `send_peer` and receive from `recv_peer` in one round.
-  template <typename T>
-  T ExchangeAs(int send_peer, int recv_peer, Payload payload, int tag = 0) {
-    Send(send_peer, std::move(payload), tag);
-    return RecvAs<T>(recv_peer, tag);
-  }
-
   /// Charges `seconds` of local computation to the simulated clock.
   void Compute(double seconds) {
     SPARDL_DCHECK(seconds >= 0.0);
@@ -288,12 +281,9 @@ class TraceScope {
     if (comm_.tracer_ != nullptr) {
       comm_.tracer_->RecordWorker(
           comm_.rank_, TraceSpan{comm_.rank_, kStreamMain, phase_, name_, a_,
-                                 b_, t0_, comm_.sim_now(), bytes_});
+                                 b_, t0_, comm_.sim_now()});
     }
   }
-
-  /// Optional payload accounting shown in the exported span.
-  void AddBytes(uint64_t bytes) { bytes_ += bytes; }
 
  private:
   Comm& comm_;
@@ -303,7 +293,6 @@ class TraceScope {
   int a_;
   int b_;
   double t0_;
-  uint64_t bytes_ = 0;
 };
 
 /// A team view over a communicator: `ranks[i]` is the global rank of group
@@ -330,15 +319,6 @@ struct CommGroup {
   /// my_pos is this worker's team) — the SAG companion of `Team`.
   static CommGroup CrossTeam(const Comm& comm,
                              const TeamPlacement& placement);
-
-  /// Team `team` of `num_teams` equal contiguous teams; workers
-  /// t*(P/d) .. (t+1)*(P/d)-1. CHECK-fails unless num_teams divides P.
-  /// The `TeamPlacement::Contiguous` special case of `Team`, kept for
-  /// callers that address an explicit team id.
-  static CommGroup ContiguousTeam(const Comm& comm, int num_teams, int team);
-
-  /// The contiguous special case of `CrossTeam`.
-  static CommGroup SamePositionAcrossTeams(const Comm& comm, int num_teams);
 };
 
 }  // namespace spardl

@@ -1,7 +1,6 @@
 #include "sparse/sparse_vector.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -54,12 +53,6 @@ double SparseVector::ValueSum() const {
   return s;
 }
 
-double SparseVector::AbsSum() const {
-  double s = 0.0;
-  for (float v : values_) s += std::fabs(v);
-  return s;
-}
-
 bool SparseVector::IndicesWithin(GradIndex lo, GradIndex hi) const {
   if (empty()) return true;
   return indices_.front() >= lo && indices_.back() < hi;
@@ -78,15 +71,6 @@ void SparseVector::AddToDense(std::span<float> dense) const {
   for (size_t i = 0; i < indices_.size(); ++i) {
     SPARDL_DCHECK_LT(indices_[i], dense.size());
     dense[indices_[i]] += values_[i];
-  }
-}
-
-void SparseVector::ScatterToDense(std::span<float> dense) const {
-  // Same O(1) boundary CHECK as AddToDense (see the rationale there).
-  if (!indices_.empty()) SPARDL_CHECK_LT(indices_.back(), dense.size());
-  for (size_t i = 0; i < indices_.size(); ++i) {
-    SPARDL_DCHECK_LT(indices_[i], dense.size());
-    dense[indices_[i]] = values_[i];
   }
 }
 

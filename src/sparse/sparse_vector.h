@@ -77,19 +77,12 @@ class SparseVector {
   /// Sum of raw (signed) values. Used by mass-conservation tests.
   double ValueSum() const;
 
-  /// Sum of |value|.
-  double AbsSum() const;
-
   /// True if every index lies in [lo, hi).
   bool IndicesWithin(GradIndex lo, GradIndex hi) const;
 
   /// Adds `value` at `index` into `dense` for every entry
   /// (dense[index] += value). Indices must be < dense.size().
   void AddToDense(std::span<float> dense) const;
-
-  /// Writes values into `dense` (dense[index] = value), without clearing
-  /// other positions.
-  void ScatterToDense(std::span<float> dense) const;
 
   /// Entries with index in [lo, hi), appended to `out` (which must currently
   /// end below `lo` or be empty).

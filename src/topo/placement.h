@@ -20,8 +20,8 @@ struct TopologySpec;
 /// bandwidth-heavy SRS rounds stay on cheap intra-rack links or queue
 /// through the oversubscribed trunk.
 enum class PlacementPolicy {
-  /// Teams of consecutive global ranks — bit-for-bit the legacy
-  /// `CommGroup::ContiguousTeam` layout. The default everywhere.
+  /// Teams of consecutive global ranks: team t holds ranks
+  /// t*(P/d) .. (t+1)*(P/d)-1. The default everywhere.
   kContiguous,
   /// Teams packed within the fabric's locality groups (fat-tree racks,
   /// torus rows; one group on flat/star/ring, where it degenerates to

@@ -2,7 +2,7 @@
 // the path identity (segments tile [0, makespan] exactly) on the flat
 // closed form and on a contended fat-tree under the event engine, what-if
 // monotonicity, byte-identical artifacts across runs, the straggler
-// report, the fixed-bucket histogram, and the JSON DOM parser the
+// report, the nearest-rank p99, and the JSON DOM parser the
 // spardl-analyze viewer reads artifacts back with.
 
 #include <gtest/gtest.h>
@@ -233,25 +233,41 @@ TEST(TimeSeriesTest, FlagsInjectedStraggler) {
   EXPECT_TRUE(BuildTimeSeries(cluster, 10.0).stragglers.empty());
 }
 
-TEST(HistogramTest, QuantileEdgesAndLowerBucketSemantics) {
-  FixedBucketHistogram empty;
-  EXPECT_EQ(empty.Quantile(0.5), 0.0);
+TEST(TimeSeriesTest, P99OfFourWorkersIsTheStragglersWall) {
+  // Nearest rank: p99 of P walls is the ceil(0.99 P)-th smallest, which
+  // for P = 4 is the largest — the straggler's wall, exactly.
+  Cluster cluster(TopologySpec::Flat(4));
+  cluster.EnableTracing();
+  for (int iter = 0; iter < 2; ++iter) {
+    cluster.Run([&](Comm& comm) {
+      comm.Compute(comm.rank() == 1 ? 0.8 : 0.1);
+      comm.MarkIteration();
+    });
+  }
+  const TimeSeriesReport report = BuildTimeSeries(cluster);
+  ASSERT_EQ(report.series.size(), 2u);
+  for (const IterationStat& stat : report.series) {
+    EXPECT_EQ(stat.wall_p99, stat.wall_max);
+    EXPECT_DOUBLE_EQ(stat.wall_p99, 0.8);
+  }
+}
 
-  FixedBucketHistogram one;
-  one.Add(7.0);
-  EXPECT_EQ(one.Quantile(0.0), 7.0);
-  EXPECT_EQ(one.Quantile(0.5), 7.0);
-  EXPECT_EQ(one.Quantile(1.0), 7.0);
-
-  // 99 observations at 0 and one at 100: q=0.99 lands in the first
-  // bucket (lower-edge semantics), q=1 is the exact max.
-  FixedBucketHistogram skewed;
-  for (int i = 0; i < 99; ++i) skewed.Add(0.0);
-  skewed.Add(100.0);
-  EXPECT_EQ(skewed.count(), 100u);
-  EXPECT_EQ(skewed.Quantile(0.0), 0.0);
-  EXPECT_EQ(skewed.Quantile(0.99), 0.0);
-  EXPECT_EQ(skewed.Quantile(1.0), 100.0);
+TEST(TimeSeriesTest, P99OfTwoHundredWorkersIsTheNearestRank) {
+  // Past P = 99 the nearest rank drops below the max: for P = 200 it is
+  // the 198th smallest wall, so the two slowest workers lie above it.
+  // Walls are multiples of 1/1024 s, so every sum is exact.
+  const int p = 200;
+  const double unit = 1.0 / 1024;
+  Cluster cluster(TopologySpec::Flat(p));
+  cluster.EnableTracing();
+  cluster.Run([&](Comm& comm) {
+    comm.Compute(unit * (comm.rank() + 1));
+    comm.MarkIteration();
+  });
+  const TimeSeriesReport report = BuildTimeSeries(cluster);
+  ASSERT_EQ(report.series.size(), 1u);
+  EXPECT_EQ(report.series[0].wall_max, unit * p);
+  EXPECT_EQ(report.series[0].wall_p99, unit * 198);
 }
 
 TEST(JsonParseTest, ParsesScalarsContainersAndEscapes) {

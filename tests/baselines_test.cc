@@ -83,7 +83,7 @@ TEST_P(BaselineExactSweep, MatchesDenseSumWhenKEqualsN) {
     outs[rank] = algo->Run(comm, grad);
   });
   std::vector<float> dense(n, 0.0f);
-  outs[0].ScatterToDense(dense);
+  outs[0].AddToDense(dense);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(dense[i], expected[i], 1e-3f) << name << " i=" << i;
   }
@@ -225,19 +225,26 @@ TEST(OkTopkTest, RebalanceMovesBoundariesUnderSkew) {
   const int p = 4;
   const size_t n = 4000;
   const size_t k = 80;
-  AlgorithmConfig config = MakeConfig(p, n, k);
-  config.oktopk_rebalance_period = 4;
-
   Cluster cluster(p, CostModel::Free());
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
     algos[static_cast<size_t>(r)] =
-        std::move(*CreateAlgorithm("oktopk", config));
+        std::move(*CreateAlgorithm("oktopk", MakeConfig(p, n, k)));
   }
-  // Heavily skewed gradients: all the big magnitudes live in the first 10%
-  // of the index space.
-  for (int iter = 0; iter < 5; ++iter) {
+  auto* oktopk = dynamic_cast<OkTopk*>(algos[0].get());
+  ASSERT_NE(oktopk, nullptr);
+  const std::vector<GradIndex> uniform = oktopk->boundaries();
+  // The paper's period: the regions keep their uniform start until the
+  // end of the 64th iteration, are recut there, and one more iteration
+  // runs on the new regions.
+  EXPECT_EQ(OkTopk::kRebalancePeriod, 64);
+  for (int iter = 0; iter <= OkTopk::kRebalancePeriod; ++iter) {
+    ASSERT_EQ(oktopk->boundaries() == uniform,
+              iter < OkTopk::kRebalancePeriod)
+        << "before iteration " << iter;
+    // Heavily skewed gradients: all the big magnitudes live in the first
+    // 10% of the index space.
     std::vector<std::vector<float>> grads(
         static_cast<size_t>(p), std::vector<float>(n, 0.0f));
     Rng rng(3000 + static_cast<uint64_t>(iter));
@@ -253,8 +260,6 @@ TEST(OkTopkTest, RebalanceMovesBoundariesUnderSkew) {
       algos[rank]->Run(comm, grads[rank]);
     });
   }
-  auto* oktopk = dynamic_cast<OkTopk*>(algos[0].get());
-  ASSERT_NE(oktopk, nullptr);
   // After rebalancing, the first cut must have moved into the hot 10%.
   EXPECT_LT(oktopk->boundaries()[1], static_cast<GradIndex>(n / 4));
 }

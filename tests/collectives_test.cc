@@ -216,18 +216,20 @@ TEST(DenseCollectivesTest, AutoPicksByGroupSize) {
 }
 
 TEST(CommGroupTest, ContiguousTeamsAndPositions) {
+  // Two teams of three: team t holds ranks 3t, 3t+1, 3t+2.
+  const TeamPlacement placement = TeamPlacement::Contiguous(6, 2);
   Cluster cluster(6, CostModel::Free());
-  cluster.Run([](Comm& comm) {
+  cluster.Run([&](Comm& comm) {
     const int team = comm.rank() / 3;
-    CommGroup group = CommGroup::ContiguousTeam(comm, 2, team);
-    EXPECT_EQ(group.size(), 3);
-    EXPECT_EQ(group.my_pos, comm.rank() % 3);
-    EXPECT_EQ(group.GlobalRank(group.my_pos), comm.rank());
+    const int pos = comm.rank() % 3;
+    const CommGroup group = CommGroup::Team(comm, placement);
+    EXPECT_EQ(group.ranks, (std::vector<int>{3 * team, 3 * team + 1,
+                                             3 * team + 2}));
+    EXPECT_EQ(group.my_pos, pos);
 
-    CommGroup cross = CommGroup::SamePositionAcrossTeams(comm, 2);
-    EXPECT_EQ(cross.size(), 2);
+    const CommGroup cross = CommGroup::CrossTeam(comm, placement);
+    EXPECT_EQ(cross.ranks, (std::vector<int>{pos, 3 + pos}));
     EXPECT_EQ(cross.my_pos, team);
-    EXPECT_EQ(cross.GlobalRank(cross.my_pos), comm.rank());
   });
 }
 

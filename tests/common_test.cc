@@ -84,12 +84,6 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
-TEST(StrJoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"only"}, ","), "only");
-}
-
 TEST(HumanBytesTest, PicksUnits) {
   EXPECT_EQ(HumanBytes(512), "512.00 B");
   EXPECT_EQ(HumanBytes(2048), "2.00 KiB");

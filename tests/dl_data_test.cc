@@ -69,7 +69,8 @@ TEST(SyntheticLanguageModelTest, LabelIsNextToken) {
 }
 
 TEST(TrainingCasesTest, AllSevenCasesConstruct) {
-  for (const std::string& key : TrainingCaseKeys()) {
+  for (const std::string key : {"vgg16", "vgg19", "resnet50", "vgg11",
+                                "lstm-imdb", "lstm-ptb", "bert"}) {
     const TrainingCaseSpec spec = MakeTrainingCase(key);
     EXPECT_EQ(spec.key, key);
     auto dataset = spec.dataset_factory();

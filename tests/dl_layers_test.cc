@@ -65,16 +65,6 @@ TEST(GradCheckTest, LinearRelu) {
   CheckModelGradients(&model, input, {0, 1, 2, 3, 1}, 2e-2);
 }
 
-TEST(GradCheckTest, Tanh) {
-  Model model;
-  model.Add(std::make_unique<LinearLayer>(5, 7));
-  model.Add(std::make_unique<TanhLayer>());
-  model.Add(std::make_unique<LinearLayer>(7, 3));
-  model.Finalize(12);
-  const Matrix input = RandomInput(4, 5, 22);
-  CheckModelGradients(&model, input, {0, 2, 1, 0}, 2e-2);
-}
-
 TEST(GradCheckTest, EmbeddingLstm) {
   Model model;
   model.Add(std::make_unique<EmbeddingLayer>(12, 5));

@@ -235,12 +235,6 @@ TEST(TrainerOverlapTest, ConfigValidateRejectsBadSettings) {
   bad.compute_seconds_per_iteration = -0.5;
   EXPECT_FALSE(bad.Validate().ok());
   bad = config;
-  bad.backward_fraction = 0.0;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = config;
-  bad.backward_fraction = 1.5;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = config;
   bad.layer_compute_fractions = {0.5, -0.1};
   EXPECT_FALSE(bad.Validate().ok());
   bad = config;

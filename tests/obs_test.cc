@@ -225,7 +225,6 @@ TEST(TraceRecorderTest, DisabledPathAllocatesNothing) {
     comm.Compute(1e-3);
     {
       TraceScope inner(comm, Phase::kSparsify, "inner", /*a=*/3);
-      inner.AddBytes(128);
       comm.ChargeOverlappedCompute(1e-4);
     }
     comm.AdvanceClockTo(1.0);

@@ -92,30 +92,33 @@ TEST(PlanPlacementTest, PlannedLayoutsArePermutations) {
   }
 }
 
-// The tentpole's backward-compatibility contract: the kContiguous planner
-// output drives CommGroup::Team/CrossTeam to *exactly* the groups the
-// legacy ContiguousTeam/SamePositionAcrossTeams factories build.
-TEST(PlacementCommGroupTest, ContiguousMatchesLegacyFactoriesExactly) {
+// The kContiguous planner output drives CommGroup::Team/CrossTeam to the
+// contiguous layout: position pos of team t is global rank t*(P/d) + pos.
+TEST(PlacementCommGroupTest, ContiguousPlanMatchesRankArithmetic) {
   const int p = 12;
   for (int d : {1, 2, 3, 4, 6, 12}) {
     auto planned =
         PlanPlacement(TopologySpec::Flat(p), p, d, PlacementPolicy::kContiguous);
     ASSERT_TRUE(planned.ok());
     const TeamPlacement placement = *planned;
+    const int team_size = p / d;
     Cluster cluster(p, CostModel::Free());
     cluster.Run([&](Comm& comm) {
-      const int team = comm.rank() / (p / d);
-      const CommGroup legacy_team =
-          CommGroup::ContiguousTeam(comm, d, team);
-      const CommGroup placed_team = CommGroup::Team(comm, placement);
-      EXPECT_EQ(placed_team.ranks, legacy_team.ranks);
-      EXPECT_EQ(placed_team.my_pos, legacy_team.my_pos);
+      const int team = comm.rank() / team_size;
+      const int pos = comm.rank() % team_size;
+      const CommGroup team_group = CommGroup::Team(comm, placement);
+      ASSERT_EQ(team_group.size(), team_size);
+      for (int i = 0; i < team_size; ++i) {
+        EXPECT_EQ(team_group.GlobalRank(i), team * team_size + i);
+      }
+      EXPECT_EQ(team_group.my_pos, pos);
 
-      const CommGroup legacy_cross =
-          CommGroup::SamePositionAcrossTeams(comm, d);
-      const CommGroup placed_cross = CommGroup::CrossTeam(comm, placement);
-      EXPECT_EQ(placed_cross.ranks, legacy_cross.ranks);
-      EXPECT_EQ(placed_cross.my_pos, legacy_cross.my_pos);
+      const CommGroup cross = CommGroup::CrossTeam(comm, placement);
+      ASSERT_EQ(cross.size(), d);
+      for (int t = 0; t < d; ++t) {
+        EXPECT_EQ(cross.GlobalRank(t), t * team_size + pos);
+      }
+      EXPECT_EQ(cross.my_pos, team);
     });
   }
 }

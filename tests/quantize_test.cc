@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "core/spardl.h"
 #include "test_util.h"
 
@@ -125,14 +126,14 @@ TEST(QuantizeTest, DeterministicAcrossCalls) {
 }
 
 TEST(QuantizedSparDLTest, ConfigValidation) {
-  SparDLConfig config;
+  AlgorithmConfig config;
   config.n = 1000;
   config.k = 100;
   config.num_workers = 4;
   config.value_bits = 12;
-  EXPECT_FALSE(SparDL::Create(config).ok());
+  EXPECT_FALSE(CreateAlgorithm("spardl", config).ok());
   config.value_bits = 8;
-  auto created = SparDL::Create(config);
+  auto created = CreateAlgorithm("spardl", config);
   ASSERT_TRUE(created.ok());
   EXPECT_EQ((*created)->name(), "SparDL+q8");
 }
@@ -146,7 +147,7 @@ TEST_P(QuantizedSparDLSweep, ConsistentAndConservative) {
   const int p = 6;
   const size_t n = 600;
   const size_t k = 60;
-  SparDLConfig config;
+  AlgorithmConfig config;
   config.n = n;
   config.k = k;
   config.num_workers = p;
@@ -154,9 +155,11 @@ TEST_P(QuantizedSparDLSweep, ConsistentAndConservative) {
   config.value_bits = bits;
 
   Cluster cluster(p, CostModel::Free());
-  std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
+  std::vector<std::unique_ptr<SparseAllReduce>> algos(
+      static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
-    algos[static_cast<size_t>(r)] = std::move(*SparDL::Create(config));
+    algos[static_cast<size_t>(r)] =
+        std::move(*CreateAlgorithm("spardl", config));
   }
   double fresh_mass = 0.0;
   double synced_mass = 0.0;
@@ -180,7 +183,8 @@ TEST_P(QuantizedSparDLSweep, ConsistentAndConservative) {
   }
   double residual_mass = 0.0;
   for (const auto& algo : algos) {
-    residual_mass += algo->residuals().MassSum();
+    residual_mass +=
+        dynamic_cast<const SparDL&>(*algo).residuals().MassSum();
   }
   EXPECT_NEAR(fresh_mass, synced_mass + residual_mass,
               2e-2 * (1.0 + std::abs(fresh_mass)))
@@ -197,16 +201,18 @@ TEST(QuantizedSparDLTest, ReducesWireWords) {
   uint64_t words[2];
   int slot = 0;
   for (int bits : {32, 8}) {
-    SparDLConfig config;
+    AlgorithmConfig config;
     config.n = n;
     config.k = k;
     config.num_workers = p;
     config.value_bits = bits;
     config.residual_mode = ResidualMode::kNone;
     Cluster cluster(p, CostModel::Ethernet());
-    std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
+    std::vector<std::unique_ptr<SparseAllReduce>> algos(
+        static_cast<size_t>(p));
     for (int r = 0; r < p; ++r) {
-      algos[static_cast<size_t>(r)] = std::move(*SparDL::Create(config));
+      algos[static_cast<size_t>(r)] =
+          std::move(*CreateAlgorithm("spardl", config));
     }
     cluster.Run([&](Comm& comm) {
       std::vector<float> grad = testing::RandomGradient(

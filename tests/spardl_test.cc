@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <memory>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "test_util.h"
 
 namespace spardl {
@@ -15,8 +17,8 @@ namespace {
 using ::spardl::testing::RandomGradient;
 using ::spardl::testing::ReferenceSum;
 
-SparDLConfig BaseConfig(int p, size_t n, size_t k, int d) {
-  SparDLConfig config;
+AlgorithmConfig BaseConfig(int p, size_t n, size_t k, int d) {
+  AlgorithmConfig config;
   config.n = n;
   config.k = k;
   config.num_workers = p;
@@ -24,40 +26,73 @@ SparDLConfig BaseConfig(int p, size_t n, size_t k, int d) {
   return config;
 }
 
-TEST(SparDLConfigTest, ValidatesInputs) {
-  EXPECT_FALSE(BaseConfig(4, 0, 1, 1).Validate().ok());
-  EXPECT_FALSE(BaseConfig(4, 100, 0, 1).Validate().ok());
-  EXPECT_FALSE(BaseConfig(4, 100, 101, 1).Validate().ok());
-  EXPECT_FALSE(BaseConfig(0, 100, 10, 1).Validate().ok());
-  EXPECT_FALSE(BaseConfig(4, 100, 10, 3).Validate().ok());  // 3 does not divide 4
-  EXPECT_TRUE(BaseConfig(4, 100, 10, 2).Validate().ok());
-
-  SparDLConfig bad_rsag = BaseConfig(12, 100, 10, 3);
-  bad_rsag.sag_mode = SagMode::kRecursive;
-  EXPECT_FALSE(bad_rsag.Validate().ok());
+// SparDL built through the registry, which validates `config` first.
+std::unique_ptr<SparDL> MakeSparDL(const AlgorithmConfig& config,
+                                   std::string_view name = "spardl") {
+  std::unique_ptr<SparseAllReduce> algo =
+      std::move(*CreateAlgorithm(name, config));
+  return std::unique_ptr<SparDL>(dynamic_cast<SparDL*>(algo.release()));
 }
 
 TEST(SparDLTest, CreateResolvesAutoSagMode) {
-  auto no_sag = SparDL::Create(BaseConfig(8, 100, 10, 1));
-  ASSERT_TRUE(no_sag.ok());
-  EXPECT_FALSE((*no_sag)->resolved_sag().has_value());
-  EXPECT_EQ((*no_sag)->name(), "SparDL");
+  auto no_sag = MakeSparDL(BaseConfig(8, 100, 10, 1));
+  EXPECT_FALSE(no_sag->resolved_sag().has_value());
+  EXPECT_EQ(no_sag->name(), "SparDL");
 
-  auto rsag = SparDL::Create(BaseConfig(8, 100, 10, 2));
-  ASSERT_TRUE(rsag.ok());
-  EXPECT_EQ(*(*rsag)->resolved_sag(), SagMode::kRecursive);
-  EXPECT_EQ((*rsag)->name(), "SparDL(R-SAG, d=2)");
+  auto rsag = MakeSparDL(BaseConfig(8, 100, 10, 2));
+  EXPECT_EQ(*rsag->resolved_sag(), SagMode::kRecursive);
+  EXPECT_EQ(rsag->name(), "SparDL(R-SAG, d=2)");
 
-  auto bsag = SparDL::Create(BaseConfig(12, 100, 10, 3));
-  ASSERT_TRUE(bsag.ok());
-  EXPECT_EQ(*(*bsag)->resolved_sag(), SagMode::kBruck);
-  EXPECT_EQ((*bsag)->name(), "SparDL(B-SAG, d=3)");
+  auto bsag = MakeSparDL(BaseConfig(12, 100, 10, 3));
+  EXPECT_EQ(*bsag->resolved_sag(), SagMode::kBruck);
+  EXPECT_EQ(bsag->name(), "SparDL(B-SAG, d=3)");
 
-  SparDLConfig forced = BaseConfig(8, 100, 10, 2);
+  AlgorithmConfig forced = BaseConfig(8, 100, 10, 2);
   forced.sag_mode = SagMode::kBruck;
-  auto forced_bsag = SparDL::Create(forced);
-  ASSERT_TRUE(forced_bsag.ok());
-  EXPECT_EQ(*(*forced_bsag)->resolved_sag(), SagMode::kBruck);
+  EXPECT_EQ(*MakeSparDL(forced)->resolved_sag(), SagMode::kBruck);
+
+  // The aliases override the config's SAG variant.
+  EXPECT_EQ(*MakeSparDL(BaseConfig(8, 100, 10, 2), "spardl-bsag")
+                 ->resolved_sag(),
+            SagMode::kBruck);
+  EXPECT_EQ(*MakeSparDL(forced, "spardl-rsag")->resolved_sag(),
+            SagMode::kRecursive);
+}
+
+// An alias forces the SAG variant and nothing else: the rest of the
+// config (here 16-bit values and local residuals) carries through, so
+// the alias reduces exactly like `spardl` with that variant set.
+TEST(SparDLTest, AliasRunsLikeItsForcedSagMode) {
+  const int p = 8;
+  const size_t n = 400;
+  const size_t k = 40;
+  AlgorithmConfig config = BaseConfig(p, n, k, 2);
+  config.value_bits = 16;
+  config.residual_mode = ResidualMode::kLocal;
+  for (const SagMode mode : {SagMode::kBruck, SagMode::kRecursive}) {
+    const std::string_view alias =
+        mode == SagMode::kBruck ? "spardl-bsag" : "spardl-rsag";
+    AlgorithmConfig forced = config;
+    forced.sag_mode = mode;
+    EXPECT_EQ(MakeSparDL(config, alias)->name(),
+              MakeSparDL(forced)->name());
+
+    std::vector<std::vector<SparseVector>> via_alias;
+    std::vector<std::vector<SparseVector>> via_config;
+    testing::RunAlgorithm(
+        p, n, 3,
+        [&](int) -> std::unique_ptr<SparseAllReduce> {
+          return MakeSparDL(config, alias);
+        },
+        nullptr, &via_alias);
+    testing::RunAlgorithm(
+        p, n, 3,
+        [&](int) -> std::unique_ptr<SparseAllReduce> {
+          return MakeSparDL(forced);
+        },
+        nullptr, &via_config);
+    EXPECT_EQ(via_alias, via_config) << alias;
+  }
 }
 
 // The core synchronous-SGD invariant: every worker ends each iteration
@@ -74,8 +109,7 @@ TEST_P(SparDLConsistencySweep, AllWorkersIdenticalAcrossIterations) {
   testing::RunAlgorithm(
       p, n, /*iterations=*/4,
       [&](int) {
-        auto algo = SparDL::Create(BaseConfig(p, n, k, d));
-        return std::unique_ptr<SparseAllReduce>(std::move(*algo));
+        return std::move(*CreateAlgorithm("spardl", BaseConfig(p, n, k, d)));
       },
       nullptr, &outputs);
   for (size_t iter = 0; iter < outputs.size(); ++iter) {
@@ -114,8 +148,7 @@ TEST_P(SparDLConservationSweep, GresNeverLosesMass) {
   Cluster cluster(p, CostModel::Free());
   std::vector<std::unique_ptr<SparDL>> algos(static_cast<size_t>(p));
   for (int r = 0; r < p; ++r) {
-    algos[static_cast<size_t>(r)] =
-        std::move(*SparDL::Create(BaseConfig(p, n, k, d)));
+    algos[static_cast<size_t>(r)] = MakeSparDL(BaseConfig(p, n, k, d));
   }
   double fresh_mass = 0.0;
   double synced_mass = 0.0;
@@ -166,12 +199,12 @@ TEST_P(SparDLExactSweep, MatchesDenseAllReduceWhenKEqualsN) {
   std::vector<SparseVector> outs(static_cast<size_t>(p));
   cluster.Run([&](Comm& comm) {
     const auto rank = static_cast<size_t>(comm.rank());
-    auto algo = std::move(*SparDL::Create(BaseConfig(p, n, n, d)));
+    auto algo = MakeSparDL(BaseConfig(p, n, n, d));
     std::vector<float> grad = grads[rank];
     outs[rank] = algo->Run(comm, grad);
   });
   std::vector<float> dense(n, 0.0f);
-  outs[0].ScatterToDense(dense);
+  outs[0].AddToDense(dense);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(dense[i], expected[i], 1e-3f) << "i=" << i;
   }
@@ -192,7 +225,7 @@ TEST(SparDLTest, RunOnSparseMatchesDensePathWithoutResiduals) {
   for (int r = 0; r < p; ++r) {
     grads.push_back(RandomGradient(n, 321 + static_cast<uint64_t>(r)));
   }
-  SparDLConfig config = BaseConfig(p, n, k, 3);
+  AlgorithmConfig config = BaseConfig(p, n, k, 3);
   config.residual_mode = ResidualMode::kNone;
 
   std::vector<SparseVector> dense_out(static_cast<size_t>(p));
@@ -201,7 +234,7 @@ TEST(SparDLTest, RunOnSparseMatchesDensePathWithoutResiduals) {
     Cluster cluster(p, CostModel::Free());
     cluster.Run([&](Comm& comm) {
       const auto rank = static_cast<size_t>(comm.rank());
-      auto algo = std::move(*SparDL::Create(config));
+      auto algo = MakeSparDL(config);
       std::vector<float> grad = grads[rank];
       dense_out[rank] = algo->Run(comm, grad);
     });
@@ -210,7 +243,7 @@ TEST(SparDLTest, RunOnSparseMatchesDensePathWithoutResiduals) {
     Cluster cluster(p, CostModel::Free());
     cluster.Run([&](Comm& comm) {
       const auto rank = static_cast<size_t>(comm.rank());
-      auto algo = std::move(*SparDL::Create(config));
+      auto algo = MakeSparDL(config);
       sparse_out[rank] =
           algo->RunOnSparse(comm, SparseVector::FromDense(grads[rank]));
     });
@@ -226,37 +259,13 @@ TEST(SparDLTest, BsagUnionObservable) {
   Cluster cluster(p, CostModel::Free());
   cluster.Run([&](Comm& comm) {
     const auto rank = static_cast<size_t>(comm.rank());
-    auto algo = std::move(*SparDL::Create(BaseConfig(p, n, k, 3)));
+    auto algo = MakeSparDL(BaseConfig(p, n, k, 3));
     std::vector<float> grad = RandomGradient(n, 42 + rank);
     algo->Run(comm, grad);
     unions[rank] = algo->last_bsag_union();
   });
   for (int r = 0; r < p; ++r) {
     EXPECT_GT(unions[static_cast<size_t>(r)], 0u) << "rank " << r;
-  }
-}
-
-// The lazy-sparsification optimisation changes selection timing but must
-// preserve consistency and the output-size contract.
-TEST(SparDLTest, EagerSparsifyAlsoConsistent) {
-  const int p = 6;
-  const size_t n = 300;
-  const size_t k = 30;
-  SparDLConfig config = BaseConfig(p, n, k, 2);
-  config.sag_mode = SagMode::kBruck;
-  config.lazy_sparsify = false;
-  std::vector<std::vector<SparseVector>> outputs;
-  testing::RunAlgorithm(
-      p, n, 3,
-      [&](int) {
-        return std::unique_ptr<SparseAllReduce>(
-            std::move(*SparDL::Create(config)));
-      },
-      nullptr, &outputs);
-  for (const auto& iter_outputs : outputs) {
-    for (int r = 1; r < p; ++r) {
-      EXPECT_EQ(iter_outputs[static_cast<size_t>(r)], iter_outputs[0]);
-    }
   }
 }
 

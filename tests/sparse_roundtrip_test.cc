@@ -26,9 +26,9 @@ TEST(SparseRoundTripTest, AllZeroDenseProducesEmptySparse) {
   const std::vector<float> dense(64, 0.0f);
   const SparseVector sparse = SparseVector::FromDense(dense);
   EXPECT_TRUE(sparse.empty());
-  // Scattering the empty vector back is a no-op.
+  // Adding the empty vector back is a no-op.
   std::vector<float> out(64, 0.0f);
-  sparse.ScatterToDense(out);
+  sparse.AddToDense(out);
   EXPECT_EQ(out, dense);
 }
 
@@ -39,7 +39,7 @@ TEST(SparseRoundTripTest, DenseToSparseToDenseIsLossless) {
   dense[511] = 0.0f;
   const SparseVector sparse = SparseVector::FromDense(dense);
   std::vector<float> rebuilt(dense.size(), 0.0f);
-  sparse.ScatterToDense(rebuilt);
+  sparse.AddToDense(rebuilt);
   EXPECT_EQ(rebuilt, dense);
 }
 
@@ -56,7 +56,7 @@ TEST(SparseRoundTripTest, BaseIndexShiftsReconstruction) {
   const SparseVector sparse = SparseVector::FromDense(dense, /*base_index=*/100);
   EXPECT_TRUE(sparse.IndicesWithin(100, 104));
   std::vector<float> wide(200, 0.0f);
-  sparse.ScatterToDense(wide);
+  sparse.AddToDense(wide);
   EXPECT_EQ(wide[100], 1.0f);
   EXPECT_EQ(wide[102], -2.0f);
   EXPECT_EQ(wide[103], 3.0f);
@@ -71,7 +71,7 @@ TEST(SparseRoundTripTest, TopKWithKEqualsNKeepsEveryNonZero) {
   TopKDense(dense, /*base_index=*/0, /*k=*/dense.size(), &kept, &discarded);
   EXPECT_TRUE(discarded.empty());
   std::vector<float> rebuilt(dense.size(), 0.0f);
-  kept.ScatterToDense(rebuilt);
+  kept.AddToDense(rebuilt);
   EXPECT_EQ(rebuilt, dense);
 }
 
@@ -82,7 +82,7 @@ TEST(SparseRoundTripTest, TopKKeptPlusDiscardedReassembleDense) {
   TopKDense(dense, /*base_index=*/0, /*k=*/16, &kept, &discarded);
   EXPECT_EQ(kept.size(), 16u);
   std::vector<float> rebuilt(dense.size(), 0.0f);
-  kept.ScatterToDense(rebuilt);
+  kept.AddToDense(rebuilt);
   discarded.AddToDense(rebuilt);
   EXPECT_EQ(rebuilt, dense);
 }

@@ -56,21 +56,14 @@ TEST(SparseVectorTest, AddToDenseRejectsOutOfRangeIndices) {
   EXPECT_DEATH(v.AddToDense(dense), "");
 }
 
-TEST(SparseVectorTest, ScatterToDenseRejectsOutOfRangeIndices) {
-  SparseVector v = Make({1, 5}, {1.0f, 2.0f});
-  std::vector<float> dense(5, 0.0f);
-  EXPECT_DEATH(v.ScatterToDense(dense), "");
-}
-
 TEST(SparseVectorTest, WireWordsIsTwoPerEntry) {
   SparseVector v = Make({1, 5, 9}, {1.0f, 2.0f, 3.0f});
   EXPECT_EQ(v.WireWords(), 6u);
 }
 
-TEST(SparseVectorTest, ValueSumAndAbsSum) {
+TEST(SparseVectorTest, ValueSum) {
   SparseVector v = Make({0, 1, 2}, {1.0f, -2.5f, 3.0f});
   EXPECT_DOUBLE_EQ(v.ValueSum(), 1.5);
-  EXPECT_DOUBLE_EQ(v.AbsSum(), 6.5);
 }
 
 TEST(SparseVectorTest, IndicesWithin) {
@@ -87,14 +80,6 @@ TEST(SparseVectorTest, AddToDenseAccumulates) {
   EXPECT_FLOAT_EQ(dense[0], 1.5f);
   EXPECT_FLOAT_EQ(dense[1], 1.0f);
   EXPECT_FLOAT_EQ(dense[2], 0.0f);
-}
-
-TEST(SparseVectorTest, ScatterToDenseOverwrites) {
-  std::vector<float> dense = {1.0f, 1.0f, 1.0f};
-  Make({0, 2}, {0.5f, -1.0f}).ScatterToDense(dense);
-  EXPECT_FLOAT_EQ(dense[0], 0.5f);
-  EXPECT_FLOAT_EQ(dense[1], 1.0f);
-  EXPECT_FLOAT_EQ(dense[2], -1.0f);
 }
 
 TEST(SparseVectorTest, ExtractRangeSelectsHalfOpenInterval) {

@@ -102,7 +102,7 @@ TEST_P(SrsSweep, ExactWhenKEqualsN) {
   const BlockPartition partition(n, p);
   for (int r = 0; r < p; ++r) {
     std::vector<float> dense(n, 0.0f);
-    run.blocks[static_cast<size_t>(r)].ScatterToDense(dense);
+    run.blocks[static_cast<size_t>(r)].AddToDense(dense);
     for (GradIndex i = partition.BlockStart(r); i < partition.BlockEnd(r);
          ++i) {
       EXPECT_NEAR(dense[i], expected[i], 1e-4f)
