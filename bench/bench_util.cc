@@ -393,13 +393,8 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   config.num_workers = options.num_workers;
   config.num_teams = options.num_teams;
   config.value_bits = options.value_bits;
+  config.placement = options.placement;
   config.residual_mode = ResidualMode::kNone;
-  // The team layout is planned against the *resolved* fabric, so a
-  // --topology override changes where teams land, not just link costs.
-  auto placement = PlanPlacement(fabric, options.num_workers,
-                                 options.num_teams, options.placement);
-  SPARDL_CHECK(placement.ok()) << placement.status().ToString();
-  config.placement = std::move(*placement);
 
   Cluster cluster(fabric);
   ConfigureCluster(cluster);
@@ -411,10 +406,7 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
     algos[static_cast<size_t>(r)] = std::move(*created);
   }
 
-  ProfileGradientGenerator generator(n, kGeneratorSeed);
-  for (const auto& [worker, factor] : options.compute_multipliers) {
-    generator.SetComputeMultiplier(worker, factor);
-  }
+  const ProfileGradientGenerator generator(n, kGeneratorSeed);
   PerUpdateResult result;
   result.algo_label = std::string(algos[0]->name());
   result.compute_seconds = profile.compute_seconds;
@@ -423,15 +415,6 @@ PerUpdateResult MeasurePerUpdate(const std::string& algo_name,
   for (int iter = 0; iter < total_iterations; ++iter) {
     if (iter == kWarmupIterations) cluster.ResetClocksAndStats();
     SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
-      // Heterogeneous-compute mode charges each worker's (scaled)
-      // forward+backward time to its clock, so compute-slow workers
-      // arrive at the exchange late and show up as stragglers. Gated on
-      // the skew being configured: homogeneous runs keep the legacy
-      // communication-only measurement byte-for-byte.
-      if (generator.has_compute_skew()) {
-        comm.Compute(generator.ComputeSeconds(comm.rank(),
-                                              profile.compute_seconds));
-      }
       const SparseVector candidates = generator.Generate(
           comm.rank(), iter, candidates_per_worker);
       algos[static_cast<size_t>(comm.rank())]->RunOnSparse(comm,
@@ -491,13 +474,12 @@ TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,
     for (PlacementPolicy policy : policies) {
       PerUpdateOptions per_update;
       per_update.num_workers = p;
-      per_update.k_ratio = options.k_ratio;
       per_update.num_teams = d;
       per_update.placement = policy;
       per_update.topology = fabric;
       per_update.cost_model = fabric.cost;
       per_update.measured_iterations = options.measured_iterations;
-      sweep.Add([&profile, &options, per_update] {
+      sweep.Add([&profile, per_update] {
         const PerUpdateResult r =
             MeasurePerUpdate("spardl", profile, per_update);
         TeamTuneCandidate candidate;
@@ -505,7 +487,7 @@ TeamTuneResult TuneTeamPlacement(const ModelProfile& profile,
         candidate.placement = per_update.placement;
         candidate.algo_label = r.algo_label;
         candidate.epoch_seconds = (r.comm_seconds + r.compute_seconds) *
-                                  options.iterations_per_epoch;
+                                  kTuneIterationsPerEpoch;
         return candidate;
       });
     }

@@ -237,17 +237,10 @@ struct PerUpdateOptions {
   int measured_iterations = 2;
   int num_teams = 1;          // for "spardl"
   int value_bits = 32;        // SparDL wire quantization
-  /// Team layout planned against the run's resolved fabric (for "spardl"
-  /// with num_teams > 1; ignored by the baselines).
+  /// SparDL's team placement policy (num_teams > 1; ignored by the
+  /// baselines). The cluster plans the layout from the run's resolved
+  /// fabric, so a --topology override moves teams too.
   PlacementPolicy placement = PlacementPolicy::kContiguous;
-  /// Heterogeneous compute (the §VI extension on the compute side):
-  /// (worker, multiplier) pairs fed to
-  /// `ProfileGradientGenerator::SetComputeMultiplier`. When non-empty,
-  /// every worker charges `profile.compute_seconds` (scaled by its
-  /// multiplier) to its clock each iteration, so compute-slow workers
-  /// surface in the per-iteration straggler report. Empty (default)
-  /// keeps the legacy communication-only measurement.
-  std::vector<std::pair<int, double>> compute_multipliers;
 };
 
 /// Runs `algo_name` on synthetic candidate gradients of `profile`'s size
@@ -284,9 +277,10 @@ struct TeamTuneResult {
   const TeamTuneCandidate& best() const { return candidates[best_index]; }
 };
 
+/// Iterations in the simulated epoch each team-tuning cell is scored on.
+constexpr int kTuneIterationsPerEpoch = 30;
+
 struct TeamTuneOptions {
-  double k_ratio = 0.01;
-  int iterations_per_epoch = 30;
   int measured_iterations = 2;
   /// Placement policies to grid over. On a single-locality-group fabric
   /// (flat/star/ring) every policy yields the same simulated times, so
@@ -296,7 +290,8 @@ struct TeamTuneOptions {
 };
 
 /// The paper's §III-D/§IV-G team-count selection, generalised to a
-/// (d, placement) grid over the *given* fabric: one simulated epoch of
+/// (d, placement) grid over the *given* fabric: one simulated epoch
+/// (`kTuneIterationsPerEpoch` updates at `PerUpdateOptions`' k/n = 1%) of
 /// `spardl` per divisor d of `fabric.num_workers` per placement policy,
 /// each cell a `Sweep` point.
 /// This is the engine behind the `tune_teams` scenario — and the regression

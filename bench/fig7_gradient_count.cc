@@ -19,22 +19,31 @@
 int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
   const int p = args.workers_or(14);
   // Teams must divide P: keep the paper's d=7 when it fits, else the
-  // largest proper divisor (so a --workers override still exercises
-  // inter-team B-SAG whenever one exists).
+  // largest proper divisor. With neither there is no inter-team B-SAG to
+  // observe.
   int d = 1;
   if (p % 7 == 0) {
     d = 7;
   } else {
-    for (int cand = p - 1; cand >= 1; --cand) {
+    for (int cand = p - 1; cand > 1; --cand) {
       if (p % cand == 0) {
         d = cand;
         break;
       }
     }
   }
+  if (d == 1) {
+    UsageError(StrFormat("--workers %d has no team count d > 1 that "
+                         "divides it; B-SAG needs at least two teams",
+                         p));
+  }
   const size_t n = 2'000'000;
   const size_t k = 20'000;  // k/n = 1e-2
   const int iterations = args.iterations_or(400);
+  if (iterations < 2) {
+    UsageError("--iterations must be at least 2: the change statistic "
+               "compares consecutive batches");
+  }
 
   std::printf(
       "== Fig. 7: gradients after inter-team Bruck all-gather (B-SAG) ==\n"

@@ -84,20 +84,14 @@ ConvergenceSeries RunTrainingCase(const TrainingCaseSpec& spec,
     config.compute_seconds_per_iteration = profile.compute_seconds;
   }
 
-  // Like MeasurePerUpdate: the team layout is planned against the
-  // *resolved* fabric, so a --topology override moves teams too.
-  auto placement = PlanPlacement(fabric, options.num_workers,
-                                 options.num_teams, options.placement);
-  SPARDL_CHECK(placement.ok()) << placement.status().ToString();
-
-  AlgorithmFactory algorithm_factory = [&, placement](size_t n) {
+  AlgorithmFactory algorithm_factory = [&](size_t n) {
     AlgorithmConfig algo_config;
     algo_config.n = n;
     algo_config.k = std::max<size_t>(
         1, static_cast<size_t>(options.k_ratio * static_cast<double>(n)));
     algo_config.num_workers = options.num_workers;
     algo_config.num_teams = options.num_teams;
-    algo_config.placement = *placement;
+    algo_config.placement = options.placement;
     algo_config.value_bits = options.value_bits;
     if (options.residual_mode.has_value()) {
       algo_config.residual_mode = *options.residual_mode;

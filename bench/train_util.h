@@ -28,8 +28,8 @@ struct TrainRunOptions {
   int num_workers = 14;
   double k_ratio = 0.01;
   int num_teams = 1;
-  /// Team layout planned against the run's resolved fabric (SparDL with
-  /// num_teams > 1; ignored by the baselines).
+  /// SparDL's team placement policy (num_teams > 1; ignored by the
+  /// baselines), laid out on the run's resolved fabric.
   PlacementPolicy placement = PlacementPolicy::kContiguous;
   std::optional<ResidualMode> residual_mode;  // method default when unset
   std::optional<SagMode> sag_mode;            // kAuto when unset

@@ -32,7 +32,6 @@ int spardl::bench::RunTuneTeams(const HarnessArgs& args) {
       args.TopologyOr(std::nullopt, p).value_or(TopologySpec::Flat(p));
 
   bench::TeamTuneOptions tune;
-  tune.iterations_per_epoch = 30;
   tune.measured_iterations = args.iterations_or(2);
   if (args.placement.has_value()) tune.policies = {*args.placement};
 
@@ -41,7 +40,7 @@ int spardl::bench::RunTuneTeams(const HarnessArgs& args) {
       "fabric: %s\n"
       "one simulated epoch (%d iterations) per candidate...\n\n",
       p, profile.model.c_str(), profile.num_params, fabric.Describe().c_str(),
-      tune.iterations_per_epoch);
+      bench::kTuneIterationsPerEpoch);
 
   const bench::TeamTuneResult result =
       bench::TuneTeamPlacement(profile, fabric, tune);

@@ -21,6 +21,8 @@ if(NAME STREQUAL "spardl-bench")
     "cost_model_explorer abc"
     "fig15_epoch_stability --topology nosuchfabric"
     "compare_algorithms --backend thread"
+    "fig7_gradient_count --workers 5"
+    "fig7_gradient_count --iterations 1"
   )
 elseif(NAME STREQUAL "spardl-analyze")
   set(cases

@@ -22,7 +22,7 @@ void RingAllReduce(Comm& comm, const CommGroup& group,
                    std::span<float> data) {
   const int group_size = group.size();
   if (group_size == 1) return;
-  const int pos = group.my_pos;
+  const int pos = group.my_pos();
   const int next = group.GlobalRank((pos + 1) % group_size);
   const int prev = group.GlobalRank((pos - 1 + group_size) % group_size);
   const BlockPartition blocks(data.size(), group_size);
@@ -59,7 +59,7 @@ void RabenseifnerAllReduce(Comm& comm, const CommGroup& group,
   SPARDL_CHECK_EQ(group_size & (group_size - 1), 0)
       << "Rabenseifner all-reduce requires a power-of-two group";
   if (group_size == 1) return;
-  const int pos = group.my_pos;
+  const int pos = group.my_pos();
 
   // Recursive halving reduce-scatter: the owned range [lo, hi) halves each
   // step; the discarded half is sent to the peer, the peer's matching half

@@ -12,7 +12,7 @@ std::vector<SparseVector> BruckAllGather(Comm& comm, const CommGroup& group,
                                          SparseVector mine,
                                          const PartWireWords* wire_cost) {
   const int group_size = group.size();
-  const int pos = group.my_pos;
+  const int pos = group.my_pos();
   // local[j] holds the part of group position (pos + j) % G.
   std::vector<SparseVector> local;
   local.reserve(static_cast<size_t>(group_size));
@@ -57,7 +57,7 @@ std::vector<SparseVector> RecursiveDoublingAllGather(Comm& comm,
   const int group_size = group.size();
   SPARDL_CHECK_EQ(group_size & (group_size - 1), 0)
       << "recursive doubling requires a power-of-two group";
-  const int pos = group.my_pos;
+  const int pos = group.my_pos();
   // held covers the aligned run [base, base + run); run doubles each step.
   std::vector<SparseVector> held;
   held.reserve(static_cast<size_t>(group_size));
@@ -92,7 +92,7 @@ std::vector<uint32_t> BruckAllGatherCounts(Comm& comm,
                                            const CommGroup& group,
                                            uint32_t mine) {
   const int group_size = group.size();
-  const int pos = group.my_pos;
+  const int pos = group.my_pos();
   std::vector<uint32_t> local;  // local[j] = value of position (pos+j)%G
   local.reserve(static_cast<size_t>(group_size));
   local.push_back(mine);

@@ -14,7 +14,7 @@ SparseVector RSag(Comm& comm, const CommGroup& cross_team_group,
                   ResidualStore* residuals) {
   const int d = cross_team_group.size();
   SPARDL_CHECK_EQ(d & (d - 1), 0) << "R-SAG requires a power-of-two d";
-  const int pos = cross_team_group.my_pos;
+  const int pos = cross_team_group.my_pos();
   TopKSelector selector;
   SparseVector kept;
   SparseVector discarded;

@@ -22,7 +22,7 @@ class SrsEngine {
         options_(options),
         residuals_(residuals),
         partition_(n, group.size()),
-        layout_(group.size(), group.my_pos),
+        layout_(group.size(), group.my_pos()),
         budget_(partition_.PerBlockBudget(options.k)),
         block_state_(static_cast<size_t>(group.size())),
         held_(static_cast<size_t>(group.size()), true),
@@ -81,7 +81,7 @@ class SrsEngine {
         // Theorem 1: every received block is still held by the receiver.
         SPARDL_CHECK(held_[static_cast<size_t>(b)])
             << "Theorem 1 violated: received block " << b
-            << " is no longer held by group position " << group_.my_pos;
+            << " is no longer held by group position " << group_.my_pos();
         SPARDL_CHECK(incoming[i].IndicesWithin(partition_.BlockStart(b),
                                                partition_.BlockEnd(b)))
             << "received block " << b << " has out-of-range indices";
@@ -97,11 +97,11 @@ class SrsEngine {
       }
     }
     // Only the preservation block remains; give it its final selection.
-    SparsifyBlock(group_.my_pos);
+    SparsifyBlock(group_.my_pos());
     for (int b = 0; b < group_.size(); ++b) {
-      SPARDL_DCHECK(held_[static_cast<size_t>(b)] == (b == group_.my_pos));
+      SPARDL_DCHECK(held_[static_cast<size_t>(b)] == (b == group_.my_pos()));
     }
-    return std::move(block_state_[static_cast<size_t>(group_.my_pos)]);
+    return std::move(block_state_[static_cast<size_t>(group_.my_pos())]);
   }
 
  private:

@@ -39,10 +39,6 @@ SparDL::SparDL(const AlgorithmConfig& config)
       srs_options_{.k = config.k, .value_bits = config.value_bits},
       residuals_(config.residual_mode == ResidualMode::kNone ? 0 : config.n,
                  config.residual_mode.value_or(ResidualMode::kGlobal)) {
-  if (config_.placement.empty()) {
-    config_.placement =
-        TeamPlacement::Contiguous(config_.num_workers, config_.num_teams);
-  }
   if (resolved_sag_ == SagMode::kBruck) {
     adjuster_.emplace(config_.k, config_.num_workers, config_.num_teams);
   }
@@ -56,7 +52,7 @@ SparDL::SparDL(const AlgorithmConfig& config)
   }
   // d = 1 has one team under any policy (the identity layout); tagging
   // the name would suggest a placement effect that cannot exist.
-  const PlacementPolicy policy = config_.placement.policy();
+  const PlacementPolicy policy = config_.placement;
   if (config_.num_teams > 1 && policy != PlacementPolicy::kContiguous) {
     name_ += StrFormat(
         "+%.*s", static_cast<int>(PlacementPolicyName(policy).size()),
@@ -67,11 +63,11 @@ SparDL::SparDL(const AlgorithmConfig& config)
   }
 }
 
-SparseVector SparDL::Synchronize(Comm& comm, SparseVector block) {
-  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
-
+SparseVector SparDL::Synchronize(Comm& comm, const CommGroup& team_group,
+                                 SparseVector block) {
   if (resolved_sag_.has_value()) {
-    const CommGroup cross = CommGroup::CrossTeam(comm, config_.placement);
+    const CommGroup cross =
+        CommGroup::CrossTeam(comm, config_.num_teams, config_.placement);
     const size_t target_l = TargetL(config_);
     if (*resolved_sag_ == SagMode::kRecursive) {
       TraceScope scope(comm, Phase::kSag, "rsag");
@@ -121,19 +117,21 @@ SparseVector SparDL::Run(Comm& comm, std::span<float> grad) {
   TraceScope envelope(comm, Phase::kCollective, "spardl-allreduce");
   residuals_.ApplyAndReset(grad);
 
-  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
+  const CommGroup team_group =
+      CommGroup::Team(comm, config_.num_teams, config_.placement);
   SparseVector block =
       SparReduceScatter(comm, team_group, grad, srs_options_, &residuals_);
-  return Synchronize(comm, std::move(block));
+  return Synchronize(comm, team_group, std::move(block));
 }
 
 SparseVector SparDL::RunOnSparse(Comm& comm, const SparseVector& candidates) {
   SPARDL_CHECK_EQ(comm.size(), config_.num_workers);
   TraceScope envelope(comm, Phase::kCollective, "spardl-allreduce");
-  const CommGroup team_group = CommGroup::Team(comm, config_.placement);
+  const CommGroup team_group =
+      CommGroup::Team(comm, config_.num_teams, config_.placement);
   SparseVector block = SparReduceScatterOnSparse(
       comm, team_group, candidates, config_.n, srs_options_, &residuals_);
-  return Synchronize(comm, std::move(block));
+  return Synchronize(comm, team_group, std::move(block));
 }
 
 }  // namespace spardl

@@ -41,11 +41,10 @@ class SparDL : public SparseAllReduce {
 
  private:
   /// The communication pipeline shared by Run and RunOnSparse; `block` is
-  /// this worker's SRS output.
-  SparseVector Synchronize(Comm& comm, SparseVector block);
+  /// this worker's SRS output over `team_group`.
+  SparseVector Synchronize(Comm& comm, const CommGroup& team_group,
+                           SparseVector block);
 
-  /// The config with its placement resolved: the contiguous layout when
-  /// the caller left it empty, so never empty after construction.
   AlgorithmConfig config_;
   std::optional<SagMode> resolved_sag_;
   /// SparDL always runs the §III-B lazy SRS; `SrsOptions` keeps the eager

@@ -39,11 +39,10 @@ struct AlgorithmConfig {
   /// SparDL).
   int num_teams = 1;
   SagMode sag_mode = SagMode::kAuto;
-  /// Which worker sits in which team. Empty (the default) means the
-  /// contiguous layout. Plan a topology-aware one with `PlanPlacement`
-  /// so SRS traffic stays rack-local on hierarchical fabrics; must match
-  /// (num_workers, num_teams) when set.
-  TeamPlacement placement;
+  /// How the d teams are laid out over the fabric. The cluster plans the
+  /// layout from its own fabric (`Network::TeamLayout`); `kRackLocal`
+  /// keeps SRS traffic rack-local on hierarchical fabrics.
+  PlacementPolicy placement = PlacementPolicy::kContiguous;
   /// Error-feedback policy. When unset, each method uses its natural
   /// policy from the literature: SparDL -> GRES, TopkA/TopkDSA -> LRES,
   /// gTopk/Ok-Topk -> PRES, Dense -> none.
@@ -55,7 +54,7 @@ struct AlgorithmConfig {
 
   /// InvalidArgument naming the first bad field: n in [1, 2^32 - 1],
   /// k in [1, n], P > 0, d > 0 dividing P, a power-of-two d under R-SAG,
-  /// value_bits in {4, 8, 16, 32}, and a placement laid out for (P, d).
+  /// and value_bits in {4, 8, 16, 32}.
   Status Validate() const;
 };
 
@@ -63,7 +62,7 @@ struct AlgorithmConfig {
 /// (SparDL and all four baselines).
 ///
 /// One instance lives on each worker and holds that worker's persistent
-/// state (residual store, threshold estimates, team layout, ...). Calls are
+/// state (residual store, threshold estimates, ...). Calls are
 /// SPMD: every worker of the cluster must call the same method in the same
 /// iteration.
 ///

@@ -164,7 +164,7 @@ RunMetrics CollectRunMetrics(const Cluster& cluster,
                              const std::string& label) {
   RunMetrics metrics;
   metrics.label = label;
-  metrics.topology = cluster.topology().Describe();
+  metrics.topology = cluster.network().spec().Describe();
   metrics.engine =
       cluster.network().event_ordered() ? "event" : "closed-form";
   metrics.workers = cluster.size();

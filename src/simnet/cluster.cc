@@ -24,11 +24,7 @@ Cluster::Cluster(int size, CostModel cost_model)
     : Cluster(std::make_unique<Network>(size, cost_model)) {}
 
 Cluster::Cluster(const TopologySpec& spec)
-    : Cluster(std::make_unique<Network>([&spec] {
-        auto built = spec.Build();
-        SPARDL_CHECK(built.ok()) << built.status().ToString();
-        return std::move(*built);
-      }())) {}
+    : Cluster(std::make_unique<Network>(spec)) {}
 
 Cluster::Cluster(std::unique_ptr<Network> network)
     : network_(std::move(network)),

@@ -1,9 +1,9 @@
 #ifndef SPARDL_SIMNET_COMM_H_
 #define SPARDL_SIMNET_COMM_H_
 
+#include <cstddef>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -227,6 +227,7 @@ class Comm {
   void ResetClock(double value = 0.0) { sim_now_ = value; }
 
  private:
+  friend class CommGroup;
   friend class TraceScope;
 
   /// Unwinds this worker once its barrier entry was diagnosed, waking
@@ -295,30 +296,50 @@ class TraceScope {
   double t0_;
 };
 
-/// A team view over a communicator: `ranks[i]` is the global rank of group
-/// position i. SparDL's team-based algorithms (SRS within a team, SAG
+/// A group view over a communicator: group position i is global rank
+/// `GlobalRank(i)`. SparDL's team-based algorithms (SRS within a team, SAG
 /// across teams) run on groups.
-struct CommGroup {
-  std::vector<int> ranks;
-  int my_pos = 0;
-
-  int size() const { return static_cast<int>(ranks.size()); }
-  int GlobalRank(int pos) const { return ranks[static_cast<size_t>(pos)]; }
-
-  /// The whole cluster as one group.
+///
+/// Non-owning: a group points into a layout its cluster's network plans
+/// once and keeps (`Network::TeamLayout`), so it is valid while the
+/// cluster lives, and building one allocates nothing once that layout is
+/// planned.
+class CommGroup {
+ public:
+  /// The whole cluster as one group: the (1 team, contiguous) layout.
   static CommGroup World(const Comm& comm);
 
-  /// This worker's team under `placement` (members in position order).
-  /// CHECK-fails unless the placement matches comm.size() — validate at
-  /// the config boundary (`TeamPlacement::Validate`) for a recoverable
+  /// This worker's team when the cluster's workers are laid out in
+  /// `num_teams` teams under `policy` (members in position order).
+  /// CHECK-fails unless `num_teams` divides comm.size() — validate at the
+  /// config boundary (`AlgorithmConfig::Validate`) for a recoverable
   /// error.
-  static CommGroup Team(const Comm& comm, const TeamPlacement& placement);
+  static CommGroup Team(const Comm& comm, int num_teams,
+                        PlacementPolicy policy);
 
   /// The cross-team group of the workers sharing this worker's in-team
-  /// position under `placement` (one worker per team, ordered by team id;
-  /// my_pos is this worker's team) — the SAG companion of `Team`.
-  static CommGroup CrossTeam(const Comm& comm,
-                             const TeamPlacement& placement);
+  /// position under the same layout (one worker per team, ordered by team
+  /// id; my_pos is this worker's team) — the SAG companion of `Team`.
+  static CommGroup CrossTeam(const Comm& comm, int num_teams,
+                             PlacementPolicy policy);
+
+  int size() const { return size_; }
+  /// This worker's position in the group.
+  int my_pos() const { return my_pos_; }
+  int GlobalRank(int pos) const {
+    return first_[static_cast<ptrdiff_t>(pos) * stride_];
+  }
+
+ private:
+  CommGroup(const int* first, int size, int stride, int my_pos)
+      : first_(first), size_(size), stride_(stride), my_pos_(my_pos) {}
+
+  /// Position 0's entry in the layout's member table; position i sits
+  /// `i * stride_` entries on.
+  const int* first_;
+  int size_;
+  int stride_;
+  int my_pos_;
 };
 
 }  // namespace spardl

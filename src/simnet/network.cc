@@ -48,17 +48,33 @@ size_t PayloadWords(const Payload& payload) {
 }
 
 Network::Network(int size, CostModel cost_model)
-    : Network(std::make_unique<FlatTopology>(size, cost_model)) {}
+    : Network(TopologySpec::Flat(size, cost_model)) {}
 
-Network::Network(std::unique_ptr<Topology> topology)
-    : topology_(std::move(topology)),
+Network::Network(const TopologySpec& spec)
+    : spec_(spec),
+      topology_([&spec] {
+        auto built = spec.Build();
+        SPARDL_CHECK(built.ok()) << built.status().ToString();
+        return std::move(*built);
+      }()),
       size_(topology_->num_workers()),
       inboxes_(static_cast<size_t>(size_)) {
-  SPARDL_CHECK_GE(size_, 1);
   // Flat's closed form has no link state to order; every other fabric is
   // charged by the event engine.
   flat_ = dynamic_cast<const FlatTopology*>(topology_.get());
   if (flat_ == nullptr) engine_ = std::make_unique<EventEngine>(*topology_);
+}
+
+const TeamPlacement& Network::TeamLayout(int num_teams,
+                                        PlacementPolicy policy) {
+  const std::pair<int, PlacementPolicy> key(num_teams, policy);
+  auto it = team_layouts_.find(key);
+  if (it == team_layouts_.end()) {
+    auto planned = PlanPlacement(spec_, size_, num_teams, policy);
+    SPARDL_CHECK(planned.ok()) << planned.status().ToString();
+    it = team_layouts_.emplace(key, std::move(*planned)).first;
+  }
+  return it->second;
 }
 
 void Network::AttachTraceRecorder(TraceRecorder* recorder) {

@@ -4,15 +4,19 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "des/event_engine.h"
 #include "simnet/cost_model.h"
 #include "sparse/sparse_vector.h"
+#include "topo/placement.h"
 #include "topo/topology.h"
+#include "topo/topology_spec.h"
 
 namespace spardl {
 
@@ -76,9 +80,10 @@ class Network {
   /// Flat crossbar shorthand: the paper's alpha-beta model.
   Network(int size, CostModel cost_model);
 
-  /// Any fabric: message costs are delegated to `topology` (which fixes the
-  /// worker count).
-  explicit Network(std::unique_ptr<Topology> topology);
+  /// Any fabric: builds `spec` (CHECK-failing on an invalid one; use
+  /// `spec.Build()` first for recoverable validation) and delegates
+  /// message costs to it. The spec fixes the worker count.
+  explicit Network(const TopologySpec& spec);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -91,6 +96,17 @@ class Network {
 
   Topology& topology() { return *topology_; }
   const Topology& topology() const { return *topology_; }
+
+  /// The spec this fabric was built from.
+  const TopologySpec& spec() const { return spec_; }
+
+  /// This cluster's layout of its workers into `num_teams` teams under
+  /// `policy`: planned from the network's own fabric (`PlanPlacement`) on
+  /// first use and kept for the network's lifetime, so every worker shares
+  /// one layout per (num_teams, policy) and later calls allocate nothing.
+  /// CHECK-fails unless `num_teams` divides `size()` (configs are
+  /// validated first: `AlgorithmConfig::Validate`).
+  const TeamPlacement& TeamLayout(int num_teams, PlacementPolicy policy);
 
   /// Heterogeneous-cluster support (the paper's §VI extension): scales the
   /// cost of `rank`'s receive path by `factor` (>= 1 models a straggler
@@ -193,7 +209,11 @@ class Network {
   /// Cheap poll for wait predicates.
   bool interrupted() const;
 
+  TopologySpec spec_;
   std::unique_ptr<Topology> topology_;
+  /// Planned team layouts, by (num_teams, policy); map nodes never move, so
+  /// the references `TeamLayout` hands out stay valid.
+  std::map<std::pair<int, PlacementPolicy>, TeamPlacement> team_layouts_;
   /// Non-null exactly when `topology_` is a `FlatTopology`, whose closed
   /// form `RecvPacket` charges directly.
   const FlatTopology* flat_ = nullptr;

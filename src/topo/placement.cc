@@ -40,14 +40,6 @@ std::vector<PlacementPolicy> AllPlacementPolicies() {
           PlacementPolicy::kInterleaved};
 }
 
-int TeamPlacement::GlobalRank(int team, int pos) const {
-  SPARDL_CHECK_GE(team, 0);
-  SPARDL_CHECK_LT(team, num_teams_);
-  SPARDL_CHECK_GE(pos, 0);
-  SPARDL_CHECK_LT(pos, team_size());
-  return member_[static_cast<size_t>(team * team_size() + pos)];
-}
-
 int TeamPlacement::TeamOf(int rank) const {
   SPARDL_CHECK_GE(rank, 0);
   SPARDL_CHECK_LT(rank, num_workers());
@@ -69,45 +61,8 @@ std::vector<int> TeamPlacement::TeamMembers(int team) const {
       member_.begin() + static_cast<ptrdiff_t>(team + 1) * ts);
 }
 
-Status TeamPlacement::Validate(int expected_workers,
-                               int expected_teams) const {
-  if (empty()) return Status::OK();
-  if (num_workers() != expected_workers) {
-    return Status::InvalidArgument(StrFormat(
-        "placement is laid out for %d workers, but the run has %d",
-        num_workers(), expected_workers));
-  }
-  if (num_teams_ != expected_teams) {
-    return Status::InvalidArgument(
-        StrFormat("placement holds %d teams, but the run wants %d",
-                  num_teams_, expected_teams));
-  }
-  return Status::OK();
-}
-
-std::string TeamPlacement::Describe() const {
-  if (empty()) return "contiguous(default)";
-  return StrFormat("%.*s(P=%d, d=%d)",
-                   static_cast<int>(PlacementPolicyName(policy_).size()),
-                   PlacementPolicyName(policy_).data(), num_workers(),
-                   num_teams_);
-}
-
-TeamPlacement TeamPlacement::Contiguous(int num_workers, int num_teams) {
-  SPARDL_CHECK_GT(num_teams, 0);
-  SPARDL_CHECK_EQ(num_workers % num_teams, 0)
-      << "team count must divide the worker count (d | P)";
-  std::vector<int> member(static_cast<size_t>(num_workers));
-  for (int r = 0; r < num_workers; ++r) member[static_cast<size_t>(r)] = r;
-  auto placement = FromMembers(std::move(member), num_teams,
-                               PlacementPolicy::kContiguous);
-  SPARDL_CHECK(placement.ok()) << placement.status().ToString();
-  return std::move(*placement);
-}
-
 Result<TeamPlacement> TeamPlacement::FromMembers(std::vector<int> member,
-                                                 int num_teams,
-                                                 PlacementPolicy policy) {
+                                                 int num_teams) {
   const int num_workers = static_cast<int>(member.size());
   if (num_teams < 1 || num_workers < 1) {
     return Status::InvalidArgument(
@@ -120,7 +75,6 @@ Result<TeamPlacement> TeamPlacement::FromMembers(std::vector<int> member,
   }
   TeamPlacement placement;
   placement.num_teams_ = num_teams;
-  placement.policy_ = policy;
   placement.team_of_.assign(static_cast<size_t>(num_workers), -1);
   placement.pos_of_.assign(static_cast<size_t>(num_workers), -1);
   const int team_size = num_workers / num_teams;
@@ -246,7 +200,7 @@ Result<TeamPlacement> PlanPlacement(const TopologySpec& spec,
       member = InterleavedMembers(num_workers, num_teams);
       break;
   }
-  return TeamPlacement::FromMembers(std::move(member), num_teams, policy);
+  return TeamPlacement::FromMembers(std::move(member), num_teams);
 }
 
 }  // namespace spardl

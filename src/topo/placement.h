@@ -1,7 +1,7 @@
 #ifndef SPARDL_TOPO_PLACEMENT_H_
 #define SPARDL_TOPO_PLACEMENT_H_
 
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -43,61 +43,37 @@ Result<PlacementPolicy> ParsePlacementPolicy(std::string_view text);
 std::vector<PlacementPolicy> AllPlacementPolicies();
 
 /// A validated global-rank -> (team, position) permutation: `d` teams of
-/// exactly `P / d` members each, every worker in exactly one slot.
-///
-/// Value type — copy it into configs. An empty (default-constructed)
-/// placement means "use the contiguous layout"; every consumer treats the
-/// two identically. Build one with `PlanPlacement` (topology-aware) or
-/// `TeamPlacement::Contiguous`.
+/// exactly `P / d` members each, every worker in exactly one slot. Plan one
+/// with `PlanPlacement`; a cluster plans its own from its fabric and keeps
+/// it (`Network::TeamLayout`).
 class TeamPlacement {
  public:
-  TeamPlacement() = default;
-
-  /// Default-constructed, no layout chosen — consumers substitute the
-  /// contiguous layout for their own (num_workers, num_teams).
-  bool empty() const { return member_.empty(); }
-
   int num_workers() const { return static_cast<int>(member_.size()); }
   int num_teams() const { return num_teams_; }
-  int team_size() const {
-    return num_teams_ == 0 ? 0 : num_workers() / num_teams_;
-  }
-  PlacementPolicy policy() const { return policy_; }
+  int team_size() const { return num_workers() / num_teams_; }
 
-  /// The global rank sitting at `pos` of `team`. CHECK-fails out of range.
-  int GlobalRank(int team, int pos) const;
   /// The team / in-team position of global rank `rank`.
   int TeamOf(int rank) const;
   int PositionOf(int rank) const;
   /// All of `team`'s global ranks, in position order.
   std::vector<int> TeamMembers(int team) const;
-
-  /// InvalidArgument unless this placement is for exactly
-  /// (`expected_workers`, `expected_teams`). Empty placements pass (they
-  /// mean "contiguous at whatever shape the consumer runs").
-  Status Validate(int expected_workers, int expected_teams) const;
-
-  /// e.g. "rack-local(P=8, d=2)".
-  std::string Describe() const;
-
-  /// The legacy contiguous layout: team t holds ranks
-  /// t*(P/d) .. (t+1)*(P/d)-1. CHECK-fails unless d divides P (callers
-  /// needing recoverable validation go through `PlanPlacement`).
-  static TeamPlacement Contiguous(int num_workers, int num_teams);
+  /// The whole table: `members()[team * team_size() + pos]` is the global
+  /// rank at `pos` of `team`.
+  std::span<const int> members() const { return member_; }
 
   /// Builds from an explicit member table (`member[team * (P/d) + pos]` =
   /// global rank); InvalidArgument unless it is a bijection on 0..P-1
   /// partitioned into d equal teams.
   static Result<TeamPlacement> FromMembers(std::vector<int> member,
-                                           int num_teams,
-                                           PlacementPolicy policy);
+                                           int num_teams);
 
  private:
+  TeamPlacement() = default;
+
   std::vector<int> member_;   // member_[team * team_size + pos]
   std::vector<int> team_of_;  // per global rank
   std::vector<int> pos_of_;   // per global rank
   int num_teams_ = 0;
-  PlacementPolicy policy_ = PlacementPolicy::kContiguous;
 };
 
 /// The fabric's locality groups, each a list of worker ranks sharing cheap

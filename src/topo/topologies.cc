@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace spardl {
 
@@ -77,22 +76,6 @@ FatTreeTopology::FatTreeTopology(int num_workers, int rack_size,
                                     cost.beta * oversubscription_));
     }
   }
-}
-
-std::string FatTreeTopology::DescribeSpec(int num_workers, int rack_size,
-                                          double oversubscription,
-                                          int num_cores) {
-  if (num_cores > 1) {
-    return StrFormat("fattree(P=%d, racks of %d, oversub %.1f, %d cores)",
-                     num_workers, rack_size, oversubscription, num_cores);
-  }
-  return StrFormat("fattree(P=%d, racks of %d, oversub %.1f)", num_workers,
-                   rack_size, oversubscription);
-}
-
-std::string FatTreeTopology::Describe() const {
-  return DescribeSpec(num_workers(), rack_size_, oversubscription_,
-                      num_cores_);
 }
 
 int FatTreeTopology::CoreFor(int src, int dst) const {
@@ -192,15 +175,6 @@ TorusTopology::TorusTopology(int width, int height, CostModel cost)
       RegisterIngress(to, y_prev_[static_cast<size_t>(w)]);
     }
   }
-}
-
-std::string TorusTopology::DescribeSpec(int num_workers, int width,
-                                        int height) {
-  return StrFormat("torus(P=%d, %dx%d)", num_workers, width, height);
-}
-
-std::string TorusTopology::Describe() const {
-  return DescribeSpec(num_workers(), width_, height_);
 }
 
 int TorusTopology::WalkDimension(int from, int to, int dim,

@@ -1,8 +1,6 @@
 #ifndef SPARDL_TOPO_TOPOLOGIES_H_
 #define SPARDL_TOPO_TOPOLOGIES_H_
 
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "topo/topology.h"
@@ -23,7 +21,6 @@ class FlatTopology : public Topology {
   FlatTopology(int num_workers, CostModel cost)
       : Topology(num_workers, cost) {}
 
-  std::string_view name() const override { return "flat"; }
   /// Clears `path`: flat has no links to cross.
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
@@ -44,7 +41,6 @@ class StarTopology : public Topology {
  public:
   StarTopology(int num_workers, CostModel cost);
 
-  std::string_view name() const override { return "star"; }
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
  private:
@@ -68,8 +64,6 @@ class FatTreeTopology : public Topology {
   FatTreeTopology(int num_workers, int rack_size, double oversubscription,
                   CostModel cost, int num_cores = 1);
 
-  std::string_view name() const override { return "fattree"; }
-  std::string Describe() const override;
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
   int rack_size() const { return rack_size_; }
@@ -77,11 +71,6 @@ class FatTreeTopology : public Topology {
   int num_cores() const { return num_cores_; }
   double oversubscription() const { return oversubscription_; }
   int RackOf(int worker) const { return worker / rack_size_; }
-
-  /// The one format both `Describe` and `TopologySpec::Describe` print,
-  /// so the two surfaces cannot drift.
-  static std::string DescribeSpec(int num_workers, int rack_size,
-                                  double oversubscription, int num_cores);
 
   /// The core switch ECMP pins the (src, dst) flow to, in [0, num_cores).
   /// A deterministic hash of the pair — the simulated analogue of
@@ -110,7 +99,6 @@ class RingTopology : public Topology {
  public:
   RingTopology(int num_workers, CostModel cost);
 
-  std::string_view name() const override { return "ring"; }
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
  private:
@@ -135,15 +123,10 @@ class TorusTopology : public Topology {
   /// num_workers = width * height.
   TorusTopology(int width, int height, CostModel cost);
 
-  std::string_view name() const override { return "torus"; }
-  std::string Describe() const override;
   void Route(int src, int dst, std::vector<LinkId>* path) const override;
 
   int width() const { return width_; }
   int height() const { return height_; }
-
-  /// The one format both `Describe` and `TopologySpec::Describe` print.
-  static std::string DescribeSpec(int num_workers, int width, int height);
 
  private:
   int XOf(int worker) const { return worker % width_; }

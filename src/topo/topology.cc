@@ -1,7 +1,6 @@
 #include "topo/topology.h"
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace spardl {
 
@@ -10,15 +9,6 @@ Topology::Topology(int num_workers, CostModel base_cost)
   SPARDL_CHECK_GE(num_workers, 1);
   ingress_links_.resize(static_cast<size_t>(num_workers));
   node_scale_.assign(static_cast<size_t>(num_workers), 1.0);
-}
-
-std::string Topology::DescribeSpec(std::string_view name, int num_workers) {
-  return StrFormat("%.*s(P=%d)", static_cast<int>(name.size()), name.data(),
-                   num_workers);
-}
-
-std::string Topology::Describe() const {
-  return DescribeSpec(name(), num_workers_);
 }
 
 LinkId Topology::AddLink(int tail, int head, double alpha, double beta) {

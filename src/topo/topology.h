@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "simnet/cost_model.h"
@@ -80,18 +78,6 @@ class Topology {
   /// The reference alpha-beta model this fabric was derived from (used by
   /// analytical predictions and as the per-hop budget).
   const CostModel& base_cost() const { return base_cost_; }
-
-  virtual std::string_view name() const = 0;
-
-  /// One-line human description, the same string `TopologySpec::Describe`
-  /// prints for the spec that built this fabric ("star(P=8)",
-  /// "fattree(P=8, racks of 4, oversub 4.0)").
-  virtual std::string Describe() const;
-
-  /// The "kind(P=N)" format both `Describe` and `TopologySpec::Describe`
-  /// print for the kinds without parameters (flat, star, ring), so the two
-  /// surfaces cannot drift.
-  static std::string DescribeSpec(std::string_view name, int num_workers);
 
   /// Writes the link ids a message from worker `src` to worker `dst`
   /// crosses, in order, into `*path` (cleared first; left empty on a

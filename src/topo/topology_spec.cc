@@ -238,13 +238,20 @@ Result<std::unique_ptr<Topology>> TopologySpec::Build() const {
 std::string TopologySpec::Describe() const {
   switch (kind) {
     case TopologyKind::kFatTree:
-      return FatTreeTopology::DescribeSpec(num_workers, rack_size,
-                                           oversubscription, num_cores);
+      if (num_cores > 1) {
+        return StrFormat(
+            "fattree(P=%d, racks of %d, oversub %.1f, %d cores)",
+            num_workers, rack_size, oversubscription, num_cores);
+      }
+      return StrFormat("fattree(P=%d, racks of %d, oversub %.1f)",
+                       num_workers, rack_size, oversubscription);
     case TopologyKind::kTorus:
-      return TorusTopology::DescribeSpec(num_workers, torus_width,
-                                         torus_height);
+      return StrFormat("torus(P=%d, %dx%d)", num_workers, torus_width,
+                       torus_height);
     default:
-      return Topology::DescribeSpec(TopologyKindName(kind), num_workers);
+      return StrFormat("%.*s(P=%d)",
+                       static_cast<int>(TopologyKindName(kind).size()),
+                       TopologyKindName(kind).data(), num_workers);
   }
 }
 

@@ -3,10 +3,14 @@
 #include <cmath>
 #include <vector>
 
+#include "allocation_counter.h"
 #include "collectives/dense_collectives.h"
 #include "collectives/sparse_allgather.h"
+#include "simnet/network.h"
 #include "sparse/block_partition.h"
 #include "test_util.h"
+#include "topo/placement.h"
+#include "topo/topology_spec.h"
 
 namespace spardl {
 namespace {
@@ -215,22 +219,61 @@ TEST(DenseCollectivesTest, AutoPicksByGroupSize) {
   }
 }
 
+std::vector<int> Members(const CommGroup& group) {
+  std::vector<int> members;
+  for (int i = 0; i < group.size(); ++i) {
+    members.push_back(group.GlobalRank(i));
+  }
+  return members;
+}
+
 TEST(CommGroupTest, ContiguousTeamsAndPositions) {
   // Two teams of three: team t holds ranks 3t, 3t+1, 3t+2.
-  const TeamPlacement placement = TeamPlacement::Contiguous(6, 2);
   Cluster cluster(6, CostModel::Free());
   cluster.Run([&](Comm& comm) {
     const int team = comm.rank() / 3;
     const int pos = comm.rank() % 3;
-    const CommGroup group = CommGroup::Team(comm, placement);
-    EXPECT_EQ(group.ranks, (std::vector<int>{3 * team, 3 * team + 1,
-                                             3 * team + 2}));
-    EXPECT_EQ(group.my_pos, pos);
+    const CommGroup group =
+        CommGroup::Team(comm, 2, PlacementPolicy::kContiguous);
+    EXPECT_EQ(Members(group), (std::vector<int>{3 * team, 3 * team + 1,
+                                                3 * team + 2}));
+    EXPECT_EQ(group.my_pos(), pos);
 
-    const CommGroup cross = CommGroup::CrossTeam(comm, placement);
-    EXPECT_EQ(cross.ranks, (std::vector<int>{pos, 3 + pos}));
-    EXPECT_EQ(cross.my_pos, team);
+    const CommGroup cross =
+        CommGroup::CrossTeam(comm, 2, PlacementPolicy::kContiguous);
+    EXPECT_EQ(Members(cross), (std::vector<int>{pos, 3 + pos}));
+    EXPECT_EQ(cross.my_pos(), team);
+
+    const CommGroup world = CommGroup::World(comm);
+    EXPECT_EQ(Members(world), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(world.my_pos(), comm.rank());
   });
+}
+
+// A group is a view into the layout its network planned: once planned,
+// building the world, a team or a cross-team group allocates nothing.
+TEST(CommGroupTest, ViewsAllocateNothingOncePlanned) {
+  Network network(TopologySpec::FatTree(8, /*rack_size=*/2,
+                                        /*oversubscription=*/4.0));
+  Comm comm(&network, /*rank=*/5);
+  const auto build_all = [&comm] {
+    int rank_sum = CommGroup::World(comm).GlobalRank(7);
+    for (PlacementPolicy policy : {PlacementPolicy::kContiguous,
+                                   PlacementPolicy::kRackLocal,
+                                   PlacementPolicy::kInterleaved}) {
+      rank_sum += CommGroup::Team(comm, 4, policy).GlobalRank(1) +
+                  CommGroup::CrossTeam(comm, 4, policy).GlobalRank(3);
+    }
+    return rank_sum;
+  };
+  const int planned = build_all();
+
+  g_allocation_count = 0;
+  g_count_allocations = true;
+  const int viewed = build_all();
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocation_count, 0u);
+  EXPECT_EQ(viewed, planned);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "core/sparse_allreduce.h"
 #include "sparse/sparse_vector.h"
-#include "topo/placement.h"
 
 namespace spardl {
 namespace {
@@ -173,16 +172,6 @@ TEST(ConfigValidateTest, RejectsUnsupportedValueBits) {
     config.value_bits = bits;
     ExpectValid(config);
   }
-}
-
-TEST(ConfigValidateTest, RejectsPlacementForAnotherShape) {
-  AlgorithmConfig config = GoodConfig();
-  config.placement = TeamPlacement::Contiguous(8, 4);  // config has d = 2
-  ExpectInvalid(config, "placement");
-  config.placement = TeamPlacement::Contiguous(4, 2);  // config has P = 8
-  ExpectInvalid(config, "placement");
-  config.placement = TeamPlacement::Contiguous(8, 2);
-  ExpectValid(config);
 }
 
 TEST(ConfigValidateTest, CreatePropagatesValidationError) {

@@ -94,9 +94,7 @@ TEST(LinkServerFairnessTest, EarlierSendTimeWinsRegardlessOfChargeOrder) {
   const double s_trunk = 4.0 * cm.beta * static_cast<double>(words);
   const TopologySpec spec =
       TopologySpec::FatTree(4, /*rack_size=*/2, /*oversub=*/4.0, cm);
-  auto built = spec.Build();
-  ASSERT_TRUE(built.ok());
-  Network network(std::move(*built));
+  Network network(spec);
   Comm early_sender(&network, 0);
   Comm late_sender(&network, 1);
   Comm early_receiver(&network, 2);

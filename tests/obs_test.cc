@@ -5,14 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "allocation_counter.h"
 #include "baselines/registry.h"
 #include "dl/grad_profile.h"
 #include "obs/exporters.h"
@@ -21,64 +20,6 @@
 #include "simnet/cluster.h"
 #include "test_util.h"
 #include "topo/topology_spec.h"
-
-// Allocation counter for the zero-cost-disabled-path test: the replaced
-// global operator new counts only while a thread opts in, so gtest's own
-// bookkeeping outside the measured region stays invisible.
-namespace {
-thread_local bool g_count_allocations = false;
-thread_local size_t g_allocation_count = 0;
-}  // namespace
-
-// noinline keeps the compiler from pairing the inlined malloc/free
-// bodies at call sites and warning about a new/free mismatch (the
-// replacement pair is malloc-based on both sides, so it is consistent).
-#if defined(__GNUC__)
-#define SPARDL_TEST_NOINLINE __attribute__((noinline))
-#else
-#define SPARDL_TEST_NOINLINE
-#endif
-
-SPARDL_TEST_NOINLINE void* operator new(size_t size) {
-  if (g_count_allocations) ++g_allocation_count;
-  if (void* ptr = std::malloc(size)) return ptr;
-  throw std::bad_alloc();
-}
-SPARDL_TEST_NOINLINE void* operator new[](size_t size) {
-  return ::operator new(size);
-}
-SPARDL_TEST_NOINLINE void operator delete(void* ptr) noexcept {
-  std::free(ptr);
-}
-SPARDL_TEST_NOINLINE void operator delete(void* ptr, size_t) noexcept {
-  std::free(ptr);
-}
-SPARDL_TEST_NOINLINE void operator delete[](void* ptr) noexcept {
-  std::free(ptr);
-}
-SPARDL_TEST_NOINLINE void operator delete[](void* ptr, size_t) noexcept {
-  std::free(ptr);
-}
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
-// otherwise the runtime's nothrow new pairs with the free above, which
-// ASan reports as an alloc-dealloc mismatch.
-SPARDL_TEST_NOINLINE void* operator new(size_t size,
-                                        const std::nothrow_t&) noexcept {
-  if (g_count_allocations) ++g_allocation_count;
-  return std::malloc(size);
-}
-SPARDL_TEST_NOINLINE void* operator new[](size_t size,
-                                          const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-SPARDL_TEST_NOINLINE void operator delete(void* ptr,
-                                          const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
-SPARDL_TEST_NOINLINE void operator delete[](void* ptr,
-                                            const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
 
 namespace spardl {
 namespace {

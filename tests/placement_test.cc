@@ -1,9 +1,9 @@
 // The team-placement planner: planned layouts are valid permutations,
 // kContiguous reproduces the legacy CommGroup layouts bit-for-bit, the
-// registry surfaces bad team shapes as InvalidArgument instead of dying on
-// a CHECK, and — the headline regression — rack-local teams beat
-// interleaved ones on a contended oversubscribed fat-tree, bit-identically
-// across runs.
+// cluster plans its layout from its own fabric, the registry surfaces bad
+// team shapes as InvalidArgument instead of dying on a CHECK, and — the
+// headline regression — rack-local teams beat interleaved ones on a
+// contended oversubscribed fat-tree, bit-identically across runs.
 
 #include "topo/placement.h"
 
@@ -80,7 +80,9 @@ TEST(PlanPlacementTest, PlannedLayoutsArePermutations) {
               ASSERT_LT(rank, p);
               EXPECT_TRUE(seen.insert(rank).second)
                   << "rank " << rank << " placed twice";
-              EXPECT_EQ(placement.GlobalRank(t, pos), rank);
+              EXPECT_EQ(placement.members()[static_cast<size_t>(
+                            t * (p / d) + pos)],
+                        rank);
               EXPECT_EQ(placement.TeamOf(rank), t);
               EXPECT_EQ(placement.PositionOf(rank), pos);
             }
@@ -92,40 +94,61 @@ TEST(PlanPlacementTest, PlannedLayoutsArePermutations) {
   }
 }
 
-// The kContiguous planner output drives CommGroup::Team/CrossTeam to the
-// contiguous layout: position pos of team t is global rank t*(P/d) + pos.
+// The kContiguous layout drives CommGroup::Team/CrossTeam to rank
+// arithmetic: position pos of team t is global rank t*(P/d) + pos.
 TEST(PlacementCommGroupTest, ContiguousPlanMatchesRankArithmetic) {
   const int p = 12;
   for (int d : {1, 2, 3, 4, 6, 12}) {
-    auto planned =
-        PlanPlacement(TopologySpec::Flat(p), p, d, PlacementPolicy::kContiguous);
-    ASSERT_TRUE(planned.ok());
-    const TeamPlacement placement = *planned;
     const int team_size = p / d;
     Cluster cluster(p, CostModel::Free());
     cluster.Run([&](Comm& comm) {
       const int team = comm.rank() / team_size;
       const int pos = comm.rank() % team_size;
-      const CommGroup team_group = CommGroup::Team(comm, placement);
+      const CommGroup team_group =
+          CommGroup::Team(comm, d, PlacementPolicy::kContiguous);
       ASSERT_EQ(team_group.size(), team_size);
       for (int i = 0; i < team_size; ++i) {
         EXPECT_EQ(team_group.GlobalRank(i), team * team_size + i);
       }
-      EXPECT_EQ(team_group.my_pos, pos);
+      EXPECT_EQ(team_group.my_pos(), pos);
 
-      const CommGroup cross = CommGroup::CrossTeam(comm, placement);
+      const CommGroup cross =
+          CommGroup::CrossTeam(comm, d, PlacementPolicy::kContiguous);
       ASSERT_EQ(cross.size(), d);
       for (int t = 0; t < d; ++t) {
         EXPECT_EQ(cross.GlobalRank(t), t * team_size + pos);
       }
-      EXPECT_EQ(cross.my_pos, team);
+      EXPECT_EQ(cross.my_pos(), team);
     });
   }
 }
 
-// A SparDL instance given an explicit kContiguous placement must charge
-// exactly (bit-for-bit) what the placement-free default charges.
-TEST(PlacementCommGroupTest, ExplicitContiguousPlacementIsBitForBit) {
+// The cluster plans the layout from its own fabric, so one policy lands
+// teams differently per fabric. Racks of three at P = 8 are {0,1,2},
+// {3,4,5}, {6,7}: rack-local keeps the whole teams {0,1}, {3,4}, {6,7}
+// and pairs the leftovers 2 and 5; flat is one locality group, so rank 2
+// teams with its neighbour.
+TEST(PlacementCommGroupTest, TeamFollowsTheFabric) {
+  for (const auto& [fabric, team] :
+       {std::pair<const char*, std::vector<int>>{"fattree:3x4", {2, 5}},
+        std::pair<const char*, std::vector<int>>{"flat", {2, 3}}}) {
+    auto spec = TopologySpec::Parse(fabric, 8);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    Network network(*spec);
+    Comm comm(&network, /*rank=*/2);
+    const CommGroup group =
+        CommGroup::Team(comm, 4, PlacementPolicy::kRackLocal);
+    ASSERT_EQ(group.size(), 2) << fabric;
+    EXPECT_EQ((std::vector<int>{group.GlobalRank(0), group.GlobalRank(1)}),
+              team)
+        << fabric;
+  }
+}
+
+// Flat has one locality group, where rack-local packing is the
+// contiguous layout: a rack-local SparDL must charge exactly
+// (bit-for-bit) what the default charges.
+TEST(PlacementCommGroupTest, RackLocalOnFlatIsBitForBit) {
   const int p = 8;
   const size_t n = 4000;
   AlgorithmConfig config;
@@ -135,14 +158,10 @@ TEST(PlacementCommGroupTest, ExplicitContiguousPlacementIsBitForBit) {
   config.num_teams = 2;
 
   std::vector<double> makespans;
-  for (bool explicit_placement : {false, true}) {
+  for (PlacementPolicy policy :
+       {PlacementPolicy::kContiguous, PlacementPolicy::kRackLocal}) {
     AlgorithmConfig run_config = config;
-    if (explicit_placement) {
-      auto planned = PlanPlacement(TopologySpec::Flat(p), p, 2,
-                                   PlacementPolicy::kContiguous);
-      ASSERT_TRUE(planned.ok());
-      run_config.placement = *planned;
-    }
+    run_config.placement = policy;
     Cluster cluster(p, CostModel::Ethernet());
     std::vector<std::unique_ptr<SparseAllReduce>> algos(
         static_cast<size_t>(p));
@@ -219,17 +238,14 @@ TEST(PlanPlacementTest, RejectsBadShapes) {
                 .code(),
             StatusCode::kInvalidArgument);
 
-  auto duplicate = TeamPlacement::FromMembers({0, 1, 1, 3}, 2,
-                                              PlacementPolicy::kContiguous);
+  auto duplicate = TeamPlacement::FromMembers({0, 1, 1, 3}, 2);
   EXPECT_EQ(duplicate.status().code(), StatusCode::kInvalidArgument);
-  auto out_of_range = TeamPlacement::FromMembers({0, 1, 2, 7}, 2,
-                                                 PlacementPolicy::kContiguous);
+  auto out_of_range = TeamPlacement::FromMembers({0, 1, 2, 7}, 2);
   EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
 }
 
-// The registry boundary (satellite bugfix): a team shape that cannot run —
-// a d that does not divide P, or a placement planned for a different
-// cluster — must surface as InvalidArgument from CreateAlgorithm, not die
+// The registry boundary: a team count that cannot run — one that does not
+// divide P — must surface as InvalidArgument from CreateAlgorithm, not die
 // on a SPARDL_CHECK inside the CommGroup machinery mid-run.
 TEST(RegistryTeamShapeTest, InvalidTeamCountReturnsStatusNotDeath) {
   AlgorithmConfig config;
@@ -245,40 +261,6 @@ TEST(RegistryTeamShapeTest, InvalidTeamCountReturnsStatusNotDeath) {
   }
 }
 
-TEST(RegistryTeamShapeTest, MismatchedPlacementReturnsStatusNotDeath) {
-  AlgorithmConfig config;
-  config.n = 1000;
-  config.k = 10;
-  config.num_workers = 8;
-  config.num_teams = 2;
-
-  // Placement planned for a 4-worker cluster, run asks for 8.
-  auto wrong_workers = PlanPlacement(TopologySpec::Flat(4), 4, 2,
-                                     PlacementPolicy::kContiguous);
-  ASSERT_TRUE(wrong_workers.ok());
-  config.placement = *wrong_workers;
-  auto created = CreateAlgorithm("spardl", config);
-  ASSERT_FALSE(created.ok());
-  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
-
-  // Placement holds 4 teams, run asks for 2.
-  auto wrong_teams = PlanPlacement(TopologySpec::Flat(8), 8, 4,
-                                   PlacementPolicy::kContiguous);
-  ASSERT_TRUE(wrong_teams.ok());
-  config.placement = *wrong_teams;
-  created = CreateAlgorithm("spardl", config);
-  ASSERT_FALSE(created.ok());
-  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
-
-  // A matching placement builds fine.
-  auto good = PlanPlacement(TopologySpec::Flat(8), 8, 2,
-                            PlacementPolicy::kRackLocal);
-  ASSERT_TRUE(good.ok());
-  config.placement = *good;
-  created = CreateAlgorithm("spardl", config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-}
-
 // The synchronous-SGD invariant must survive any layout: every worker ends
 // each iteration with the bit-identical global gradient even when teams
 // are scattered across racks.
@@ -290,14 +272,12 @@ TEST(PlacementConsistencyTest, AllWorkersIdenticalUnderAnyPlacement) {
       TopologySpec::FatTree(p, /*rack_size=*/2, /*oversub=*/4.0);
   for (PlacementPolicy policy :
        {PlacementPolicy::kRackLocal, PlacementPolicy::kInterleaved}) {
-    auto planned = PlanPlacement(spec, p, 2, policy);
-    ASSERT_TRUE(planned.ok());
     AlgorithmConfig config;
     config.n = n;
     config.k = k;
     config.num_workers = p;
     config.num_teams = 2;
-    config.placement = *planned;
+    config.placement = policy;
 
     Cluster cluster(spec);
     std::vector<std::unique_ptr<SparseAllReduce>> algos(
@@ -332,14 +312,11 @@ double SrsCommSeconds(const TopologySpec& spec, int num_teams,
                       PlacementPolicy policy) {
   const int p = spec.num_workers;
   const size_t n = 4000;
-  auto planned = PlanPlacement(spec, p, num_teams, policy);
-  SPARDL_CHECK(planned.ok()) << planned.status().ToString();
-  const TeamPlacement placement = *planned;
   Cluster cluster(spec);
   cluster.Run([&](Comm& comm) {
     const std::vector<float> grad = RandomGradient(
         n, 31 + static_cast<uint64_t>(comm.rank()));
-    const CommGroup team = CommGroup::Team(comm, placement);
+    const CommGroup team = CommGroup::Team(comm, num_teams, policy);
     SrsOptions options;
     options.k = 400;
     SparReduceScatter(comm, team, grad, options, nullptr);
@@ -360,14 +337,12 @@ double PerUpdateCommSeconds(const TopologySpec& spec, int num_teams,
                             PlacementPolicy policy) {
   const int p = spec.num_workers;
   const size_t n = 4000;
-  auto planned = PlanPlacement(spec, p, num_teams, policy);
-  SPARDL_CHECK(planned.ok()) << planned.status().ToString();
   AlgorithmConfig config;
   config.n = n;
   config.k = 400;
   config.num_workers = p;
   config.num_teams = num_teams;
-  config.placement = *planned;
+  config.placement = policy;
   Cluster cluster(spec);
   std::vector<std::unique_ptr<SparseAllReduce>> algos(
       static_cast<size_t>(p));

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "simnet/cluster.h"
 #include "simnet/comm.h"
 #include "simnet/network.h"
@@ -269,6 +271,36 @@ TEST(ClusterHeapTest, FreshClusterAtP4096HoldsUnder10MiB) {
   }
 }
 
+// Nor in the methods: the cluster keeps the one team layout SparDL runs
+// on, so every per-worker instance holds O(1) state and a cluster's P
+// instances hold O(P). Ok-Topk is exempt: its P + 1 region boundaries are
+// the algorithm's own state. Without residuals no instance holds O(n).
+TEST(AlgorithmHeapTest, InstanceAtP4096HoldsUnder4KiB) {
+  constexpr int kWorkers = 4096;
+  std::vector<std::pair<std::string, int>> cases = {{"spardl", 64}};
+  for (const std::string& name : AlgorithmNames()) {
+    if (name != "oktopk") cases.emplace_back(name, 1);
+  }
+  for (const auto& [name, num_teams] : cases) {
+    SCOPED_TRACE(name + " d=" + std::to_string(num_teams));
+    AlgorithmConfig config;
+    config.n = 1 << 20;
+    config.k = config.n / 100;
+    config.num_workers = kWorkers;
+    config.num_teams = num_teams;
+    config.residual_mode = ResidualMode::kNone;
+    std::vector<std::unique_ptr<SparseAllReduce>> algos;
+    algos.reserve(kWorkers);
+    const double before = HeapMiB();
+    for (int r = 0; r < kWorkers; ++r) {
+      auto created = CreateAlgorithm(name, config);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      algos.push_back(std::move(*created));
+    }
+    EXPECT_LT((HeapMiB() - before) * 1024 / kWorkers, 4.0);  // KiB
+  }
+}
+
 TEST(NetworkDeathTest, UnconsumedMessageFailsTheRun) {
   EXPECT_DEATH(
       {
@@ -289,8 +321,7 @@ TEST(NetworkDeathTest, WaitOutsideFiberWithNothingToPumpFails) {
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
     EXPECT_DEATH(
         {
-          auto built = (*spec).Build();
-          Network network(std::move(*built));
+          Network network(*spec);
           Comm receiver(&network, 1);
           (void)receiver.Recv(0);
         },
