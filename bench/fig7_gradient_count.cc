@@ -18,9 +18,9 @@
 
 int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
   const int p = args.workers_or(14);
-  // Teams must divide P: keep the paper's d=7 when it fits, else the
-  // largest proper divisor. With neither there is no inter-team B-SAG to
-  // observe.
+  // Teams must divide P: keep the paper's d=7 when 7 divides P, else the
+  // largest divisor d with 1 < d < P. A prime P other than 7 has neither,
+  // and with d = 1 there is no inter-team B-SAG to observe.
   int d = 1;
   if (p % 7 == 0) {
     d = 7;
@@ -33,8 +33,9 @@ int spardl::bench::RunFig7GradientCount(const HarnessArgs& args) {
     }
   }
   if (d == 1) {
-    UsageError(StrFormat("--workers %d has no team count d > 1 that "
-                         "divides it; B-SAG needs at least two teams",
+    UsageError(StrFormat("--workers %d has no divisor d with 1 < d < P "
+                         "(and is not a multiple of 7, where the paper's "
+                         "d = 7 applies); B-SAG needs at least two teams",
                          p));
   }
   const size_t n = 2'000'000;

@@ -52,15 +52,6 @@ int TeamPlacement::PositionOf(int rank) const {
   return pos_of_[static_cast<size_t>(rank)];
 }
 
-std::vector<int> TeamPlacement::TeamMembers(int team) const {
-  SPARDL_CHECK_GE(team, 0);
-  SPARDL_CHECK_LT(team, num_teams_);
-  const int ts = team_size();
-  return std::vector<int>(
-      member_.begin() + static_cast<ptrdiff_t>(team) * ts,
-      member_.begin() + static_cast<ptrdiff_t>(team + 1) * ts);
-}
-
 Result<TeamPlacement> TeamPlacement::FromMembers(std::vector<int> member,
                                                  int num_teams) {
   const int num_workers = static_cast<int>(member.size());

@@ -55,8 +55,6 @@ class TeamPlacement {
   /// The team / in-team position of global rank `rank`.
   int TeamOf(int rank) const;
   int PositionOf(int rank) const;
-  /// All of `team`'s global ranks, in position order.
-  std::vector<int> TeamMembers(int team) const;
   /// The whole table: `members()[team * team_size() + pos]` is the global
   /// rank at `pos` of `team`.
   std::span<const int> members() const { return member_; }

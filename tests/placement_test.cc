@@ -1,5 +1,5 @@
 // The team-placement planner: planned layouts are valid permutations,
-// kContiguous reproduces the legacy CommGroup layouts bit-for-bit, the
+// kContiguous reproduces rank-arithmetic teams bit-for-bit, the
 // cluster plans its layout from its own fabric, the registry surfaces bad
 // team shapes as InvalidArgument instead of dying on a CHECK, and — the
 // headline regression — rack-local teams beat interleaved ones on a
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,14 @@ namespace spardl {
 namespace {
 
 using ::spardl::testing::RandomGradient;
+
+// Team `team`'s global ranks, in position order.
+std::vector<int> MembersOf(const TeamPlacement& placement, int team) {
+  const std::span<const int> members = placement.members().subspan(
+      static_cast<size_t>(team * placement.team_size()),
+      static_cast<size_t>(placement.team_size()));
+  return std::vector<int>(members.begin(), members.end());
+}
 
 TEST(PlacementPolicyTest, NamesRoundTripThroughParse) {
   for (PlacementPolicy policy : AllPlacementPolicies()) {
@@ -72,7 +81,7 @@ TEST(PlanPlacementTest, PlannedLayoutsArePermutations) {
           EXPECT_EQ(placement.team_size(), p / d);
           std::set<int> seen;
           for (int t = 0; t < d; ++t) {
-            const std::vector<int> members = placement.TeamMembers(t);
+            const std::vector<int> members = MembersOf(placement, t);
             ASSERT_EQ(static_cast<int>(members.size()), p / d);
             for (int pos = 0; pos < p / d; ++pos) {
               const int rank = members[static_cast<size_t>(pos)];
@@ -191,7 +200,7 @@ TEST(PlanPlacementTest, RackLocalNeverStraddlesWhenTeamSizeDivides) {
     auto planned = PlanPlacement(spec, p, d, PlacementPolicy::kRackLocal);
     ASSERT_TRUE(planned.ok());
     for (int t = 0; t < d; ++t) {
-      const std::vector<int> members = (*planned).TeamMembers(t);
+      const std::vector<int> members = MembersOf(*planned, t);
       for (int rank : members) {
         EXPECT_EQ(rank / spec.rack_size, members[0] / spec.rack_size)
             << "team " << t << " straddles racks";
@@ -208,18 +217,18 @@ TEST(PlanPlacementTest, RackLocalPacksMisalignedRacks) {
       TopologySpec::FatTree(8, /*rack_size=*/3, /*oversub=*/4.0);
   auto planned = PlanPlacement(spec, 8, 4, PlacementPolicy::kRackLocal);
   ASSERT_TRUE(planned.ok());
-  EXPECT_EQ((*planned).TeamMembers(0), (std::vector<int>{0, 1}));
-  EXPECT_EQ((*planned).TeamMembers(1), (std::vector<int>{3, 4}));
-  EXPECT_EQ((*planned).TeamMembers(2), (std::vector<int>{6, 7}));
-  EXPECT_EQ((*planned).TeamMembers(3), (std::vector<int>{2, 5}));
+  EXPECT_EQ(MembersOf(*planned, 0), (std::vector<int>{0, 1}));
+  EXPECT_EQ(MembersOf(*planned, 1), (std::vector<int>{3, 4}));
+  EXPECT_EQ(MembersOf(*planned, 2), (std::vector<int>{6, 7}));
+  EXPECT_EQ(MembersOf(*planned, 3), (std::vector<int>{2, 5}));
 }
 
 TEST(PlanPlacementTest, InterleavedDealsConsecutiveRanksAcrossTeams) {
   auto planned = PlanPlacement(TopologySpec::Flat(8), 8, 2,
                                PlacementPolicy::kInterleaved);
   ASSERT_TRUE(planned.ok());
-  EXPECT_EQ((*planned).TeamMembers(0), (std::vector<int>{0, 2, 4, 6}));
-  EXPECT_EQ((*planned).TeamMembers(1), (std::vector<int>{1, 3, 5, 7}));
+  EXPECT_EQ(MembersOf(*planned, 0), (std::vector<int>{0, 2, 4, 6}));
+  EXPECT_EQ(MembersOf(*planned, 1), (std::vector<int>{1, 3, 5, 7}));
 }
 
 TEST(PlanPlacementTest, RejectsBadShapes) {
