@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "collectives/sparse_allgather.h"
@@ -141,8 +142,8 @@ BENCHMARK(BM_MergeSum)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
     ->ComputeStatistics("max", MaxOf);
 
 void BM_SumAll(benchmark::State& state) {
-  // P-way merge-sum, the SAG/all-gather reduction primitive. Wide index
-  // range so the loser tree (not the dense accumulator) is measured.
+  // P-way merge-sum, the SAG/all-gather reduction primitive: P inputs of
+  // 16,384 random entries each, about one index in 20.
   const size_t p = static_cast<size_t>(state.range(0));
   const size_t nnz = 1 << 14;
   std::vector<SparseVector> inputs;
@@ -160,6 +161,30 @@ void BM_SumAll(benchmark::State& state) {
 }
 BENCHMARK(BM_SumAll)->Arg(3)->Arg(8)->Arg(17)
     ->ComputeStatistics("max", MaxOf);
+
+void BM_SumAllTopkA(benchmark::State& state) {
+  // TopkA's call in benchmark/'s topka_p64_fattree: each of 64 workers
+  // keeps the top-4,000 of its 6,000 candidates over a 4M span, and the
+  // all-gathered sets (39,545 distinct indices) are summed.
+  const ProfileGradientGenerator generator(4'000'000, 2024);
+  TopKSelector selector;
+  std::vector<SparseVector> inputs;
+  size_t total = 0;
+  for (int r = 0; r < 64; ++r) {
+    SparseVector kept;
+    selector.SelectSparse(generator.Generate(r, 1, 6'000), 4'000, &kept,
+                          nullptr);
+    total += kept.size();
+    inputs.push_back(std::move(kept));
+  }
+  for (auto _ : state) {
+    SparseVector out = SumAll(inputs);
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(total));
+}
+BENCHMARK(BM_SumAllTopkA)->ComputeStatistics("max", MaxOf);
 
 void BM_SrsBagLayout(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

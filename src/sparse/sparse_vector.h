@@ -128,9 +128,10 @@ void MergeSumInPlace(SparseVector* acc, const SparseVector& x,
 
 /// Sums a list of sparse vectors. Bit-identical to pairwise left-to-right
 /// MergeSum accumulation (overlapping indices add their values in input
-/// order), but runs as a single O(total * log P) loser-tree k-way merge —
-/// or, when the index span is small relative to the total nnz, through a
-/// dense accumulator with first-touch assignment.
+/// order, and a lone -0.0f stays -0.0f). Three or more non-empty inputs
+/// are summed densely, one fixed window of 2^16 index slots at a time:
+/// each window starts at the smallest pending index, so the cost follows
+/// the total nnz and not the span, and the scratch is a fixed 264 KiB.
 SparseVector SumAll(std::span<const SparseVector> inputs);
 
 /// Concatenates vectors whose index ranges are disjoint and ascending in

@@ -1,5 +1,5 @@
 // Property suite for PR 5's compute-kernel overhaul: the radix-select /
-// warm-threshold selectors and the loser-tree / dense-accumulator SumAll
+// warm-threshold selectors and the windowed dense-accumulator SumAll
 // must be BIT-IDENTICAL to the previous reference implementations
 // (candidate-materialising nth_element selection; pairwise left-to-right
 // MergeSum accumulation) on every input, including adversarial ones —
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "dl/grad_profile.h"
 #include "sparse/topk.h"
 
 namespace spardl {
@@ -419,7 +420,7 @@ TEST(WarmSelectPropertyTest, EdgeKsLeaveThresholdUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// SumAll: loser tree and dense accumulator vs pairwise reference.
+// SumAll: windowed dense accumulation vs pairwise reference.
 
 std::vector<SparseVector> OverlappingInputs(size_t p, size_t nnz,
                                             size_t index_range,
@@ -443,31 +444,84 @@ std::vector<SparseVector> OverlappingInputs(size_t p, size_t nnz,
 
 TEST(SumAllPropertyTest, MatchesPairwiseForEveryP) {
   for (size_t p : {2u, 3u, 8u, 17u}) {
-    // Wide index range -> loser-tree path.
+    // Wide index range: the inputs rarely overlap.
     const auto sparse_inputs = OverlappingInputs(p, 200, 100000, 7 * p);
     EXPECT_BIT_IDENTICAL(SumAll(sparse_inputs), RefSumAll(sparse_inputs))
-        << "loser tree, P=" << p;
-    // Tight index range -> dense-accumulator path (span <= 2 * total).
+        << "wide range, P=" << p;
+    // Tight index range: the inputs overlap heavily.
     const auto dense_inputs = OverlappingInputs(p, 200, 250, 9 * p);
     EXPECT_BIT_IDENTICAL(SumAll(dense_inputs), RefSumAll(dense_inputs))
-        << "dense accumulator, P=" << p;
+        << "tight range, P=" << p;
   }
 }
 
 TEST(SumAllPropertyTest, SignedZerosAndCancellationsSurviveBitwise) {
   // -0.0f copies, +x + -x cancellations (the union keeps a 0.0f entry),
-  // and ties of zeros: both paths must reproduce the pairwise bits.
+  // and ties of zeros must reproduce the pairwise bits.
   const std::vector<SparseVector> inputs = {
       SparseVector({1, 5, 9}, {-0.0f, 2.0f, 1.0f}),
       SparseVector({2, 5, 9}, {-0.0f, -2.0f, 1.0f}),
       SparseVector({1, 9}, {0.0f, -2.0f}),
   };
   const SparseVector ref = RefSumAll(inputs);
-  EXPECT_BIT_IDENTICAL(SumAll(inputs), ref);  // span 9 <= 2 * 8: dense path
-  // Force the loser tree with a far-away outrigger entry.
+  EXPECT_BIT_IDENTICAL(SumAll(inputs), ref);
+  // A far-away outrigger entry adds a second window.
   std::vector<SparseVector> spread = inputs;
   spread.push_back(SparseVector({1000000}, {4.0f}));
   EXPECT_BIT_IDENTICAL(SumAll(spread), RefSumAll(spread));
+}
+
+TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
+  // TopkA's call in benchmark/'s topka_p64_fattree: 64 workers' top-4000
+  // over a 4M span, 39,545 distinct indices, about 60 windows.
+  const ProfileGradientGenerator generator(4'000'000, 2024);
+  TopKSelector selector;
+  std::vector<SparseVector> topka;
+  for (int r = 0; r < 64; ++r) {
+    SparseVector kept;
+    selector.SelectSparse(generator.Generate(r, 1, 6000), 4000, &kept,
+                          nullptr);
+    topka.push_back(std::move(kept));
+  }
+  EXPECT_BIT_IDENTICAL(SumAll(topka), RefSumAll(topka)) << "TopkA's call";
+
+  // SumAll's window is 2^16 slots and starts at the smallest pending
+  // index: here 1000, so 1000 + w - 1 is its last slot, 1000 + w opens
+  // the next window, and 1000 + 2w the one after that.
+  constexpr GradIndex w = GradIndex{1} << 16;
+  constexpr GradIndex b = 1000;
+  const std::vector<SparseVector> edges = {
+      SparseVector({b, b + w - 1, b + w, b + 2 * w},
+                   {1.0f, 1e-8f, 3.0f, -0.5f}),
+      SparseVector({b + w - 1, b + 2 * w - 1, b + 2 * w},
+                   {1.0f, 2.0f, 0.25f}),
+      SparseVector({b, b + w, b + 3 * w - 1}, {1e-8f, -3.0f, 7.0f}),
+  };
+  EXPECT_BIT_IDENTICAL(SumAll(edges), RefSumAll(edges)) << "window edges";
+
+  // Indices up to 2^32 - 1: one window is [top - w, top), so the last
+  // starts at top itself and ends past the 32-bit range.
+  constexpr GradIndex top = std::numeric_limits<GradIndex>::max();
+  const std::vector<SparseVector> high = {
+      SparseVector({5, top - w, top - 10, top}, {1.0f, 2.0f, 3.0f, 4.0f}),
+      SparseVector({top - w + 1, top - 10}, {0.5f, 1e-8f}),
+      SparseVector({70000, top - w, top}, {-2.0f, 0.25f, -0.0f}),
+  };
+  EXPECT_BIT_IDENTICAL(SumAll(high), RefSumAll(high)) << "2^32 - 1";
+
+  // A -0.0f first touch in the second window, at the slot that the first
+  // window touched: it must stay -0.0f, and -0.0f + -0.0f must too.
+  const std::vector<SparseVector> zeros = {
+      SparseVector({10, 10 + w, 30 + w}, {1.0f, -0.0f, -0.0f}),
+      SparseVector({10, 30 + w}, {2.0f, -0.0f}),
+      SparseVector({20 + 2 * w}, {-0.0f}),
+  };
+  EXPECT_BIT_IDENTICAL(SumAll(zeros), RefSumAll(zeros)) << "-0.0f";
+
+  // 1,024 small inputs over ~400 slots: every slot sums hundreds of
+  // values, whose float rounding depends on the input order.
+  const auto many = OverlappingInputs(1024, 50, 400, 11);
+  EXPECT_BIT_IDENTICAL(SumAll(many), RefSumAll(many)) << "1,024 inputs";
 }
 
 TEST(SumAllPropertyTest, EmptyInputsAreNoOps) {
