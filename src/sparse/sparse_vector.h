@@ -129,9 +129,12 @@ void MergeSumInPlace(SparseVector* acc, const SparseVector& x,
 /// Sums a list of sparse vectors. Bit-identical to pairwise left-to-right
 /// MergeSum accumulation (overlapping indices add their values in input
 /// order, and a lone -0.0f stays -0.0f). Three or more non-empty inputs
-/// are summed densely, one fixed window of 2^16 index slots at a time:
-/// each window starts at the smallest pending index, so the cost follows
-/// the total nnz and not the span, and the scratch is a fixed 264 KiB.
+/// are summed densely, one fixed window of 2^16 index slots at a time,
+/// each starting at the smallest pending index. The cost is the total nnz
+/// plus, per non-empty window, two passes over the P inputs and a walk of
+/// up to 1,024 bitmap words, so a very sparse call over a wide span pays
+/// that overhead once per window. Empty stretches cost nothing, and the
+/// scratch is a fixed 264 KiB whatever the span.
 SparseVector SumAll(std::span<const SparseVector> inputs);
 
 /// Concatenates vectors whose index ranges are disjoint and ascending in
