@@ -47,11 +47,56 @@ SparseVector RandomSparse(size_t n, size_t nnz, uint64_t seed) {
 
 // Best-of-repetitions aggregate for the perf-gated kernels: over
 // items_per_second it is the fastest repetition. The tier-1 gate
-// (cmake/RunBenchMicroJson.cmake) records it because on a shared host the
+// (`spardl-analyze --micro-run`) reads it because on a shared host the
 // fastest of many interleaved repetitions is far steadier than one pass.
 double MaxOf(const std::vector<double>& v) {
   return *std::max_element(v.begin(), v.end());
 }
+
+// The gate's reference: heapsort of 64 Ki LCG-generated uint32_t (the
+// input of benchmark/'s ReferenceKernelMs). The gate divides each kernel's
+// best by this one's from the same interleaved repetitions, so whole-host
+// speed phases cancel out. So that code placement cannot move it, its
+// timed loop calls nothing out of line (the linker places std::sort's
+// instantiations freely) and the function is aligned to 64 bytes.
+[[gnu::aligned(64)]] void BM_Reference(benchmark::State& state) {
+  constexpr size_t kKeys = size_t{1} << 16;
+  std::vector<uint32_t> keys(kKeys);
+  uint32_t* const a = keys.data();
+  for (auto _ : state) {
+    uint32_t x = 12345;
+    for (size_t i = 0; i < kKeys; ++i) {
+      x = x * 1664525u + 1013904223u;
+      a[i] = x;
+    }
+    // Heapsort: sift each inner node down to build the heap, then swap
+    // its top past the shrinking heap and sift the new root down.
+    for (size_t next = kKeys / 2, heap = kKeys; heap > 1;) {
+      size_t root = 0;
+      if (next > 0) {
+        root = --next;
+      } else {
+        std::swap(a[0], a[--heap]);
+      }
+      const uint32_t v = a[root];
+      for (size_t child = 2 * root + 1; child < heap; child = 2 * root + 1) {
+        if (child + 1 < heap && a[child + 1] > a[child]) ++child;
+        if (a[child] <= v) break;
+        a[root] = a[child];
+        root = child;
+      }
+      a[root] = v;
+    }
+    benchmark::DoNotOptimize(a);
+    benchmark::ClobberMemory();
+  }
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    state.SkipWithError("BM_Reference did not sort");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kKeys));
+}
+BENCHMARK(BM_Reference)->ComputeStatistics("max", MaxOf);
 
 void BM_ProfileGenerate(benchmark::State& state) {
   // One worker's candidate set at the per-update call sizes of

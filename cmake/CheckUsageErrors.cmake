@@ -30,6 +30,10 @@ elseif(NAME STREQUAL "spardl-analyze")
     "metrics.json"
     "--metrics metrics.json timeseries.json"
     "--no-such-flag"
+    "--micro-run"
+    "--micro-run run.json"
+    "--micro-run run.json --micro-history"
+    "--micro-history BENCH_micro.json --micro-out out.json"
   )
 else()
   message(FATAL_ERROR "CheckUsageErrors.cmake has no cases for '${NAME}'")
