@@ -218,7 +218,8 @@ void CheckMicroBenchmarks(const std::string& path, const std::string& where,
     DieBadFile(path, "has no '" + where + "' benchmarks");
   }
   for (const auto& [name, value] : benchmarks->object_items) {
-    if (!value.is_number() || !(value.number_value > 0.0)) {
+    if (!value.is_number() || !std::isfinite(value.number_value) ||
+        value.number_value <= 0.0) {
       DieBadFile(path, where + "['" + name + "'] is not a positive number");
     }
   }
@@ -266,7 +267,8 @@ MicroRun LoadMicroRun(const std::string& path) {
       benchmarks != nullptr && benchmarks->is_array()) {
     for (const JsonValue& b : benchmarks->array_items) {
       const double ips = b.NumberOr("items_per_second", 0.0);
-      if (b.StringOr("aggregate_name", "") == "max" && ips > 0.0) {
+      if (b.StringOr("aggregate_name", "") == "max" && ips > 0.0 &&
+          std::isfinite(ips)) {
         run.best[b.StringOr("run_name", "?")] = ips;
       }
     }
@@ -318,9 +320,12 @@ void AppendStyled(const JsonValue& v, const std::string& pad,
 // HEAD's short hash in the repository holding `path`, "unknown" outside one.
 std::string ShortHeadOf(const std::string& path) {
   const size_t slash = path.find_last_of('/');
+  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+  for (size_t at = 0; (at = dir.find('\'', at)) != std::string::npos; at += 4) {
+    dir.replace(at, 1, "'\\''");  // close the quote, an escaped ', reopen
+  }
   const std::string command =
-      "git -C '" + (slash == std::string::npos ? "." : path.substr(0, slash)) +
-      "' rev-parse --short HEAD 2>/dev/null";
+      "git -C '" + dir + "' rev-parse --short HEAD 2>/dev/null";
   std::string commit;
   if (FILE* git = popen(command.c_str(), "r")) {
     char buffer[64];
@@ -346,7 +351,7 @@ void WriteMicroHistory(JsonValue doc, const MicroRun& run,
   text.back() = '}';
   text += ",\"commit\":\"" + JsonEscape(ShortHeadOf(history_path)) +
           "\",\"host\":\"" + JsonEscape(run.host) + "\"}";
-  JsonValue entry = *JsonParse(text);
+  JsonValue entry = JsonParse(text).value();
   // `doc` is this function's own copy, so its members may be edited.
   auto& entries = const_cast<JsonValue*>(doc.Find("history"))->array_items;
   *const_cast<JsonValue*>(doc.Find("latest")) = *entry.Find("benchmarks");
