@@ -355,8 +355,8 @@ void WriteMicroHistory(JsonValue doc, const MicroRun& run,
   // `doc` is this function's own copy, so its members may be edited.
   auto& entries = const_cast<JsonValue*>(doc.Find("history"))->array_items;
   *const_cast<JsonValue*>(doc.Find("latest")) = *entry.Find("benchmarks");
-  if (entries.back().StringOr("commit", "") == entry.StringOr("commit", "") &&
-      entries.back().StringOr("host", "") == run.host) {
+  if (!run.host.empty() && entries.back().StringOr("host", "") == run.host &&
+      entries.back().StringOr("commit", "") == entry.StringOr("commit", "")) {
     entries.pop_back();
   }
   entries.push_back(std::move(entry));
@@ -411,8 +411,8 @@ int GateMicroRun(const std::string& run_path, const std::string& history_path,
   int gated = 0;
   int failed = 0;
   for (const auto& [name, now] : run.best) {
-    const JsonValue* old = then.Find(name);
     if (name == kReference) continue;
+    const JsonValue* old = then.Find(name);
     if (old == nullptr) {
       std::printf("'%s' is new since %s: not gated\n", name.c_str(),
                   base_commit.c_str());
