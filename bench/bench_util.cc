@@ -56,12 +56,6 @@ int ParseIntOrDie(const std::string& what, const std::string& text) {
   return static_cast<int>(value);
 }
 
-std::optional<int> EnvInt(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  return ParseIntOrDie(name, value);
-}
-
 /// One harness flag: its name, the value it takes (null: none), the
 /// `HarnessFlag` bit that lets a scenario read it, and how it is stored.
 struct FlagSpec {
@@ -135,12 +129,6 @@ HarnessArgs ParseHarnessArgs(unsigned flags, int argc, char** argv) {
   state.scenario = argv[0];
   state.flags = flags;
   HarnessArgs args;
-  if ((flags & kWorkersFlag) != 0) {
-    args.workers = EnvInt("SPARDL_BENCH_WORKERS");
-  }
-  if ((flags & kIterationsFlag) != 0) {
-    args.iterations = EnvInt("SPARDL_BENCH_ITERATIONS");
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

@@ -22,10 +22,9 @@ namespace bench {
 /// declares the set it reads, and the driver rejects every other flag on
 /// its command line with a usage error (exit 2).
 enum HarnessFlag : unsigned {
-  /// --workers N: cluster size override (env `SPARDL_BENCH_WORKERS`).
+  /// --workers N: cluster size override.
   kWorkersFlag = 1u << 0,
-  /// --iterations N: measured iterations override (env
-  /// `SPARDL_BENCH_ITERATIONS`).
+  /// --iterations N: measured iterations override.
   kIterationsFlag = 1u << 1,
   /// --topology SPEC: fabric override ("fattree:4x8x2", ...).
   kTopologyFlag = 1u << 2,
@@ -38,10 +37,8 @@ enum HarnessFlag : unsigned {
   kClusterFlags = 1u << 4,
 };
 
-/// A scenario's parsed command line. The two env fallbacks fill
-/// `workers` / `iterations` when the scenario reads them and the flag is
-/// absent (flag > env > the scenario's built-in value), so CI can run the
-/// expensive scenarios at smoke-tier sizes without editing code.
+/// A scenario's parsed command line. An absent flag leaves its field
+/// empty, and the scenario uses its built-in value.
 struct HarnessArgs {
   std::optional<int> workers;
   std::optional<int> iterations;
