@@ -54,8 +54,9 @@ SparseVector RandomSparse(size_t n, size_t nnz, uint64_t seed) {
 // them took longer than the timed loop. Every lambda has its own type, so
 // each call site keeps its own cache. Callers copy the value, so each
 // repetition still times a freshly allocated input: timing the cached one,
-// or caching the small sparse inputs too, moved BM_TopKSparse/1024 and
-// BM_TopKSparseWarm/1024 by 6-16% through memory placement alone.
+// or caching the small sparse inputs too, moved the ratios of
+// BM_TopKSparse/1024 and BM_TopKSparseWarm/1024 to BM_Reference through
+// memory placement alone.
 template <typename Build>
 const std::invoke_result_t<Build>& BuiltOnce(int64_t arg, Build build) {
   static std::map<int64_t, std::invoke_result_t<Build>> cache;
