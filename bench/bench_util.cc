@@ -265,6 +265,8 @@ void ObserveRun(Cluster& cluster, const std::string& label) {
   std::printf("[obs] run %zu '%s' on %s (%s): makespan %.6fs\n",
               state.runs.size(), label.c_str(), run.topology.c_str(),
               run.engine.c_str(), run.makespan_seconds);
+  std::printf("phases (seconds summed over %d workers):\n%s", run.workers,
+              TopPhasesTable(run).c_str());
   if (!run.links.empty()) {
     std::printf("%s", LinkUtilizationTable(run, /*top_n=*/3).c_str());
   }
@@ -273,22 +275,6 @@ void ObserveRun(Cluster& cluster, const std::string& label) {
   if (series.iterations > 0) {
     std::printf("%s", StragglerTable(series).c_str());
   }
-}
-
-std::vector<TopologySpec> DefaultFabricSweep(int num_workers,
-                                             CostModel cost) {
-  const int rack_size = (num_workers + 1) / 2;  // two racks
-  std::vector<TopologySpec> fabrics = {
-      TopologySpec::Flat(num_workers, cost),
-      TopologySpec::Star(num_workers, cost),
-      TopologySpec::FatTree(num_workers, rack_size, 4.0, cost),
-      TopologySpec::FatTree(num_workers, rack_size, 4.0, cost,
-                            /*num_cores=*/2),
-      TopologySpec::Ring(num_workers, cost)};
-  if (num_workers % 2 == 0 && num_workers >= 4) {
-    fabrics.push_back(TopologySpec::Torus(num_workers / 2, 2, cost));
-  }
-  return fabrics;
 }
 
 TopologySpec ResolveFabric(const std::optional<TopologySpec>& topology,
@@ -309,40 +295,7 @@ constexpr double kCandidateFactor = 1.5;
 constexpr int kWarmupIterations = 1;
 constexpr uint64_t kGeneratorSeed = 2024;
 
-int CeilLog2(int x) {
-  int l = 0;
-  while ((1 << l) < x) ++l;
-  return l;
-}
-
 }  // namespace
-
-TableICost PredictTableI(const std::string& algo, int p, int d,
-                         SagMode sag) {
-  const double pd = p;
-  const double log_p = CeilLog2(p);
-  if (algo == "topka") return {log_p, 2 * (pd - 1), 2 * (pd - 1)};
-  if (algo == "topkdsa") {
-    // (P + 2 log P) alpha; [4 (P-1)/P k, (P-1)/P (2k + n)] beta.
-    return {pd + 2 * log_p, 4 * (pd - 1) / pd, -1};
-  }
-  if (algo == "gtopk") return {2 * log_p, 4 * log_p, 4 * log_p};
-  if (algo == "oktopk") {
-    return {2 * (pd + log_p), 2 * (pd - 1) / pd, 6 * (pd - 1) / pd};
-  }
-  SPARDL_CHECK_EQ(algo, "spardl") << "no Table I row for " << algo;
-  if (d == 1) return {2 * log_p, 4 * (pd - 1) / pd, 4 * (pd - 1) / pd};
-  const double dd = d;
-  const double log_pd = CeilLog2(p / d);
-  const double log_d = CeilLog2(d);
-  if (sag == SagMode::kRecursive ||
-      (sag == SagMode::kAuto && (d & (d - 1)) == 0)) {
-    const double bw = 2 * ((2 * pd - 2 * dd) / pd + dd / pd * log_d);
-    return {2 * log_pd + log_d, bw, bw};
-  }
-  return {2 * log_pd + log_d, 2 * (dd * dd + pd - 2 * dd) / (pd * dd),
-          2 * (dd * dd + 2 * pd - 3 * dd) / pd};
-}
 
 std::optional<TopologySpec> HarnessArgs::TopologyOr(
     std::optional<TopologySpec> fallback, int num_workers,

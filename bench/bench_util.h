@@ -98,8 +98,8 @@ void ConfigureCluster(Cluster& cluster);
 /// analysis) and rewrites the metrics JSON/CSV, and rewrites the Chrome
 /// trace and time-series JSON with this cluster's data (multiple observed
 /// runs: the *last* trace/time-series wins; the metrics files keep every
-/// run). Prints the top-links, critical-path, what-if, and straggler
-/// tables to stdout. The straggler threshold is
+/// run). Prints the phase, top-links, critical-path, what-if, and
+/// straggler tables to stdout. The straggler threshold is
 /// `kDefaultStragglerFactor`. Exits non-zero with a message on any write
 /// failure. No-op when no sink was given.
 void ObserveRun(Cluster& cluster, const std::string& label);
@@ -172,29 +172,6 @@ class Sweep {
   };
   std::vector<Point> points_;
 };
-
-/// Table I's closed-form cost of one sparse All-Reduce: latency in units
-/// of alpha, bandwidth in units of k*beta (received words / k).
-struct TableICost {
-  double latency = 0.0;
-  double bandwidth_low = 0.0;
-  /// Equals `bandwidth_low` when the bound is tight; negative when it
-  /// depends on n (TopkDSA's (P-1)/P (2k + n)).
-  double bandwidth_high = 0.0;
-};
-
-/// The Table I row of registry method `algo` at P = `p`. For "spardl"
-/// with d > 1 teams, `sag` picks the R-SAG or B-SAG row (kAuto: R-SAG
-/// when d is a power of two, the paper's rule).
-TableICost PredictTableI(const std::string& algo, int p, int d,
-                         SagMode sag);
-
-/// The default fabric sweep shared by the `ext_topology` and
-/// `topology_explorer` scenarios: flat, star, two-rack fat-tree
-/// (single-core and 2-core ECMP), ring, and — for even P >= 4 — a
-/// (P/2) x 2 torus. One list so the two surfaces cannot drift.
-std::vector<TopologySpec> DefaultFabricSweep(
-    int num_workers, CostModel cost = CostModel::Ethernet());
 
 /// Resolves a run's fabric from an optional per-options override: falls
 /// back to the flat `cost_model` crossbar, fills a 0 worker count in the

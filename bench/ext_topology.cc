@@ -25,6 +25,31 @@
 #include "scenarios.h"
 #include "topo/placement.h"
 
+namespace spardl {
+namespace {
+
+/// The fabrics swept without --topology: flat, star, two-rack fat-tree
+/// (single-core and 2-core ECMP), ring, and, for even P >= 4, a
+/// (P/2) x 2 torus.
+std::vector<TopologySpec> DefaultFabricSweep(int num_workers,
+                                             CostModel cost) {
+  const int rack_size = (num_workers + 1) / 2;  // two racks
+  std::vector<TopologySpec> fabrics = {
+      TopologySpec::Flat(num_workers, cost),
+      TopologySpec::Star(num_workers, cost),
+      TopologySpec::FatTree(num_workers, rack_size, 4.0, cost),
+      TopologySpec::FatTree(num_workers, rack_size, 4.0, cost,
+                            /*num_cores=*/2),
+      TopologySpec::Ring(num_workers, cost)};
+  if (num_workers % 2 == 0 && num_workers >= 4) {
+    fabrics.push_back(TopologySpec::Torus(num_workers / 2, 2, cost));
+  }
+  return fabrics;
+}
+
+}  // namespace
+}  // namespace spardl
+
 int spardl::bench::RunExtTopology(const HarnessArgs& args) {
   const int p = args.workers_or(8);
   // Large-P mode (P >= 256, where fibers let one machine host the run): the
@@ -46,7 +71,7 @@ int spardl::bench::RunExtTopology(const HarnessArgs& args) {
     fabrics = {*args.TopologyOr(std::nullopt, p, cm)};
   } else {
     if (p < 2) UsageError("the sweep needs --workers >= 2");
-    fabrics = bench::DefaultFabricSweep(p, cm);
+    fabrics = DefaultFabricSweep(p, cm);
     if (large_p) {
       // O(P)-diameter fabrics turn every log-round exchange into
       // thousands of per-hop events; they are small-P illustrations.

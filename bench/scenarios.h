@@ -28,11 +28,6 @@ int RunExtHeterogeneous(const HarnessArgs& args);
 int RunExtOverlap(const HarnessArgs& args);
 int RunExtQuantization(const HarnessArgs& args);
 int RunExtTopology(const HarnessArgs& args);
-int RunCompareAlgorithms(const HarnessArgs& args);
-int RunCostModelExplorer(const HarnessArgs& args);
-int RunTopologyExplorer(const HarnessArgs& args);
-int RunTraceExplorer(const HarnessArgs& args);
-int RunTrainCluster(const HarnessArgs& args);
 int RunTuneTeams(const HarnessArgs& args);
 
 }  // namespace bench

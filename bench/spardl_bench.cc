@@ -1,6 +1,5 @@
-// spardl-bench: the paper's figure and table reproductions, the
-// extensions beyond the paper, and the explorers, as scenarios of one
-// driver.
+// spardl-bench: the paper's figure and table reproductions and the
+// extensions beyond the paper, as scenarios of one executable.
 //
 //   $ ./build/bench/spardl-bench                      # list the scenarios
 //   $ ./build/bench/spardl-bench <scenario> [flags]
@@ -73,16 +72,6 @@ constexpr Scenario kScenarios[] = {
      "SparDL with 16/8/4-bit values on the wire"},
     {"ext_topology", kAll, RunExtTopology,
      "every method on flat, star, fat-tree, ring and torus fabrics"},
-    {"compare_algorithms", kC, RunCompareAlgorithms,
-     "every method on the VGG-19 profile, plus SparDL team counts"},
-    {"cost_model_explorer", 0, RunCostModelExplorer,
-     "Table I closed forms in seconds over P, on Ethernet and RDMA"},
-    {"topology_explorer", kW | kT | kC, RunTopologyExplorer,
-     "measured per-update costs of the strongest methods per fabric"},
-    {"trace_explorer", kW | kI | kT | kC, RunTraceExplorer,
-     "phase and link breakdown of a traced SparDL run on a fat-tree"},
-    {"train_cluster", kC, RunTrainCluster,
-     "train a classifier on 8 simulated workers with SparDL"},
     {"tune_teams", kAll, RunTuneTeams,
      "pick the fastest (d, placement) for SparDL on a fabric"},
 };

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/strings.h"
 #include "metrics/table.h"
 #include "scenarios.h"
@@ -17,6 +18,50 @@ namespace {
 
 const ModelProfile kProfile = {"-", "synthetic", "-", 4'000'000, 0.0};
 
+/// Table I's closed-form cost of one sparse All-Reduce: latency in units
+/// of alpha, bandwidth in units of k*beta (received words / k).
+struct TableICost {
+  double latency = 0.0;
+  double bandwidth_low = 0.0;
+  /// Equals `bandwidth_low` when the bound is tight; negative when it
+  /// depends on n (TopkDSA's (P-1)/P (2k + n)).
+  double bandwidth_high = 0.0;
+};
+
+int CeilLog2(int x) {
+  int l = 0;
+  while ((1 << l) < x) ++l;
+  return l;
+}
+
+/// The Table I row of registry method `algo` at P = `p`. SparDL with
+/// d > 1 teams takes the R-SAG row when d is a power of two and the B-SAG
+/// row otherwise, as its `SagMode::kAuto` does.
+TableICost PredictTableI(const std::string& algo, int p, int d) {
+  const double pd = p;
+  const double log_p = CeilLog2(p);
+  if (algo == "topka") return {log_p, 2 * (pd - 1), 2 * (pd - 1)};
+  if (algo == "topkdsa") {
+    // (P + 2 log P) alpha; [4 (P-1)/P k, (P-1)/P (2k + n)] beta.
+    return {pd + 2 * log_p, 4 * (pd - 1) / pd, -1};
+  }
+  if (algo == "gtopk") return {2 * log_p, 4 * log_p, 4 * log_p};
+  if (algo == "oktopk") {
+    return {2 * (pd + log_p), 2 * (pd - 1) / pd, 6 * (pd - 1) / pd};
+  }
+  SPARDL_CHECK_EQ(algo, "spardl") << "no Table I row for " << algo;
+  if (d == 1) return {2 * log_p, 4 * (pd - 1) / pd, 4 * (pd - 1) / pd};
+  const double dd = d;
+  const double log_pd = CeilLog2(p / d);
+  const double log_d = CeilLog2(d);
+  if ((d & (d - 1)) == 0) {
+    const double bw = 2 * ((2 * pd - 2 * dd) / pd + dd / pd * log_d);
+    return {2 * log_pd + log_d, bw, bw};
+  }
+  return {2 * log_pd + log_d, 2 * (dd * dd + pd - 2 * dd) / (pd * dd),
+          2 * (dd * dd + 2 * pd - 3 * dd) / pd};
+}
+
 struct Row {
   std::string algo;
   int d;
@@ -25,11 +70,13 @@ struct Row {
 /// The rows measured at `p`: gTopk runs at any P (fold generalisation),
 /// but Table I's analytic row is the paper's power-of-two tree, so it is
 /// compared only where the prediction formula applies; every d divides P.
+/// The third SparDL row (d = 7 when 7 divides P, else P/2) is kept only
+/// when d > 2, so it never repeats the d = 1 or d = 2 row.
 std::vector<Row> RowsFor(int p) {
-  std::vector<Row> rows = {{"topkdsa", 1}, {"topka", 1},   {"gtopk", 1},
-                           {"oktopk", 1},  {"spardl", 1},  {"spardl", 2},
-                           {"spardl", 7}};
-  if (p % 7 != 0) rows.back().d = p / 2;  // keep d | P
+  std::vector<Row> rows = {{"topkdsa", 1}, {"topka", 1},  {"gtopk", 1},
+                           {"oktopk", 1},  {"spardl", 1}, {"spardl", 2}};
+  const int d = p % 7 == 0 ? 7 : p / 2;
+  if (d > 2) rows.push_back({"spardl", d});
   std::erase_if(rows, [p](const Row& row) {
     return (row.algo == "gtopk" && (p & (p - 1)) != 0) || p % row.d != 0;
   });
@@ -44,8 +91,7 @@ void PrintForWorkers(int p,
                       "pred bandwidth (kB)", "meas bandwidth (kB)"});
   for (const Row& row : RowsFor(p)) {
     const bench::PerUpdateResult& result = results[(*next)++];
-    const bench::TableICost pred =
-        bench::PredictTableI(row.algo, p, row.d, SagMode::kAuto);
+    const TableICost pred = PredictTableI(row.algo, p, row.d);
     std::string pred_bw =
         pred.bandwidth_high < 0
             ? StrFormat("[%.2f, n-bound]", pred.bandwidth_low)
@@ -65,6 +111,9 @@ void PrintForWorkers(int p,
 }  // namespace spardl
 
 int spardl::bench::RunTable1Complexity(const HarnessArgs& args) {
+  if (args.workers && *args.workers < 2) {
+    UsageError("Table I needs --workers >= 2");
+  }
   std::printf(
       "== Table I: communication complexity of sparse All-Reduce methods "
       "==\n"

@@ -14,13 +14,14 @@ if(NAME STREQUAL "spardl-bench")
     "no_such_scenario"
     "fig8_per_update --topology fattree:2x4"
     "table1_complexity --placement rack"
-    "topology_explorer --workers 0"
-    "topology_explorer --workers 1"
+    "table1_complexity --workers 1"
+    "ext_topology --workers 0"
+    "ext_topology --workers 1"
     "tune_teams --workers 8junk"
     "tune_teams --workers 1"
-    "cost_model_explorer abc"
+    "fig1_sga abc"
     "fig15_epoch_stability --topology nosuchfabric"
-    "compare_algorithms --backend thread"
+    "fig8_per_update --backend thread"
     "fig7_gradient_count --workers 5"
     "fig7_gradient_count --iterations 1"
   )

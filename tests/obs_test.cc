@@ -24,8 +24,8 @@
 namespace spardl {
 namespace {
 
-// Runs SparDL end-to-end on the given cluster (same shape as the
-// trace_explorer scenario, scaled down for test time).
+// Runs SparDL end-to-end on the given cluster: n = 4096, k = n/50, two
+// teams when P is even, no residuals.
 void RunSparDl(Cluster& cluster, int iterations) {
   const int p = cluster.size();
   AlgorithmConfig config;
