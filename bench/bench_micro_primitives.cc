@@ -1,7 +1,6 @@
 // Microbenchmarks (google-benchmark) for the primitives on SparDL's hot
-// path: candidate generation, top-k selection, sparse merge-summation, SRS
-// bag partitioning, and the collectives' wall-clock cost on the in-process
-// cluster.
+// path: candidate generation, top-k selection, sparse merge-summation, and
+// the collectives' wall-clock cost on the in-process cluster.
 //
 // Deliberately NOT a spardl-bench scenario: google-benchmark owns this
 // binary's command line (--benchmark_filter and friends), and the
@@ -54,9 +53,8 @@ SparseVector RandomSparse(size_t n, size_t nnz, uint64_t seed) {
 // them took longer than the timed loop. Every lambda has its own type, so
 // each call site keeps its own cache. Callers copy the value, so each
 // repetition still times a freshly allocated input: timing the cached one,
-// or caching the small sparse inputs too, moved the ratios of
-// BM_TopKSparse/1024 and BM_TopKSparseWarm/1024 to BM_Reference through
-// memory placement alone.
+// or caching the small sparse inputs too, moved the ratio of
+// BM_TopKSparse/1024 to BM_Reference through memory placement alone.
 template <typename Build>
 const std::invoke_result_t<Build>& BuiltOnce(int64_t arg, Build build) {
   static std::map<int64_t, std::invoke_result_t<Build>> cache;
@@ -172,26 +170,6 @@ void BM_TopKSparse(benchmark::State& state) {
 BENCHMARK(BM_TopKSparse)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
     ->ComputeStatistics("max", MaxOf);
 
-void BM_TopKSparseWarm(benchmark::State& state) {
-  // The SRS re-sparsification pattern: the same selector repeatedly
-  // re-selects with a carried threshold (here the data is static, the
-  // best case; SRS sees slow drift).
-  const size_t nnz = static_cast<size_t>(state.range(0));
-  const SparseVector input = RandomSparse(100 * nnz, nnz, 2);
-  TopKSelector selector;
-  SparseVector kept;
-  SparseVector discarded;
-  float tau = 0.0f;
-  for (auto _ : state) {
-    selector.SelectSparseWarm(input, nnz / 4, &kept, &discarded, &tau);
-    benchmark::DoNotOptimize(kept.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(input.size()));
-}
-BENCHMARK(BM_TopKSparseWarm)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)
-    ->ComputeStatistics("max", MaxOf);
-
 void BM_MergeSum(benchmark::State& state) {
   const size_t nnz = static_cast<size_t>(state.range(0));
   const SparseVector a = RandomSparse(20 * nnz, nnz, 3);
@@ -254,15 +232,6 @@ void BM_SumAllTopkA(benchmark::State& state) {
                           static_cast<int64_t>(total));
 }
 BENCHMARK(BM_SumAllTopkA)->ComputeStatistics("max", MaxOf);
-
-void BM_SrsBagLayout(benchmark::State& state) {
-  const int p = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    SrsBagLayout layout(p, p / 2);
-    benchmark::DoNotOptimize(layout.num_steps());
-  }
-}
-BENCHMARK(BM_SrsBagLayout)->Arg(14)->Arg(64)->Arg(512);
 
 void BM_BruckAllGatherWallTime(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -169,11 +171,25 @@ void ConfigureCluster(Cluster& cluster) {
   if (args.protocol_check) cluster.EnableProtocolCheck();
 }
 
+namespace {
+
+// CPUs this process may run on. Counted from its affinity mask, so a run
+// under `taskset -c 0` gets one carrier; hardware_concurrency() counts the
+// host's CPUs whatever the mask.
+size_t UsableCpus() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<size_t>(std::max(1, CPU_COUNT(&mask)));
+}
+
+}  // namespace
+
 void RunSweepPoints(const std::vector<double>& costs,
                     const std::function<void(size_t)>& run) {
   const size_t points = costs.size();
-  const size_t carriers = std::min<size_t>(
-      points, std::max(1u, std::thread::hardware_concurrency()));
+  const size_t carriers = std::min(points, UsableCpus());
   if (Global().args.observing() || carriers <= 1) {
     for (size_t i = 0; i < points; ++i) run(i);
     return;

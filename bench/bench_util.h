@@ -106,12 +106,12 @@ void ObserveRun(Cluster& cluster, const std::string& label);
 
 /// The untyped engine behind `Sweep::Run`: calls `run(i)` once for every
 /// i in [0, costs.size()) and returns when all calls have returned. With
-/// an artifact sink set (or a single point, or one hardware thread) it
-/// calls them in order on the calling thread. Otherwise it starts
-/// min(hardware threads, points) carrier threads, which take the points
-/// heaviest `costs[i]` first (ties in index order) and run each to
-/// completion; an exception from a point is rethrown on the calling
-/// thread after every carrier has joined.
+/// an artifact sink set (or a single point, or one CPU in the process's
+/// affinity mask) it calls them in order on the calling thread. Otherwise
+/// it starts min(CPUs in the mask, points) carrier threads, which take the
+/// points heaviest `costs[i]` first (ties in index order) and run each to
+/// completion; an exception from a point is rethrown on the calling thread
+/// after every carrier has joined.
 void RunSweepPoints(const std::vector<double>& costs,
                     const std::function<void(size_t)>& run);
 

@@ -1,5 +1,7 @@
 #include "core/spar_reduce_scatter.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -11,8 +13,12 @@ namespace spardl {
 
 namespace {
 
-// Shared SRS engine: starts from per-block sparse states (already within
-// budget) and runs the l transmission steps.
+// Shared SRS engine: starts from this worker's non-empty blocks (already
+// within budget), kept in a list ordered by their offset on the worker's
+// circle (`SrsBagLayout`), and runs the l transmission steps. The list is
+// the only per-block state: the bag sent at a step is its tail, and the
+// bag received lands on its head in the same order, so the engine holds
+// only the blocks that carry entries and never lays out another worker.
 class SrsEngine {
  public:
   SrsEngine(Comm& comm, const CommGroup& group, size_t n,
@@ -23,14 +29,17 @@ class SrsEngine {
         residuals_(residuals),
         partition_(n, group.size()),
         layout_(group.size(), group.my_pos()),
-        budget_(partition_.PerBlockBudget(options.k)),
-        block_state_(static_cast<size_t>(group.size())),
-        held_(static_cast<size_t>(group.size()), true),
-        warm_threshold_(static_cast<size_t>(group.size()), 0.0f) {}
+        budget_(partition_.PerBlockBudget(options.k)) {}
 
   const BlockPartition& partition() const { return partition_; }
+  const SrsBagLayout& layout() const { return layout_; }
   size_t budget() const { return budget_; }
-  std::vector<SparseVector>& block_state() { return block_state_; }
+
+  // Appends the block at the next offset; empty blocks are dropped. Call
+  // in offset order before Run().
+  void AddBlock(SparseVector block) {
+    if (!block.empty()) blocks_.push_back(std::move(block));
+  }
 
   // Runs the transmission-with-sparsification phase and returns the block
   // owned by this group position.
@@ -39,22 +48,29 @@ class SrsEngine {
     for (int step = 1; step <= steps; ++step) {
       TraceScope step_scope(comm_, Phase::kSrs, "srs-step", step);
       const int bag = layout_.BagForStep(step);
-      const std::vector<int>& outgoing_blocks = layout_.Bag(bag);
+      SPARDL_DCHECK(blocks_.empty() ||
+                    OffsetOf(blocks_.back()) < layout_.HeldBeforeStep(step));
+      // The bag is the list's tail: every held offset from BagBegin on.
+      auto first_sent = std::partition_point(
+          blocks_.begin(), blocks_.end(), [&](const SparseVector& block) {
+            return OffsetOf(block) < layout_.BagBegin(bag);
+          });
       if (options_.lazy_sparsify) {
         // Only the blocks about to leave get re-sparsified.
         TraceScope scope(comm_, Phase::kSparsify, "resparsify", step);
-        for (int b : outgoing_blocks) SparsifyBlock(b);
+        for (auto it = first_sent; it != blocks_.end(); ++it) {
+          SparsifyBlock(*it);
+        }
       }
-      // Ship the bag (one message per step, blocks in bag order),
+      // Ship the bag (one message per step, blocks in offset order),
       // optionally quantizing values on the wire.
-      std::vector<SparseVector> outgoing;
-      outgoing.reserve(outgoing_blocks.size());
+      std::vector<SparseVector> outgoing(
+          std::make_move_iterator(first_sent),
+          std::make_move_iterator(blocks_.end()));
+      blocks_.erase(first_sent, blocks_.end());
       size_t words_override = 0;
-      for (int b : outgoing_blocks) {
-        SparseVector block = std::move(block_state_[static_cast<size_t>(b)]);
-        block_state_[static_cast<size_t>(b)].Clear();
-        held_[static_cast<size_t>(b)] = false;
-        if (options_.value_bits != 32) {
+      if (options_.value_bits != 32) {
+        for (SparseVector& block : outgoing) {
           QuantizeDequantize(&block, options_.value_bits, &discarded_);
           if (residuals_ != nullptr) {
             residuals_->AddCommDiscard(discarded_, 1.0f);
@@ -62,61 +78,75 @@ class SrsEngine {
           words_override +=
               QuantizedWireWords(block.size(), options_.value_bits);
         }
-        outgoing.push_back(std::move(block));
+        // An empty block of the bag still carries its scale word.
+        const size_t empty_blocks =
+            static_cast<size_t>(layout_.BagEnd(bag) - layout_.BagBegin(bag)) -
+            outgoing.size();
+        words_override +=
+            empty_blocks * QuantizedWireWords(0, options_.value_bits);
       }
       comm_.Send(group_.GlobalRank(layout_.SendPeer(step)),
                  Payload(std::move(outgoing)), /*tag=*/0, words_override);
 
-      // Receive the matching bag from the source worker; its block ranks
-      // follow from the source's (deterministic) bag layout.
-      const int src_pos = layout_.RecvPeer(step);
+      // Receive the matching bag: the source's non-empty blocks, in the
+      // order of this worker's offsets [0, ReceivedAtStep).
       std::vector<SparseVector> incoming =
           comm_.RecvAs<std::vector<SparseVector>>(
-              group_.GlobalRank(src_pos));
-      const SrsBagLayout src_layout(group_.size(), src_pos);
-      const std::vector<int>& incoming_blocks = src_layout.Bag(bag);
-      SPARDL_CHECK_EQ(incoming.size(), incoming_blocks.size());
-      for (size_t i = 0; i < incoming.size(); ++i) {
-        const int b = incoming_blocks[i];
-        // Theorem 1: every received block is still held by the receiver.
-        SPARDL_CHECK(held_[static_cast<size_t>(b)])
-            << "Theorem 1 violated: received block " << b
-            << " is no longer held by group position " << group_.my_pos();
-        SPARDL_CHECK(incoming[i].IndicesWithin(partition_.BlockStart(b),
-                                               partition_.BlockEnd(b)))
+              group_.GlobalRank(layout_.RecvPeer(step)));
+      std::vector<SparseVector> merged;
+      merged.reserve(blocks_.size() + incoming.size());
+      auto held = blocks_.begin();
+      for (SparseVector& block : incoming) {
+        const int b = partition_.BlockOf(block.index(0));
+        const int offset = layout_.OffsetOf(b);
+        // Theorem 1: every received block is still held by the receiver,
+        // on the offsets the layout reserves for the received bag.
+        SPARDL_CHECK_LT(offset, layout_.ReceivedAtStep(step))
+            << "Theorem 1 violated: group position " << group_.my_pos()
+            << " received block " << b << " outside its received offsets";
+        SPARDL_CHECK(block.IndicesWithin(partition_.BlockStart(b),
+                                         partition_.BlockEnd(b)))
             << "received block " << b << " has out-of-range indices";
-        MergeSumInPlace(&block_state_[static_cast<size_t>(b)], incoming[i],
-                        &scratch_);
+        while (held != blocks_.end() && OffsetOf(*held) < offset) {
+          merged.push_back(std::move(*held++));
+        }
+        if (held != blocks_.end() && OffsetOf(*held) == offset) {
+          MergeSumInPlace(&*held, block, &scratch_);
+          merged.push_back(std::move(*held++));
+        } else {
+          merged.push_back(std::move(block));
+        }
       }
+      merged.insert(merged.end(), std::make_move_iterator(held),
+                    std::make_move_iterator(blocks_.end()));
+      blocks_ = std::move(merged);
       if (!options_.lazy_sparsify) {
         // Eager variant: re-sparsify every remaining block after summation.
         TraceScope scope(comm_, Phase::kSparsify, "resparsify", step);
-        for (int b = 0; b < group_.size(); ++b) {
-          if (held_[static_cast<size_t>(b)]) SparsifyBlock(b);
-        }
+        for (SparseVector& block : blocks_) SparsifyBlock(block);
       }
     }
-    // Only the preservation block remains; give it its final selection.
-    SparsifyBlock(group_.my_pos());
-    for (int b = 0; b < group_.size(); ++b) {
-      SPARDL_DCHECK(held_[static_cast<size_t>(b)] == (b == group_.my_pos()));
-    }
-    return std::move(block_state_[static_cast<size_t>(group_.my_pos())]);
+    // Only the preservation block (offset 0) can remain; give it its final
+    // selection.
+    SPARDL_DCHECK_LE(blocks_.size(), 1u);
+    if (blocks_.empty()) return SparseVector();
+    SPARDL_DCHECK_EQ(OffsetOf(blocks_.front()), 0);
+    SparsifyBlock(blocks_.front());
+    return std::move(blocks_.front());
   }
 
  private:
-  void SparsifyBlock(int b) {
-    SparseVector& state = block_state_[static_cast<size_t>(b)];
-    if (state.size() <= budget_) return;
-    // Warm-started selection: each block is re-sparsified every step with a
-    // slowly moving k-th magnitude, so the previous step's threshold prunes
-    // most candidates before the exact (bit-identical) pivot search.
-    selector_.SelectSparseWarm(state, budget_, &kept_, &discarded_,
-                               &warm_threshold_[static_cast<size_t>(b)]);
+  int OffsetOf(const SparseVector& block) const {
+    return layout_.OffsetOf(partition_.BlockOf(block.index(0)));
+  }
+
+  void SparsifyBlock(SparseVector& block) {
+    if (block.size() <= budget_) return;
+    selector_.SelectSparse(block, budget_, &kept_, &discarded_);
     if (residuals_ != nullptr) {
       residuals_->AddCommDiscard(discarded_, 1.0f);
     }
-    std::swap(state, kept_);
+    std::swap(block, kept_);
   }
 
   Comm& comm_;
@@ -126,9 +156,7 @@ class SrsEngine {
   BlockPartition partition_;
   SrsBagLayout layout_;
   size_t budget_;
-  std::vector<SparseVector> block_state_;
-  std::vector<bool> held_;
-  std::vector<float> warm_threshold_;  // per block; 0 = cold
+  std::vector<SparseVector> blocks_;  // non-empty, by offset
   TopKSelector selector_;
   SparseVector kept_;
   SparseVector discarded_;
@@ -146,16 +174,18 @@ SparseVector SparReduceScatter(Comm& comm, const CommGroup& group,
   // Initial block-wise local sparsification (partitioning phase).
   const BlockPartition& partition = engine.partition();
   TopKSelector selector;
+  SparseVector kept;
   SparseVector discarded;
   {
     TraceScope scope(comm, Phase::kSparsify, "select-blocks");
-    for (int b = 0; b < group.size(); ++b) {
+    for (int offset = 0; offset < group.size(); ++offset) {
+      const int b = engine.layout().BlockAt(offset);
       const GradIndex lo = partition.BlockStart(b);
       const GradIndex hi = partition.BlockEnd(b);
       selector.SelectDense(grad.subspan(lo, hi - lo), lo, engine.budget(),
-                           &engine.block_state()[static_cast<size_t>(b)],
-                           &discarded);
+                           &kept, &discarded);
       if (residuals != nullptr) residuals->AddLocalDiscard(discarded);
+      engine.AddBlock(std::move(kept));
     }
   }
   return engine.Run();
@@ -170,17 +200,19 @@ SparseVector SparReduceScatterOnSparse(Comm& comm, const CommGroup& group,
   const BlockPartition& partition = engine.partition();
   TopKSelector selector;
   SparseVector block_candidates;
+  SparseVector kept;
   SparseVector discarded;
   {
     TraceScope scope(comm, Phase::kSparsify, "select-blocks");
-    for (int b = 0; b < group.size(); ++b) {
+    for (int offset = 0; offset < group.size(); ++offset) {
+      const int b = engine.layout().BlockAt(offset);
       block_candidates.Clear();
       candidates.ExtractRange(partition.BlockStart(b), partition.BlockEnd(b),
                               &block_candidates);
-      selector.SelectSparse(block_candidates, engine.budget(),
-                            &engine.block_state()[static_cast<size_t>(b)],
+      selector.SelectSparse(block_candidates, engine.budget(), &kept,
                             &discarded);
       if (residuals != nullptr) residuals->AddLocalDiscard(discarded);
+      engine.AddBlock(std::move(kept));
     }
   }
   return engine.Run();

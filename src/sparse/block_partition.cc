@@ -32,37 +32,6 @@ SrsBagLayout::SrsBagLayout(int num_workers, int rank)
       num_steps_(NumSteps(num_workers)) {
   SPARDL_CHECK_GE(rank, 0);
   SPARDL_CHECK_LT(rank, num_workers);
-  bags_.resize(static_cast<size_t>(num_steps_) + 1);
-  bags_[0].push_back(rank_);
-  // Walk the circle: offset j from the rank lands in bag floor(log2 j) + 1.
-  int bag = 1;
-  int bag_capacity = 1;  // 2^(bag-1)
-  int in_bag = 0;
-  for (int j = 1; j < num_workers_; ++j) {
-    if (in_bag == bag_capacity) {
-      ++bag;
-      bag_capacity <<= 1;
-      in_bag = 0;
-    }
-    bags_[static_cast<size_t>(bag)].push_back((rank_ + j) % num_workers_);
-    ++in_bag;
-  }
-}
-
-std::vector<int> SrsBagLayout::HeldBlocksBeforeStep(int step) const {
-  SPARDL_CHECK_GE(step, 1);
-  // Sent so far: bags l, l-1, ..., l-step+2  (steps 1..step-1).
-  std::vector<bool> sent(static_cast<size_t>(num_workers_), false);
-  for (int s = 1; s < step; ++s) {
-    for (int block : bags_[static_cast<size_t>(BagForStep(s))]) {
-      sent[static_cast<size_t>(block)] = true;
-    }
-  }
-  std::vector<int> held;
-  for (int b = 0; b < num_workers_; ++b) {
-    if (!sent[static_cast<size_t>(b)]) held.push_back(b);
-  }
-  return held;
 }
 
 }  // namespace spardl

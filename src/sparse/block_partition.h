@@ -2,7 +2,6 @@
 #define SPARDL_SPARSE_BLOCK_PARTITION_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "sparse/sparse_vector.h"
 
@@ -44,17 +43,25 @@ class BlockPartition {
   size_t width_;
 };
 
-/// The Spar-Reduce-Scatter bag layout for one worker (paper §III-B).
+/// The Spar-Reduce-Scatter bag layout for one worker (paper §III-B), in
+/// closed form.
 ///
-/// Worker w's P blocks are arranged on a circle starting at block w. Block w
-/// itself forms the preservation bag B0. Sending bag Bi (1 <= i <= l,
-/// l = ceil(log2 P)) holds the next 2^(i-1) blocks — w+2^(i-1) .. w+2^i-1
-/// (mod P) — except the last bag, which holds only the E = P - 2^(l-1)
-/// remaining blocks. Transmission step s (1-based) sends bag B_{l-s+1} to
-/// worker w + 2^(l-s) and receives the matching bag from worker w - 2^(l-s).
+/// Worker w's P blocks are arranged on a circle starting at block w; block
+/// b sits at *offset* (b - w) mod P. Offset 0 (block w itself) forms the
+/// preservation bag B0. Sending bag Bi (1 <= i <= l, l = ceil(log2 P))
+/// holds the offsets [2^(i-1), min(2^i, P)): 2^(i-1) blocks, except the
+/// last bag, which holds only the E = P - 2^(l-1) remaining blocks.
+/// Transmission step s (1-based) sends bag B_{l-s+1} to worker w + 2^(l-s)
+/// and receives the matching bag from worker w - 2^(l-s).
+///
+/// Before step s the worker holds the offsets [0, min(2^(l-s+1), P)), so
+/// the bag it sends is the tail of what it holds. The bag it receives
+/// covers the source's offsets [2^(l-s), min(2^(l-s+1), P)), which are the
+/// receiver's offsets [0, min(2^(l-s), P - 2^(l-s))): blocks it still holds
+/// (Theorem 1), in the same circular order.
 class SrsBagLayout {
  public:
-  /// Builds the layout for `rank` in a group of `num_workers` (>= 1).
+  /// The layout for `rank` in a group of `num_workers` (>= 1).
   SrsBagLayout(int num_workers, int rank);
 
   /// l = ceil(log2 P); the number of transmission steps (0 when P == 1).
@@ -64,10 +71,24 @@ class SrsBagLayout {
   int rank() const { return rank_; }
   int num_steps() const { return num_steps_; }
 
-  /// Block ranks in bag `bag` (0 = preservation). Circular order.
-  const std::vector<int>& Bag(int bag) const {
-    SPARDL_DCHECK_LE(static_cast<size_t>(bag), bags_.size() - 1);
-    return bags_[bag];
+  /// Offset of `block` on this worker's circle: (block - rank) mod P.
+  int OffsetOf(int block) const {
+    return (block - rank_ + num_workers_) % num_workers_;
+  }
+
+  /// Block at `offset` on this worker's circle: (rank + offset) mod P.
+  int BlockAt(int offset) const { return (rank_ + offset) % num_workers_; }
+
+  /// First offset of bag `bag` (0 = preservation).
+  int BagBegin(int bag) const {
+    SPARDL_DCHECK(bag >= 0 && bag <= num_steps_);
+    return bag == 0 ? 0 : 1 << (bag - 1);
+  }
+
+  /// One past the last offset of bag `bag`: min(2^bag, P).
+  int BagEnd(int bag) const {
+    SPARDL_DCHECK(bag >= 0 && bag <= num_steps_);
+    return bag == num_steps_ ? num_workers_ : 1 << bag;
   }
 
   /// The bag sent at transmission step `step` in [1, num_steps].
@@ -87,16 +108,25 @@ class SrsBagLayout {
            num_workers_;
   }
 
-  /// Block ranks still held by this worker just before `step` (1-based;
-  /// step = num_steps + 1 gives the final held set, i.e. {rank}).
-  /// Held = all blocks minus bags already sent at steps < step.
-  std::vector<int> HeldBlocksBeforeStep(int step) const;
+  /// Offsets still held just before `step` (1-based) are [0, this):
+  /// min(2^(l-step+1), P). Step num_steps + 1 gives 1, the worker's own
+  /// block.
+  int HeldBeforeStep(int step) const {
+    SPARDL_DCHECK(step >= 1 && step <= num_steps_ + 1);
+    return BagEnd(num_steps_ - step + 1);
+  }
+
+  /// Offsets received at `step` are [0, this): the size of the bag the
+  /// source sends, min(2^(l-step), P - 2^(l-step)).
+  int ReceivedAtStep(int step) const {
+    const int bag = BagForStep(step);
+    return BagEnd(bag) - BagBegin(bag);
+  }
 
  private:
   int num_workers_;
   int rank_;
   int num_steps_;
-  std::vector<std::vector<int>> bags_;
 };
 
 }  // namespace spardl

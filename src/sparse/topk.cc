@@ -122,54 +122,6 @@ void TopKSelector::SelectSparse(const SparseVector& input, size_t k,
   EmitSparse(input, k, pivot, kept, discarded);
 }
 
-void TopKSelector::SelectSparseWarm(const SparseVector& input, size_t k,
-                                    SparseVector* kept,
-                                    SparseVector* discarded,
-                                    float* warm_threshold) {
-  SPARDL_CHECK(warm_threshold != nullptr);
-  kept->Clear();
-  if (discarded != nullptr) discarded->Clear();
-  if (k >= input.size()) {
-    // No selection happened, so the threshold carries no new information.
-    *kept = input;
-    return;
-  }
-  if (k == 0) {
-    if (discarded != nullptr) *discarded = input;
-    return;
-  }
-  const float* val = input.values().data();
-  const uint32_t n = static_cast<uint32_t>(input.size());
-  const uint32_t tau_bits = AbsBits(*warm_threshold);
-  Pivot pivot;
-  bool have_pivot = false;
-  if (tau_bits != 0) {
-    // Threshold scan: everything >= tau strictly outranks everything below
-    // it, so whenever at least k entries survive, the true top-k is a
-    // subset of the survivors and the pivot search can run on them alone.
-    size_t c = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      c += (AbsBits(val[i]) >= tau_bits) ? 1 : 0;
-    }
-    if (c >= k) {
-      bucket_scratch_.clear();
-      bucket_scratch_.reserve(c);
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t ab = AbsBits(val[i]);
-        if (ab >= tau_bits) bucket_scratch_.push_back({ab, i});
-      }
-      pivot = PivotFromCandidates(k);
-      have_pivot = true;
-    }
-  }
-  if (!have_pivot) {
-    // Cold start, or the data drifted below the old threshold: exact path.
-    pivot = SparsePivotRadix(input.values(), k);
-  }
-  *warm_threshold = std::bit_cast<float>(pivot.abs_bits);
-  EmitSparse(input, k, pivot, kept, discarded);
-}
-
 void TopKSelector::SelectDense(std::span<const float> dense,
                                GradIndex base_index, size_t k,
                                SparseVector* kept, SparseVector* discarded) {

@@ -43,20 +43,6 @@ class TopKSelector {
   void SelectSparse(const SparseVector& input, size_t k, SparseVector* kept,
                     SparseVector* discarded);
 
-  /// SelectSparse with a warm-started threshold, for call sites that
-  /// repeatedly re-select from slowly drifting data (SRS re-sparsifies the
-  /// same blocks every step with a slowly moving k-th magnitude).
-  /// `*warm_threshold` (0 = cold start) prunes the candidate set to the
-  /// entries with |value| >= threshold in one cheap counting scan; when the
-  /// pruned count misses k the selector falls back to the exact radix path.
-  /// The result is bit-identical to SelectSparse for ANY threshold value.
-  /// When a selection actually happens (0 < k < input.size()),
-  /// `*warm_threshold` holds this selection's k-th |value| on return; the
-  /// keep-all / discard-all early-outs leave it untouched.
-  void SelectSparseWarm(const SparseVector& input, size_t k,
-                        SparseVector* kept, SparseVector* discarded,
-                        float* warm_threshold);
-
   /// Same selection over a dense block; produced indices are offset by
   /// `base_index`. Zeros are never selected (they carry no information) but
   /// are also never reported as discarded.

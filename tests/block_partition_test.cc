@@ -63,15 +63,25 @@ TEST(SrsBagLayoutTest, NumStepsIsCeilLog2) {
   EXPECT_EQ(SrsBagLayout::NumSteps(14), 4);
 }
 
+// Block ranks of `bag` in circular order: the offsets [BagBegin, BagEnd).
+std::vector<int> BagBlocks(const SrsBagLayout& layout, int bag) {
+  std::vector<int> blocks;
+  for (int offset = layout.BagBegin(bag); offset < layout.BagEnd(bag);
+       ++offset) {
+    blocks.push_back(layout.BlockAt(offset));
+  }
+  return blocks;
+}
+
 // The paper's Example 1: P = 6, worker 1 (0-indexed rank 0): B0 = {0},
 // B1 = {1}, B2 = {2,3}, B3 = {4,5} (short bag, E = 6 - 4 = 2).
 TEST(SrsBagLayoutTest, PaperExampleSixWorkers) {
   SrsBagLayout layout(6, 0);
   EXPECT_EQ(layout.num_steps(), 3);
-  EXPECT_EQ(layout.Bag(0), (std::vector<int>{0}));
-  EXPECT_EQ(layout.Bag(1), (std::vector<int>{1}));
-  EXPECT_EQ(layout.Bag(2), (std::vector<int>{2, 3}));
-  EXPECT_EQ(layout.Bag(3), (std::vector<int>{4, 5}));
+  EXPECT_EQ(BagBlocks(layout, 0), (std::vector<int>{0}));
+  EXPECT_EQ(BagBlocks(layout, 1), (std::vector<int>{1}));
+  EXPECT_EQ(BagBlocks(layout, 2), (std::vector<int>{2, 3}));
+  EXPECT_EQ(BagBlocks(layout, 3), (std::vector<int>{4, 5}));
 }
 
 // The paper's Example 2 distances: step 1 -> 4, step 2 -> 2, step 3 -> 1.
@@ -88,10 +98,10 @@ TEST(SrsBagLayoutTest, PaperExampleDistances) {
 
 TEST(SrsBagLayoutTest, CircularWrapAround) {
   SrsBagLayout layout(6, 4);
-  EXPECT_EQ(layout.Bag(0), (std::vector<int>{4}));
-  EXPECT_EQ(layout.Bag(1), (std::vector<int>{5}));
-  EXPECT_EQ(layout.Bag(2), (std::vector<int>{0, 1}));
-  EXPECT_EQ(layout.Bag(3), (std::vector<int>{2, 3}));
+  EXPECT_EQ(BagBlocks(layout, 0), (std::vector<int>{4}));
+  EXPECT_EQ(BagBlocks(layout, 1), (std::vector<int>{5}));
+  EXPECT_EQ(BagBlocks(layout, 2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(BagBlocks(layout, 3), (std::vector<int>{2, 3}));
 }
 
 class SrsBagLayoutSweep : public ::testing::TestWithParam<int> {};
@@ -102,9 +112,10 @@ TEST_P(SrsBagLayoutSweep, BagsPartitionAllBlocks) {
     SrsBagLayout layout(p, rank);
     std::set<int> seen;
     for (int bag = 0; bag <= layout.num_steps(); ++bag) {
-      for (int block : layout.Bag(bag)) {
+      for (int block : BagBlocks(layout, bag)) {
         EXPECT_TRUE(seen.insert(block).second)
             << "block " << block << " in two bags";
+        EXPECT_EQ(layout.BlockAt(layout.OffsetOf(block)), block);
       }
     }
     EXPECT_EQ(static_cast<int>(seen.size()), p);
@@ -116,28 +127,52 @@ TEST_P(SrsBagLayoutSweep, BagSizesArePowersOfTwoExceptLast) {
   SrsBagLayout layout(p, 0);
   const int l = layout.num_steps();
   for (int bag = 1; bag < l; ++bag) {
-    EXPECT_EQ(layout.Bag(bag).size(), static_cast<size_t>(1) << (bag - 1));
+    EXPECT_EQ(BagBlocks(layout, bag).size(), static_cast<size_t>(1)
+                                                 << (bag - 1));
   }
   if (l >= 1) {
     const int expected_last = p - (1 << (l - 1));  // E = P - 2^(l-1)
-    EXPECT_EQ(static_cast<int>(layout.Bag(l).size()), expected_last);
+    EXPECT_EQ(static_cast<int>(BagBlocks(layout, l).size()), expected_last);
   }
 }
 
-// Theorem 1 at the layout level: the blocks a worker sends at step i are a
-// subset of the blocks its target still holds before step i.
+// The held offsets before a step are every offset minus the bags sent at
+// earlier steps, and the bag sent at the step is their tail.
+TEST_P(SrsBagLayoutSweep, HeldOffsetsAreAllMinusSentBags) {
+  const int p = GetParam();
+  SrsBagLayout layout(p, 0);
+  std::set<int> held;
+  for (int offset = 0; offset < p; ++offset) held.insert(offset);
+  for (int step = 1; step <= layout.num_steps() + 1; ++step) {
+    EXPECT_EQ(static_cast<int>(held.size()), layout.HeldBeforeStep(step));
+    EXPECT_EQ(*held.rbegin(), layout.HeldBeforeStep(step) - 1);
+    if (step > layout.num_steps()) break;
+    const int bag = layout.BagForStep(step);
+    EXPECT_EQ(layout.BagEnd(bag), layout.HeldBeforeStep(step));
+    for (int offset = layout.BagBegin(bag); offset < layout.BagEnd(bag);
+         ++offset) {
+      EXPECT_EQ(held.erase(offset), 1u) << "step " << step;
+    }
+  }
+}
+
+// Theorem 1 at the layout level: the blocks a worker sends at step i land,
+// in the same order, on the target's offsets [0, ReceivedAtStep(i)), which
+// the target still holds after sending its own bag.
 TEST_P(SrsBagLayoutSweep, Theorem1HoldsForEveryRankAndStep) {
   const int p = GetParam();
   for (int rank = 0; rank < p; ++rank) {
     SrsBagLayout sender(p, rank);
     for (int step = 1; step <= sender.num_steps(); ++step) {
       SrsBagLayout target(p, sender.SendPeer(step));
-      const std::vector<int> held = target.HeldBlocksBeforeStep(step);
-      const std::set<int> held_set(held.begin(), held.end());
-      for (int block : sender.Bag(sender.BagForStep(step))) {
-        EXPECT_TRUE(held_set.count(block))
+      const std::vector<int> sent =
+          BagBlocks(sender, sender.BagForStep(step));
+      EXPECT_EQ(static_cast<int>(sent.size()), target.ReceivedAtStep(step));
+      EXPECT_LE(target.ReceivedAtStep(step), target.HeldBeforeStep(step + 1));
+      for (size_t i = 0; i < sent.size(); ++i) {
+        EXPECT_EQ(target.OffsetOf(sent[i]), static_cast<int>(i))
             << "P=" << p << " rank=" << rank << " step=" << step
-            << " block=" << block;
+            << " block=" << sent[i];
       }
     }
   }
@@ -158,10 +193,8 @@ TEST_P(SrsBagLayoutSweep, FinalHeldBlockIsOwnRank) {
   const int p = GetParam();
   for (int rank = 0; rank < p; ++rank) {
     SrsBagLayout layout(p, rank);
-    const std::vector<int> held =
-        layout.HeldBlocksBeforeStep(layout.num_steps() + 1);
-    ASSERT_EQ(held.size(), 1u);
-    EXPECT_EQ(held[0], rank);
+    EXPECT_EQ(layout.HeldBeforeStep(layout.num_steps() + 1), 1);
+    EXPECT_EQ(layout.BlockAt(0), rank);
   }
 }
 

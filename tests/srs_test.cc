@@ -193,6 +193,36 @@ TEST(SrsTest, SparseEntryPointMatchesDense) {
   }
 }
 
+// A quantized block pays its scale word even when it carries no entry. All
+// zero gradients leave every block empty, so each worker sends l messages
+// whose bags hold P - 1 blocks in all: P - 1 scale words when quantized,
+// nothing at 32 bits.
+TEST(SrsTest, QuantizedEmptyBlocksPayTheirScaleWord) {
+  for (int p : {2, 5, 8, 12}) {
+    for (int bits : {4, 8, 16, 32}) {
+      const std::vector<float> zeros(96, 0.0f);
+      Cluster cluster(p, CostModel::Ethernet());
+      cluster.Run([&](Comm& comm) {
+        SrsOptions options;
+        options.k = 24;
+        options.value_bits = bits;
+        const SparseVector block = SparReduceScatter(
+            comm, CommGroup::World(comm), zeros, options, nullptr);
+        EXPECT_TRUE(block.empty());
+      });
+      const uint64_t words = bits == 32 ? 0 : static_cast<uint64_t>(p - 1);
+      for (int r = 0; r < p; ++r) {
+        const CommStats& stats = cluster.comm(r).stats();
+        EXPECT_EQ(stats.messages_sent,
+                  static_cast<uint64_t>(SrsBagLayout::NumSteps(p)))
+            << "P=" << p << " bits=" << bits << " rank=" << r;
+        EXPECT_EQ(stats.words_sent, words)
+            << "P=" << p << " bits=" << bits << " rank=" << r;
+      }
+    }
+  }
+}
+
 // The lazy "Optimization for SRS" must not change message sizes (wire
 // volume), only the number of top-k passes.
 TEST(SrsTest, LazyAndEagerShipSameVolume) {

@@ -1,10 +1,10 @@
-// Property suite for PR 5's compute-kernel overhaul: the radix-select /
-// warm-threshold selectors and the windowed dense-accumulator SumAll
-// must be BIT-IDENTICAL to the previous reference implementations
-// (candidate-materialising nth_element selection; pairwise left-to-right
-// MergeSum accumulation) on every input, including adversarial ones —
-// heavy magnitude ties, all-equal values, denormals, +-0.0, and every k
-// edge case. The references below are verbatim ports of the pre-PR code.
+// Property suite for the compute kernels: the radix-select selectors and
+// the windowed dense-accumulator SumAll must be BIT-IDENTICAL to the
+// previous reference implementations (candidate-materialising nth_element
+// selection; pairwise left-to-right MergeSum accumulation) on every input,
+// including adversarial ones — heavy magnitude ties, all-equal values,
+// denormals, +-0.0, and every k edge case. The references below are
+// verbatim ports of the code the kernels replaced.
 
 #include <gtest/gtest.h>
 
@@ -359,64 +359,6 @@ TEST(RadixSelectPropertyTest, DenseAdversarialBlocks) {
       EXPECT_BIT_IDENTICAL(new_disc, ref_disc);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start selection: bit-identical to the cold path for ANY threshold.
-
-TEST(WarmSelectPropertyTest, DriftingDataMatchesReferenceEveryRound) {
-  // The SRS pattern: the same selector re-selects from slowly drifting
-  // data, carrying the threshold across rounds.
-  TopKSelector selector;
-  float tau = 0.0f;  // cold start
-  Rng rng(42);
-  std::vector<float> values = GaussianValues(400, 17);
-  const size_t k = 100;
-  for (int round = 0; round < 12; ++round) {
-    for (float& v : values) {
-      v = v * 0.97f + 0.05f * static_cast<float>(rng.NextGaussian());
-    }
-    const SparseVector input = ToSparse(values, 23);
-    SparseVector ref_kept, ref_disc, warm_kept, warm_disc;
-    RefSelectSparse(input, k, &ref_kept, &ref_disc);
-    selector.SelectSparseWarm(input, k, &warm_kept, &warm_disc, &tau);
-    EXPECT_BIT_IDENTICAL(warm_kept, ref_kept) << "round " << round;
-    EXPECT_BIT_IDENTICAL(warm_disc, ref_disc) << "round " << round;
-    // The reported threshold is the k-th |value| of this round's data.
-    EXPECT_EQ(tau, RefKthLargestAbs(values, k)) << "round " << round;
-  }
-}
-
-TEST(WarmSelectPropertyTest, ArbitraryThresholdsStayExact) {
-  const SparseVector input = ToSparse(TiedValues(300, 3), 31);
-  const size_t k = 70;
-  SparseVector ref_kept, ref_disc;
-  RefSelectSparse(input, k, &ref_kept, &ref_disc);
-  // Stale-high (prunes below k -> exact fallback), stale-low (prunes
-  // nothing), exact, denormal, and infinite thresholds all agree.
-  for (float start_tau : {0.0f, 1e-40f, 0.5f, 1.0f, 100.0f,
-                          std::numeric_limits<float>::infinity()}) {
-    TopKSelector selector;
-    float tau = start_tau;
-    SparseVector warm_kept, warm_disc;
-    selector.SelectSparseWarm(input, k, &warm_kept, &warm_disc, &tau);
-    EXPECT_BIT_IDENTICAL(warm_kept, ref_kept) << "start tau " << start_tau;
-    EXPECT_BIT_IDENTICAL(warm_disc, ref_disc) << "start tau " << start_tau;
-  }
-}
-
-TEST(WarmSelectPropertyTest, EdgeKsLeaveThresholdUntouched) {
-  const SparseVector input = ToSparse(GaussianValues(10, 1), 1);
-  TopKSelector selector;
-  float tau = 0.25f;
-  SparseVector kept, disc;
-  selector.SelectSparseWarm(input, 20, &kept, &disc, &tau);  // k >= nnz
-  EXPECT_EQ(kept.size(), 10u);
-  EXPECT_EQ(tau, 0.25f);
-  selector.SelectSparseWarm(input, 0, &kept, &disc, &tau);  // k == 0
-  EXPECT_TRUE(kept.empty());
-  EXPECT_EQ(disc.size(), 10u);
-  EXPECT_EQ(tau, 0.25f);
 }
 
 // ---------------------------------------------------------------------------
