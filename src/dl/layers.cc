@@ -47,6 +47,9 @@ Matrix LinearLayer::Forward(const Matrix& x) {
       const float x_ri = x_row[i];
       if (x_ri == 0.0f) continue;
       const std::span<const float> w_row = params_.subspan(i * out_, out_);
+      // Four vectors per pass. With one, the loop's speed hung on where
+      // the linker put it: a 32-byte shift cost a training step 6-12%.
+#pragma GCC unroll 4
       for (size_t j = 0; j < out_; ++j) y_row[j] += x_ri * w_row[j];
     }
   }
@@ -64,6 +67,7 @@ Matrix LinearLayer::Backward(const Matrix& grad_out) {
       const float x_ri = x_row[i];
       if (x_ri == 0.0f) continue;
       const std::span<float> gw_row = grads_.subspan(i * out_, out_);
+#pragma GCC unroll 4  // as in Forward
       for (size_t j = 0; j < out_; ++j) gw_row[j] += x_ri * g_row[j];
     }
     const std::span<float> gb = grads_.subspan(in_ * out_, out_);
