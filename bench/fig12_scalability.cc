@@ -25,11 +25,13 @@ int spardl::bench::RunFig12Scalability(const HarnessArgs& args) {
   // sweep entirely: these rows exist to exercise the simulator at
   // simulated-cluster scale (P = 256 / 1024 / 4096 on one machine), not
   // to reproduce a plot. They run one at a time, since each times itself
-  // (on stderr, so stdout stays simulated numbers only). Direct-send
-  // methods (topkdsa, topka)
-  // materialise Theta(P^2) packets and are excluded; the log-round
-  // methods (gtopk, spardl) carry the scaling story. k/n shrinks to 0.1%
-  // so per-worker candidate volume stays laptop-sized at 4M params.
+  // (on stderr, so stdout stays simulated numbers only). TopkDSA's
+  // direct sends materialise Theta(P^2) packets, and TopkA, though
+  // log-round, has every worker receive and sum all P * k candidates,
+  // Theta(P^2 * k) host work per update; both are excluded. gTopk and
+  // SparDL, whose messages stay O(k) at every step, carry the scaling
+  // story. k/n shrinks to 0.1% so per-worker candidate volume stays
+  // laptop-sized at 4M params.
   if (args.workers && *args.workers >= 256) {
     const ModelProfile synth = {"-", "synthetic", "-", 4'000'000, 0.0};
     std::vector<int> large_counts;

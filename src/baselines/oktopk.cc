@@ -131,9 +131,9 @@ SparseVector OkTopk::Core(Comm& comm, SparseVector local) {
   // Phase C: chunk sizes, then the uneven-chunk all-gather.
   (void)BruckAllGatherCounts(comm, world,
                              static_cast<uint32_t>(my_region.size()));
-  std::vector<SparseVector> parts =
+  const GatheredParts gathered =
       BruckAllGather(comm, world, std::move(my_region));
-  SparseVector final_gradient = ConcatDisjoint(parts);
+  SparseVector final_gradient = ConcatDisjoint(gathered.parts);
 
   // Phase D: periodic region rebalancing from the (replicated) support.
   ++iteration_;

@@ -1,7 +1,6 @@
 #include "baselines/topk_allgather.h"
 
 #include <utility>
-#include <vector>
 
 #include "collectives/sparse_allgather.h"
 
@@ -10,14 +9,12 @@ namespace spardl {
 SparseVector TopkAllGather::Core(Comm& comm, SparseVector local) {
   const CommGroup world = CommGroup::World(comm);
   const int p = comm.size();
-  std::vector<SparseVector> parts;
-  if ((p & (p - 1)) == 0) {
-    parts = RecursiveDoublingAllGather(comm, world, std::move(local));
-  } else {
-    parts = BruckAllGather(comm, world, std::move(local));
-  }
+  const GatheredParts gathered =
+      (p & (p - 1)) == 0
+          ? RecursiveDoublingAllGather(comm, world, std::move(local))
+          : BruckAllGather(comm, world, std::move(local));
   // Fixed rank-order summation keeps every replica bit-identical.
-  return SumAll(parts);
+  return SumAll(gathered.parts);
 }
 
 }  // namespace spardl

@@ -45,9 +45,9 @@ SparseVector TopkDsa::Core(Comm& comm, SparseVector local) {
       [&partition](const SparseVector& part, int position) -> size_t {
     return std::min(part.WireWords(), partition.BlockSize(position));
   };
-  std::vector<SparseVector> parts =
+  const GatheredParts gathered =
       BruckAllGather(comm, world, std::move(my_region), &wire_cost);
-  return ConcatDisjoint(parts);
+  return ConcatDisjoint(gathered.parts);
 }
 
 }  // namespace spardl

@@ -66,11 +66,11 @@ SparseVector BSag(Comm& comm, const CommGroup& cross_team_group,
   // Inter-team Bruck all-gather of the (overlapping-index) chunks. No
   // per-step selection: Bruck peers see different merge orders, so pruning
   // mid-flight would desynchronise the replicas (paper Fig. 3b argument).
-  std::vector<SparseVector> chunks =
+  const GatheredParts chunks =
       BruckAllGather(comm, cross_team_group, std::move(to_send));
 
   // Deterministic team-order summation -> identical union on all replicas.
-  SparseVector summed = SumAll(chunks);
+  SparseVector summed = SumAll(chunks.parts);
   const size_t union_size = summed.size();
   adjuster->Observe(union_size);
   if (observed_union != nullptr) *observed_union = union_size;

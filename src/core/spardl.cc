@@ -97,13 +97,13 @@ SparseVector SparDL::Synchronize(Comm& comm, const CommGroup& team_group,
 
   // Final intra-team Bruck all-gather; blocks have disjoint ascending
   // ranges, so concatenation yields the global gradient.
-  std::vector<SparseVector> parts;
+  GatheredParts gathered;
   {
     TraceScope scope(comm, Phase::kAllGather, "allgather");
-    parts = BruckAllGather(comm, team_group, std::move(block),
-                           wire_cost.has_value() ? &*wire_cost : nullptr);
+    gathered = BruckAllGather(comm, team_group, std::move(block),
+                              wire_cost.has_value() ? &*wire_cost : nullptr);
   }
-  SparseVector final_gradient = ConcatDisjoint(parts);
+  SparseVector final_gradient = ConcatDisjoint(gathered.parts);
   {
     TraceScope scope(comm, Phase::kResidual, "residual-update");
     residuals_.FinishIteration(final_gradient);

@@ -37,6 +37,12 @@ size_t PayloadWords(const Payload& payload) {
       for (const SparseVector& p : parts) words += p.WireWords();
       return words;
     }
+    size_t operator()(const PartList& parts) const {
+      size_t words = 0;
+      parts.ForEach(
+          [&words](const SparseVector& p) { words += p.WireWords(); });
+      return words;
+    }
     size_t operator()(const std::vector<float>& v) const { return v.size(); }
     size_t operator()(const std::vector<uint32_t>& v) const {
       return v.size();

@@ -13,6 +13,7 @@
 
 #include "des/event_engine.h"
 #include "simnet/cost_model.h"
+#include "sparse/part_list.h"
 #include "sparse/sparse_vector.h"
 #include "topo/placement.h"
 #include "topo/topology.h"
@@ -28,10 +29,11 @@ class ProtocolChecker;
 /// A closed variant (rather than opaque bytes) keeps the simulator type-safe
 /// and avoids serialisation costs that would pollute wall-clock timing; the
 /// wire size is still charged from the logical encoding (COO entry = 2
-/// words, dense float = 1 word).
+/// words, dense float = 1 word). A `PartList` is charged as the parts it
+/// lists, though its parts are shared, not copied.
 using Payload =
-    std::variant<SparseVector, std::vector<SparseVector>, std::vector<float>,
-                 std::vector<uint32_t>, double, int64_t>;
+    std::variant<SparseVector, std::vector<SparseVector>, PartList,
+                 std::vector<float>, std::vector<uint32_t>, double, int64_t>;
 
 /// Number of 4-byte wire words `payload` occupies.
 size_t PayloadWords(const Payload& payload);

@@ -160,16 +160,16 @@ constexpr size_t kSumAllWindow = size_t{1} << 16;
 
 }  // namespace
 
-SparseVector SumAll(std::span<const SparseVector> inputs) {
+SparseVector SumAll(std::span<const SparseVector* const> inputs) {
   // Empty inputs merge to a no-op; the rest keep their relative order,
   // which is the accumulation order.
   std::vector<const SparseVector*> live;
   live.reserve(inputs.size());
   size_t total = 0;
-  for (const SparseVector& x : inputs) {
-    if (x.empty()) continue;
-    live.push_back(&x);
-    total += x.size();
+  for (const SparseVector* x : inputs) {
+    if (x->empty()) continue;
+    live.push_back(x);
+    total += x->size();
   }
   SparseVector out;
   if (live.empty()) return out;
@@ -241,18 +241,37 @@ SparseVector SumAll(std::span<const SparseVector> inputs) {
   return out;
 }
 
-SparseVector ConcatDisjoint(std::span<const SparseVector> parts) {
+SparseVector ConcatDisjoint(std::span<const SparseVector* const> parts) {
   size_t total = 0;
-  for (const SparseVector& p : parts) total += p.size();
+  for (const SparseVector* p : parts) total += p->size();
   SparseVector out;
   out.Reserve(total);
-  for (const SparseVector& p : parts) {
+  for (const SparseVector* p : parts) {
     // AppendSpan's boundary CHECK is exactly the documented interleave
     // check (each part's internal order is already an invariant), and it
     // survives NDEBUG builds where a per-entry DCHECK compiles out.
-    out.AppendSpan(p.indices(), p.values());
+    out.AppendSpan(p->indices(), p->values());
   }
   return out;
+}
+
+namespace {
+
+std::vector<const SparseVector*> Pointers(std::span<const SparseVector> xs) {
+  std::vector<const SparseVector*> pointers;
+  pointers.reserve(xs.size());
+  for (const SparseVector& x : xs) pointers.push_back(&x);
+  return pointers;
+}
+
+}  // namespace
+
+SparseVector SumAll(std::span<const SparseVector> inputs) {
+  return SumAll(Pointers(inputs));
+}
+
+SparseVector ConcatDisjoint(std::span<const SparseVector> parts) {
+  return ConcatDisjoint(Pointers(parts));
 }
 
 }  // namespace spardl

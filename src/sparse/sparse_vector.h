@@ -56,6 +56,11 @@ class SparseVector {
     indices_.reserve(n);
     values_.reserve(n);
   }
+  /// Releases spare capacity, so the vector holds exactly its entries.
+  void ShrinkToFit() {
+    indices_.shrink_to_fit();
+    values_.shrink_to_fit();
+  }
 
   /// Appends an entry; index must exceed the current last index.
   void PushBack(GradIndex index, float value) {
@@ -110,7 +115,7 @@ class SparseVector {
   friend class TopKSelector;
   friend void MergeSum(const SparseVector& a, const SparseVector& b,
                        SparseVector* out);
-  friend SparseVector SumAll(std::span<const SparseVector> inputs);
+  friend SparseVector SumAll(std::span<const SparseVector* const> inputs);
 
   std::vector<GradIndex> indices_;
   std::vector<float> values_;
@@ -134,11 +139,18 @@ void MergeSumInPlace(SparseVector* acc, const SparseVector& x,
 /// plus, per non-empty window, two passes over the P inputs and a walk of
 /// up to 1,024 bitmap words, so a very sparse call over a wide span pays
 /// that overhead once per window. Empty stretches cost nothing, and the
-/// scratch is a fixed 264 KiB whatever the span.
+/// scratch is a fixed 264 KiB whatever the span. Takes the inputs by
+/// pointer, as a sparse all-gather hands them over.
+SparseVector SumAll(std::span<const SparseVector* const> inputs);
+
+/// `SumAll` over inputs stored side by side.
 SparseVector SumAll(std::span<const SparseVector> inputs);
 
 /// Concatenates vectors whose index ranges are disjoint and ascending in
 /// the given order. CHECK-fails if ranges interleave.
+SparseVector ConcatDisjoint(std::span<const SparseVector* const> parts);
+
+/// `ConcatDisjoint` over parts stored side by side.
 SparseVector ConcatDisjoint(std::span<const SparseVector> parts);
 
 }  // namespace spardl

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "allocation_counter.h"
@@ -15,6 +17,7 @@
 namespace spardl {
 namespace {
 
+using ::spardl::testing::HeapMiB;
 using ::spardl::testing::RunOnCluster;
 
 SparseVector RankVector(int rank) {
@@ -27,22 +30,30 @@ SparseVector RankVector(int rank) {
 
 class AllGatherSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(AllGatherSweep, BruckGathersAllPartsInOrder) {
-  const int p = GetParam();
-  auto results = RunOnCluster<std::vector<SparseVector>>(
-      p, [](Comm& comm) {
-        return BruckAllGather(comm, CommGroup::World(comm),
-                              RankVector(comm.rank()));
-      });
+// Every worker lists every part by position, and all of them list the
+// same copy of each part.
+void ExpectAllPartsInOrder(const std::vector<GatheredParts>& results) {
+  const int p = static_cast<int>(results.size());
   for (int rank = 0; rank < p; ++rank) {
-    ASSERT_EQ(results[static_cast<size_t>(rank)].size(),
-              static_cast<size_t>(p));
+    const GatheredParts& gathered = results[static_cast<size_t>(rank)];
+    ASSERT_EQ(gathered.parts.size(), static_cast<size_t>(p));
+    EXPECT_EQ(gathered.list.size(), static_cast<size_t>(p));
     for (int j = 0; j < p; ++j) {
-      EXPECT_EQ(results[static_cast<size_t>(rank)][static_cast<size_t>(j)],
-                RankVector(j))
+      const SparseVector* part = gathered.parts[static_cast<size_t>(j)];
+      EXPECT_EQ(*part, RankVector(j))
+          << "P=" << p << " rank=" << rank << " part=" << j;
+      EXPECT_EQ(part, results[0].parts[static_cast<size_t>(j)])
           << "P=" << p << " rank=" << rank << " part=" << j;
     }
   }
+}
+
+TEST_P(AllGatherSweep, BruckGathersAllPartsInOrder) {
+  const int p = GetParam();
+  ExpectAllPartsInOrder(RunOnCluster<GatheredParts>(p, [](Comm& comm) {
+    return BruckAllGather(comm, CommGroup::World(comm),
+                          RankVector(comm.rank()));
+  }));
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, AllGatherSweep,
@@ -53,17 +64,10 @@ class RecursiveDoublingSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RecursiveDoublingSweep, MatchesBruckSemantics) {
   const int p = GetParam();
-  auto results = RunOnCluster<std::vector<SparseVector>>(
-      p, [](Comm& comm) {
-        return RecursiveDoublingAllGather(comm, CommGroup::World(comm),
-                                          RankVector(comm.rank()));
-      });
-  for (int rank = 0; rank < p; ++rank) {
-    for (int j = 0; j < p; ++j) {
-      EXPECT_EQ(results[static_cast<size_t>(rank)][static_cast<size_t>(j)],
-                RankVector(j));
-    }
-  }
+  ExpectAllPartsInOrder(RunOnCluster<GatheredParts>(p, [](Comm& comm) {
+    return RecursiveDoublingAllGather(comm, CommGroup::World(comm),
+                                      RankVector(comm.rank()));
+  }));
 }
 
 INSTANTIATE_TEST_SUITE_P(PowerOfTwo, RecursiveDoublingSweep,
@@ -95,6 +99,75 @@ TEST(BruckAllGatherTest, BandwidthIsOtherPartsOnce) {
                 static_cast<uint64_t>(4 * (p - 1)))
           << "P=" << p << " rank=" << r;
     }
+  }
+}
+
+// The wire-cost hook sees each forwarded part with its group position, in
+// send order: at the step with distance D a worker at position r sends
+// the parts of r, r + 1, ..., r + min(D, P - D) - 1 (mod P). Every worker
+// then receives what the hook charged for the P - 1 other parts.
+TEST(BruckAllGatherTest, WireCostHookSeesEveryForwardedPart) {
+  const auto words_of = [](const SparseVector& part, int position) {
+    return part.WireWords() + 3 * static_cast<size_t>(position);
+  };
+  for (int p : {3, 5, 6, 7, 12}) {
+    std::vector<std::vector<int>> seen(static_cast<size_t>(p));
+    Cluster cluster(p, CostModel::Ethernet());
+    cluster.Run([&](Comm& comm) {
+      std::vector<int>& positions = seen[static_cast<size_t>(comm.rank())];
+      const PartWireWords hook = [&](const SparseVector& part,
+                                     int position) {
+        EXPECT_EQ(part, RankVector(position)) << "position " << position;
+        positions.push_back(position);
+        return words_of(part, position);
+      };
+      BruckAllGather(comm, CommGroup::World(comm), RankVector(comm.rank()),
+                     &hook);
+    });
+    size_t all_words = 0;
+    for (int q = 0; q < p; ++q) all_words += words_of(RankVector(q), q);
+    for (int r = 0; r < p; ++r) {
+      std::vector<int> expected;
+      for (int distance = 1; distance < p; distance *= 2) {
+        for (int j = 0; j < std::min(distance, p - distance); ++j) {
+          expected.push_back((r + j) % p);
+        }
+      }
+      EXPECT_EQ(seen[static_cast<size_t>(r)], expected)
+          << "P=" << p << " rank=" << r;
+      EXPECT_EQ(cluster.comm(r).stats().words_received,
+                all_words - words_of(RankVector(r), r))
+          << "P=" << p << " rank=" << r;
+    }
+  }
+}
+
+// After an all-gather every worker lists all P parts, but the group holds
+// each part once: what stays is P parts, O(P log P) list nodes and each
+// worker's P part pointers (8 MiB at P = 1024). A copy of every part on
+// every worker, P^2 copies of a 4-entry part (a 48-byte header and two
+// 16-byte arrays each), would hold about 110 MiB.
+TEST(AllGatherHeapTest, GroupOfP1024HoldsEachPartOnce) {
+  constexpr int kWorkers = 1024;
+  const auto four_entries = [](int rank) {
+    const GradIndex base = static_cast<GradIndex>(4 * rank);
+    return SparseVector({base, base + 1, base + 2, base + 3},
+                        {1.0f, 2.0f, 3.0f, 4.0f});
+  };
+  for (const bool bruck : {true, false}) {
+    SCOPED_TRACE(bruck ? "Bruck" : "recursive doubling");
+    Cluster cluster(kWorkers, CostModel::Free());
+    std::vector<GatheredParts> held(kWorkers);
+    const double before = HeapMiB();
+    cluster.Run([&](Comm& comm) {
+      const CommGroup world = CommGroup::World(comm);
+      SparseVector mine = four_entries(comm.rank());
+      held[static_cast<size_t>(comm.rank())] =
+          bruck ? BruckAllGather(comm, world, std::move(mine))
+                : RecursiveDoublingAllGather(comm, world, std::move(mine));
+    });
+    EXPECT_LT(HeapMiB() - before, 16.0);
+    EXPECT_EQ(*held[kWorkers - 1].parts[0], four_entries(0));
   }
 }
 

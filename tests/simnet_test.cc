@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <memory>
 #include <string>
@@ -11,10 +10,13 @@
 #include "simnet/cluster.h"
 #include "simnet/comm.h"
 #include "simnet/network.h"
+#include "test_util.h"
 #include "topo/topology_spec.h"
 
 namespace spardl {
 namespace {
+
+using ::spardl::testing::HeapMiB;
 
 TEST(PayloadWordsTest, CountsEveryVariant) {
   EXPECT_EQ(PayloadWords(Payload(SparseVector({1, 2}, {1.0f, 2.0f}))), 4u);
@@ -26,6 +28,20 @@ TEST(PayloadWordsTest, CountsEveryVariant) {
   parts.push_back(SparseVector({1}, {1.0f}));
   parts.push_back(SparseVector({2, 3}, {1.0f, 2.0f}));
   EXPECT_EQ(PayloadWords(Payload(parts)), 6u);
+}
+
+// A part list is charged as the parts it lists, and a prefix only for its
+// first `count` parts, even where it ends inside a join's tail list.
+TEST(PayloadWordsTest, ChargesTheListedParts) {
+  const PartList one(SparseVector({1}, {1.0f}));                  // 2 words
+  const PartList two(SparseVector({2, 3}, {1.0f, 2.0f}));         // 4
+  const PartList three(SparseVector({4, 5, 6}, {1.0f, 2.0f, 3.0f}));  // 6
+  const PartList all(one, PartList(two, three));
+  EXPECT_EQ(PayloadWords(Payload(all)), 12u);
+  EXPECT_EQ(PayloadWords(Payload(all.Prefix(2))), 6u);
+  EXPECT_EQ(PayloadWords(Payload(all.Prefix(1))), 2u);
+  EXPECT_EQ(PayloadWords(Payload(PartList(all.Prefix(2), three))), 12u);
+  EXPECT_EQ(PayloadWords(Payload(PartList())), 0u);
 }
 
 TEST(CommTest, SendRecvDeliversPayload) {
@@ -243,12 +259,6 @@ TEST(NetworkTest, MailboxesEmptyAfterBalancedTraffic) {
     }
   });
   EXPECT_TRUE(cluster.network().AllMailboxesEmpty());
-}
-
-// Heap bytes in use (arena plus mmap'd blocks).
-double HeapMiB() {
-  const struct mallinfo2 info = mallinfo2();
-  return static_cast<double>(info.uordblks + info.hblkhd) / (1 << 20);
 }
 
 // No P^2 state: a fresh cluster grows with P, never with P^2 — not on flat

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sparse/part_list.h"
+
 namespace spardl {
 namespace {
 
@@ -201,6 +203,8 @@ TEST(ConcatDisjointTest, PreservesOrder) {
   SparseVector out = ConcatDisjoint(parts);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.index(3), 6u);
+  const std::vector<const SparseVector*> pointers = {&parts[0], &parts[1]};
+  EXPECT_EQ(ConcatDisjoint(pointers), out);
 }
 
 TEST(ConcatDisjointTest, SkipsEmptyParts) {
@@ -212,6 +216,35 @@ TEST(ConcatDisjointTest, SkipsEmptyParts) {
 TEST(ConcatDisjointTest, DiesOnInterleavedRanges) {
   std::vector<SparseVector> parts = {Make({5}, {1.0f}), Make({3}, {1.0f})};
   EXPECT_DEATH(ConcatDisjoint(parts), "");
+}
+
+// Joins and prefixes list parts in order and never copy one: every list
+// that lists a part lists the same object.
+TEST(PartListTest, ListsInOrderAndSharesParts) {
+  const auto addresses = [](const PartList& list) {
+    std::vector<const SparseVector*> out;
+    list.ForEach([&out](const SparseVector& part) { out.push_back(&part); });
+    return out;
+  };
+  const PartList a(Make({1}, {1.0f}));
+  const PartList b(Make({2}, {2.0f}));
+  const PartList c(Make({3}, {3.0f}));
+  const PartList bc(b, c);
+  const PartList abc(a, bc);
+  ASSERT_EQ(abc.size(), 3u);
+  const std::vector<const SparseVector*> parts = addresses(abc);
+  EXPECT_EQ(*parts[0], Make({1}, {1.0f}));
+  EXPECT_EQ(*parts[2], Make({3}, {3.0f}));
+  EXPECT_EQ(parts[0], addresses(a)[0]);
+  EXPECT_EQ(parts[1], addresses(b)[0]);
+  // A prefix that ends inside the tail list.
+  EXPECT_EQ(addresses(abc.Prefix(2)),
+            (std::vector<const SparseVector*>{parts[0], parts[1]}));
+  EXPECT_EQ(addresses(PartList(abc.Prefix(1), abc)),
+            (std::vector<const SparseVector*>{parts[0], parts[0], parts[1],
+                                              parts[2]}));
+  EXPECT_EQ(abc.Prefix(0).size(), 0u);
+  EXPECT_EQ(PartList(PartList(), PartList()).size(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #ifndef SPARDL_TESTS_TEST_UTIL_H_
 #define SPARDL_TESTS_TEST_UTIL_H_
 
+#include <malloc.h>
+
 #include <functional>
 #include <memory>
 #include <vector>
@@ -54,6 +56,12 @@ class ScopedScheduleSeed {
  private:
   const uint64_t previous_;
 };
+
+/// Heap bytes in use (arena plus mmap'd blocks), in MiB.
+inline double HeapMiB() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / (1 << 20);
+}
 
 /// Runs `fn(comm, rank)` on a fresh cluster of `p` workers with a free cost
 /// model and returns per-rank results.

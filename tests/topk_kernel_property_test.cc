@@ -364,6 +364,16 @@ TEST(RadixSelectPropertyTest, DenseAdversarialBlocks) {
 // ---------------------------------------------------------------------------
 // SumAll: windowed dense accumulation vs pairwise reference.
 
+// SumAll through both entry points: the inputs side by side, and pointers
+// to them as the all-gathers hand them over. Both must give the same bits.
+SparseVector SumAllBoth(std::span<const SparseVector> inputs) {
+  std::vector<const SparseVector*> pointers;
+  for (const SparseVector& x : inputs) pointers.push_back(&x);
+  SparseVector by_value = SumAll(inputs);
+  EXPECT_BIT_IDENTICAL(SumAll(pointers), by_value) << "by pointer";
+  return by_value;
+}
+
 std::vector<SparseVector> OverlappingInputs(size_t p, size_t nnz,
                                             size_t index_range,
                                             uint64_t seed) {
@@ -388,11 +398,13 @@ TEST(SumAllPropertyTest, MatchesPairwiseForEveryP) {
   for (size_t p : {2u, 3u, 8u, 17u}) {
     // Wide index range: the inputs rarely overlap.
     const auto sparse_inputs = OverlappingInputs(p, 200, 100000, 7 * p);
-    EXPECT_BIT_IDENTICAL(SumAll(sparse_inputs), RefSumAll(sparse_inputs))
+    EXPECT_BIT_IDENTICAL(SumAllBoth(sparse_inputs),
+                         RefSumAll(sparse_inputs))
         << "wide range, P=" << p;
     // Tight index range: the inputs overlap heavily.
     const auto dense_inputs = OverlappingInputs(p, 200, 250, 9 * p);
-    EXPECT_BIT_IDENTICAL(SumAll(dense_inputs), RefSumAll(dense_inputs))
+    EXPECT_BIT_IDENTICAL(SumAllBoth(dense_inputs),
+                         RefSumAll(dense_inputs))
         << "tight range, P=" << p;
   }
 }
@@ -406,11 +418,11 @@ TEST(SumAllPropertyTest, SignedZerosAndCancellationsSurviveBitwise) {
       SparseVector({1, 9}, {0.0f, -2.0f}),
   };
   const SparseVector ref = RefSumAll(inputs);
-  EXPECT_BIT_IDENTICAL(SumAll(inputs), ref);
+  EXPECT_BIT_IDENTICAL(SumAllBoth(inputs), ref);
   // A far-away outrigger entry adds a second window.
   std::vector<SparseVector> spread = inputs;
   spread.push_back(SparseVector({1000000}, {4.0f}));
-  EXPECT_BIT_IDENTICAL(SumAll(spread), RefSumAll(spread));
+  EXPECT_BIT_IDENTICAL(SumAllBoth(spread), RefSumAll(spread));
 }
 
 TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
@@ -425,7 +437,8 @@ TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
                           nullptr);
     topka.push_back(std::move(kept));
   }
-  EXPECT_BIT_IDENTICAL(SumAll(topka), RefSumAll(topka)) << "TopkA's call";
+  EXPECT_BIT_IDENTICAL(SumAllBoth(topka), RefSumAll(topka))
+      << "TopkA's call";
 
   // SumAll's window is 2^16 slots and starts at the smallest pending
   // index: here 1000, so 1000 + w - 1 is its last slot, 1000 + w opens
@@ -439,7 +452,8 @@ TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
                    {1.0f, 2.0f, 0.25f}),
       SparseVector({b, b + w, b + 3 * w - 1}, {1e-8f, -3.0f, 7.0f}),
   };
-  EXPECT_BIT_IDENTICAL(SumAll(edges), RefSumAll(edges)) << "window edges";
+  EXPECT_BIT_IDENTICAL(SumAllBoth(edges), RefSumAll(edges))
+      << "window edges";
 
   // Indices up to 2^32 - 1: one window is [top - w, top), so the last
   // starts at top itself and ends past the 32-bit range.
@@ -449,7 +463,7 @@ TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
       SparseVector({top - w + 1, top - 10}, {0.5f, 1e-8f}),
       SparseVector({70000, top - w, top}, {-2.0f, 0.25f, -0.0f}),
   };
-  EXPECT_BIT_IDENTICAL(SumAll(high), RefSumAll(high)) << "2^32 - 1";
+  EXPECT_BIT_IDENTICAL(SumAllBoth(high), RefSumAll(high)) << "2^32 - 1";
 
   // A -0.0f first touch in the second window, at the slot that the first
   // window touched: it must stay -0.0f, and -0.0f + -0.0f must too.
@@ -458,12 +472,13 @@ TEST(SumAllPropertyTest, WindowEdgesHighIndicesAndManyInputs) {
       SparseVector({10, 30 + w}, {2.0f, -0.0f}),
       SparseVector({20 + 2 * w}, {-0.0f}),
   };
-  EXPECT_BIT_IDENTICAL(SumAll(zeros), RefSumAll(zeros)) << "-0.0f";
+  EXPECT_BIT_IDENTICAL(SumAllBoth(zeros), RefSumAll(zeros)) << "-0.0f";
 
   // 1,024 small inputs over ~400 slots: every slot sums hundreds of
   // values, whose float rounding depends on the input order.
   const auto many = OverlappingInputs(1024, 50, 400, 11);
-  EXPECT_BIT_IDENTICAL(SumAll(many), RefSumAll(many)) << "1,024 inputs";
+  EXPECT_BIT_IDENTICAL(SumAllBoth(many), RefSumAll(many))
+      << "1,024 inputs";
 }
 
 TEST(SumAllPropertyTest, EmptyInputsAreNoOps) {
@@ -472,13 +487,13 @@ TEST(SumAllPropertyTest, EmptyInputsAreNoOps) {
   const std::vector<SparseVector> with_empties = {SparseVector(), a,
                                                   SparseVector(), b,
                                                   SparseVector()};
-  EXPECT_BIT_IDENTICAL(SumAll(with_empties),
+  EXPECT_BIT_IDENTICAL(SumAllBoth(with_empties),
                        RefSumAll(std::vector<SparseVector>{a, b}));
-  EXPECT_TRUE(SumAll(std::vector<SparseVector>{}).empty());
+  EXPECT_TRUE(SumAllBoth(std::vector<SparseVector>{}).empty());
   EXPECT_TRUE(
-      SumAll(std::vector<SparseVector>{SparseVector(), SparseVector()})
+      SumAllBoth(std::vector<SparseVector>{SparseVector(), SparseVector()})
           .empty());
-  EXPECT_BIT_IDENTICAL(SumAll(std::vector<SparseVector>{a}), a);
+  EXPECT_BIT_IDENTICAL(SumAllBoth(std::vector<SparseVector>{a}), a);
 }
 
 // ---------------------------------------------------------------------------
