@@ -202,18 +202,41 @@ SparseVector SparReduceScatterOnSparse(Comm& comm, const CommGroup& group,
   SparseVector block_candidates;
   SparseVector kept;
   SparseVector discarded;
-  {
-    TraceScope scope(comm, Phase::kSparsify, "select-blocks");
-    for (int offset = 0; offset < group.size(); ++offset) {
-      const int b = engine.layout().BlockAt(offset);
+  const std::span<const GradIndex> indices = candidates.indices();
+  const std::span<const float> values = candidates.values();
+  // Position of the first of candidates [from, to) at or above `index`.
+  auto first_at_or_above = [&](size_t from, size_t to, GradIndex index) {
+    return static_cast<size_t>(
+        std::lower_bound(indices.begin() + from, indices.begin() + to,
+                         index) -
+        indices.begin());
+  };
+  // Selects every non-empty block among candidates [from, to), in index
+  // order; empty blocks are skipped (they would add nothing).
+  auto select_blocks = [&](size_t from, size_t to) {
+    while (from < to) {
+      const size_t end = first_at_or_above(
+          from + 1, to, partition.BlockEnd(partition.BlockOf(indices[from])));
       block_candidates.Clear();
-      candidates.ExtractRange(partition.BlockStart(b), partition.BlockEnd(b),
-                              &block_candidates);
+      block_candidates.AppendSpan(indices.subspan(from, end - from),
+                                  values.subspan(from, end - from));
       selector.SelectSparse(block_candidates, engine.budget(), &kept,
                             &discarded);
       if (residuals != nullptr) residuals->AddLocalDiscard(discarded);
       engine.AddBlock(std::move(kept));
+      from = end;
     }
+  };
+  {
+    TraceScope scope(comm, Phase::kSparsify, "select-blocks");
+    // Offset order is the worker's own block up to the last block, then
+    // block 0 up to the own block: one walk of the candidates from the own
+    // block's start, wrapping to index 0. Indices >= n belong to no block.
+    const size_t own_start = first_at_or_above(
+        0, indices.size(), partition.BlockStart(group.my_pos()));
+    select_blocks(own_start, first_at_or_above(own_start, indices.size(),
+                                               static_cast<GradIndex>(n)));
+    select_blocks(0, own_start);
   }
   return engine.Run();
 }

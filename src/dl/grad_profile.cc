@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -67,6 +72,13 @@ namespace {
 // Expected pairwise support overlap: a cluster's draws come from a window
 // 1/kOverlap times their count.
 constexpr double kOverlap = 0.15;
+// Largest per-phase table of shared terms (9 bytes per window slot). It
+// holds n = 4M at 0.15% candidates (39,680 slots, 0.34 MiB) and fig7's
+// n = 2M at 2% (266,624 slots, 2.3 MiB), where each slot serves tens to
+// hundreds of entries per update. The paper's VGG-19 shape (2,009,600
+// slots, 17.2 MiB) would raise that point's ~74 MiB peak by 23%, so it
+// computes the term per entry.
+constexpr size_t kMaxTableBytes = size_t{4} << 20;
 // Share of a magnitude's variance that is the per-index term common to
 // every worker.
 constexpr double kSharedMagnitude = 0.75;
@@ -83,7 +95,7 @@ double HashToUnit(uint64_t x) {
 }
 
 // Deterministic per-index standard normal (same on every worker).
-double HashToGaussian(uint64_t x) {
+[[gnu::always_inline]] inline double HashToGaussian(uint64_t x) {
   double u1 = HashToUnit(x);
   const double u2 = HashToUnit(x ^ 0x6a09e667f3bcc909ULL);
   if (u1 <= 1e-12) u1 = 1e-12;
@@ -91,7 +103,71 @@ double HashToGaussian(uint64_t x) {
          std::cos(2.0 * 3.14159265358979323846 * u2);
 }
 
+// The part of an entry's magnitude every worker shares in a drift phase:
+// whether the coordinate is "hot" (heavy-tailed magnitudes; deterministic
+// across workers, so workers' top entries coincide as they do in real
+// training) and the shared Gaussian.
+struct SharedTerm {
+  bool hot;
+  double gaussian;
+};
+
+// Forced inline, with HashToGaussian: with the table build as a second
+// caller, GCC calls one of them out of line, a call per entry in
+// Generate's loop on shapes over the cap.
+[[gnu::always_inline]] inline SharedTerm SharedTermOf(size_t index,
+                                                      uint64_t seed,
+                                                      uint64_t drift_phase) {
+  const uint64_t index_salt = static_cast<uint64_t>(index) ^ seed ^
+                              (drift_phase * 0x9e3779b97f4a7c15ULL);
+  return {HashToUnit(index_salt) < 0.05, HashToGaussian(index_salt)};
+}
+
 }  // namespace
+
+// Shared terms of one drift phase and window width, by slot
+// cluster * window + offset.
+struct ProfileGradientGenerator::PhaseTable {
+  uint64_t drift_phase;
+  size_t window;
+  std::vector<uint8_t> hot;
+  std::vector<double> gaussian;
+
+  SharedTerm At(size_t slot) const {
+    return {hot[slot] != 0, gaussian[slot]};
+  }
+};
+
+std::shared_ptr<const ProfileGradientGenerator::PhaseTable>
+ProfileGradientGenerator::TableFor(uint64_t drift_phase, size_t window,
+                                   std::span<const size_t> window_starts)
+    const {
+  const size_t slots = window_starts.size() * window;
+  const std::lock_guard<std::mutex> lock(table_mutex_);
+  if (slots * (sizeof(uint8_t) + sizeof(double)) > kMaxTableBytes) {
+    table_.reset();
+    return nullptr;
+  }
+  if (table_ == nullptr || table_->drift_phase != drift_phase ||
+      table_->window != window) {
+    // Dropped first: unless another call still reads it, the stale table
+    // is freed before its successor is allocated.
+    table_.reset();
+    auto table = std::make_shared<PhaseTable>(
+        PhaseTable{drift_phase, window, std::vector<uint8_t>(slots),
+                   std::vector<double>(slots)});
+    for (size_t j = 0; j < window_starts.size(); ++j) {
+      for (size_t off = 0; off < window; ++off) {
+        const SharedTerm term =
+            SharedTermOf(window_starts[j] + off, seed_, drift_phase);
+        table->hot[j * window + off] = term.hot ? 1 : 0;
+        table->gaussian[j * window + off] = term.gaussian;
+      }
+    }
+    table_ = std::move(table);
+  }
+  return table_;
+}
 
 SparseVector ProfileGradientGenerator::Generate(int worker,
                                                 int64_t iteration,
@@ -113,6 +189,15 @@ SparseVector ProfileGradientGenerator::Generate(int worker,
   const auto drift_phase = static_cast<uint64_t>(
       iteration / drift_period_);
   Rng placement_rng(seed_ ^ (drift_phase * 0x2545f4914f6cdd1dULL));
+  std::vector<size_t> window_starts(clusters);
+  const size_t max_offset = region - window;
+  for (size_t j = 0; j < clusters; ++j) {
+    window_starts[j] =
+        j * region +
+        (max_offset == 0 ? 0 : placement_rng.NextBounded(max_offset + 1));
+  }
+  const std::shared_ptr<const PhaseTable> table =
+      TableFor(drift_phase, window, window_starts);
   Rng worker_rng(seed_ ^ (0x5851f42d4c957f2dULL *
                           (static_cast<uint64_t>(worker) + 1)) ^
                  static_cast<uint64_t>(iteration) * 0x9e3779b97f4a7c15ULL);
@@ -128,11 +213,6 @@ SparseVector ProfileGradientGenerator::Generate(int worker,
   // than the draws themselves.
   std::vector<uint64_t> drawn((window + 63) / 64);
   for (size_t j = 0; j < clusters; ++j) {
-    const size_t region_start = j * region;
-    const size_t max_offset = region - window;
-    const size_t window_start =
-        region_start +
-        (max_offset == 0 ? 0 : placement_rng.NextBounded(max_offset + 1));
     for (size_t i = 0; i < per_cluster; ++i) {
       const uint64_t off = worker_rng.NextBounded(window);
       drawn[off / 64] |= uint64_t{1} << (off % 64);
@@ -141,18 +221,16 @@ SparseVector ProfileGradientGenerator::Generate(int worker,
       uint64_t bits = drawn[word];
       drawn[word] = 0;
       for (; bits != 0; bits &= bits - 1) {
-        const size_t index = window_start + word * 64 +
-                             static_cast<size_t>(std::countr_zero(bits));
-        const uint64_t index_salt = static_cast<uint64_t>(index) ^ seed_ ^
-                                    (drift_phase * 0x9e3779b97f4a7c15ULL);
-        // Heavy-tailed magnitudes: whether a coordinate is "hot" is a
-        // property of the coordinate (deterministic across workers), so
-        // workers' top entries coincide as they do in real training.
-        const double scale = HashToUnit(index_salt) < 0.05 ? 1.0 : 0.02;
-        const double g_shared = HashToGaussian(index_salt);
+        const size_t off =
+            word * 64 + static_cast<size_t>(std::countr_zero(bits));
+        const size_t index = window_starts[j] + off;
+        const SharedTerm shared =
+            table != nullptr ? table->At(j * window + off)
+                             : SharedTermOf(index, seed_, drift_phase);
+        const double scale = shared.hot ? 1.0 : 0.02;
         const double g_worker = worker_rng.NextGaussian();
         const float value = static_cast<float>(
-            scale * (w_shared * g_shared + w_worker * g_worker));
+            scale * (w_shared * shared.gaussian + w_worker * g_worker));
         out.PushBack(static_cast<GradIndex>(index),
                      value == 0.0f ? 1e-6f : value);
       }

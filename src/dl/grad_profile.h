@@ -2,6 +2,9 @@
 #define SPARDL_DL_GRAD_PROFILE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,8 +58,20 @@ class ProfileGradientGenerator {
                            int drift_period = 50);
 
   /// About `count` entries (slightly fewer after in-window dedup), sorted.
-  /// A pure function of its arguments and the constructor's: it keeps no
-  /// state between calls, so P workers may call it at once.
+  /// The result is a pure function of the arguments and the constructor's.
+  ///
+  /// Within a drift phase, the part of an entry's magnitude that every
+  /// worker shares (its hot flag and shared Gaussian) depends only on the
+  /// entry's window slot. So the generator keeps a table of it for the
+  /// drift phase and window width of its latest call: 9 bytes per slot,
+  /// clusters x window slots. The first call that needs the table builds
+  /// it; later calls of that phase and width, by any worker, read it. A
+  /// shape whose table would pass 4 MiB computes the term per entry
+  /// instead and drops any table held. n = 4M with 6,000 candidates
+  /// (39,680 slots, 0.34 MiB) and fig7's n = 2M with 40,000 (2.3 MiB) are
+  /// tabulated; the paper's VGG-19 shape (17.2 MiB) is not. The table is
+  /// immutable and swapped under a mutex, so P fibers and several carrier
+  /// threads may call `Generate` on one generator at once.
   SparseVector Generate(int worker, int64_t iteration, size_t count) const;
 
   size_t n() const { return n_; }
@@ -77,10 +92,22 @@ class ProfileGradientGenerator {
   bool has_compute_skew() const { return !multipliers_.empty(); }
 
  private:
+  struct PhaseTable;
+
+  /// The table for `drift_phase` and `window` (windows starting at
+  /// `window_starts`, one per cluster), built if the latest one is for
+  /// another phase or width; null, with the held table dropped, when it
+  /// would pass the cap.
+  std::shared_ptr<const PhaseTable> TableFor(
+      uint64_t drift_phase, size_t window,
+      std::span<const size_t> window_starts) const;
+
   size_t n_;
   uint64_t seed_;
   int num_clusters_;
   int drift_period_;
+  mutable std::mutex table_mutex_;
+  mutable std::shared_ptr<const PhaseTable> table_;  // guarded by the mutex
   /// Per-worker compute multipliers; empty = homogeneous (all 1.0).
   /// Sized on first `SetComputeMultiplier` (missing entries are 1.0).
   std::vector<double> multipliers_;

@@ -1,19 +1,24 @@
-// Frozen-reference test for ProfileGradientGenerator::Generate: the
-// library's bitmap dedup must reproduce the sort-based generator it
-// replaced bit for bit (indices, value bits and the order in which the
-// worker RNG is consumed), since every simulated number downstream of a
-// candidate set depends on it.
+// Frozen-reference tests for ProfileGradientGenerator::Generate: the
+// library's bitmap dedup and per-phase table of shared terms must
+// reproduce the sort-based generator they replaced bit for bit (indices,
+// value bits and the order in which the worker RNG is consumed), since
+// every simulated number downstream of a candidate set depends on it. One
+// generator must stay exact across calls that reuse, replace or drop its
+// table, from one thread or two, and must hold at most a small table.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
 #include "dl/grad_profile.h"
+#include "test_util.h"
 
 namespace spardl {
 namespace {
@@ -150,7 +155,7 @@ TEST(ProfileGradientGeneratorReferenceTest, MatchesSortBasedGenerator) {
                          size_t{301'500}}) {
       for (int clusters : {1, 32, 64}) {
         for (const Call& call : kCalls) {
-          SCOPED_TRACE(testing::Message()
+          SCOPED_TRACE(::testing::Message()
                        << "n=" << n << " count=" << count << " clusters="
                        << clusters << " drift_period=" << call.drift_period
                        << " worker=" << call.worker
@@ -166,6 +171,91 @@ TEST(ProfileGradientGeneratorReferenceTest, MatchesSortBasedGenerator) {
       }
     }
   }
+}
+
+// Call shapes at n = 4M and at n = 20.1M: 6,000 candidates (largep's)
+// tabulate 64 x 620 slots and 40,000 tabulate 64 x 4,166 (2.3 MiB);
+// 301,500 (paper's) need 64 x 31,400 slots (17.2 MiB), over the cap.
+constexpr size_t kTabulated = 6'000;
+constexpr size_t kTabulatedWide = 40'000;
+constexpr size_t kOverCap = 301'500;
+
+// One generator, calls in an order that builds, reuses, replaces and drops
+// its table; workers count down.
+TEST(ProfileGradientGeneratorReferenceTest,
+     OneGeneratorServesInterleavedCalls) {
+  constexpr std::pair<int64_t, size_t> kOrder[] = {
+      {49, kTabulated},  {49, kTabulated},      // build phase 0, reuse
+      {50, kTabulated},                         // phase 1 replaces it
+      {0, kTabulated},                          // back to phase 0
+      {0, kTabulatedWide},                      // same phase, wider window
+      {0, kOverCap},                            // drops the table
+      {120, kTabulated}, {50, kOverCap},      {50, kTabulated},
+      {120, kOverCap},   {49, kTabulatedWide}, {120, kTabulated},
+  };
+  for (size_t n : {size_t{4'000'000}, size_t{20'100'000}}) {
+    const ReferenceGenerator reference{n, 2024, 64, 50};
+    const ProfileGradientGenerator generator(n, 2024, 64, 50);
+    int worker = 1023;
+    for (const auto& [iteration, count] : kOrder) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " worker=" << worker
+                                        << " iteration=" << iteration
+                                        << " count=" << count);
+      ExpectBitIdentical(reference.Generate(worker, iteration, count),
+                         generator.Generate(worker, iteration, count));
+      worker -= 93;
+    }
+  }
+}
+
+// Two OS threads call one const generator at once, in drift phases 0 and
+// 2, so each keeps replacing the other's table; every fourth call of the
+// second thread is over the cap and drops it. Under TSan this is also a
+// data-race check of the table's swap.
+TEST(ProfileGradientGeneratorReferenceTest, TwoThreadsShareOneGenerator) {
+  const size_t n = 4'000'000;
+  const ReferenceGenerator reference{n, 2024, 64, 50};
+  const ProfileGradientGenerator generator(n, 2024, 64, 50);
+  constexpr int kCallsPerThread = 16;
+  auto count_of = [](int thread, int call) {
+    return thread == 1 && call % 4 == 3 ? kOverCap : kTabulated;
+  };
+  std::vector<SparseVector> outputs[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        outputs[t].push_back(
+            generator.Generate(i, 100 * t + i, count_of(t, i)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 2; ++t) {
+    for (int i = 0; i < kCallsPerThread; ++i) {
+      SCOPED_TRACE(::testing::Message() << "thread " << t << " call " << i);
+      ExpectBitIdentical(
+          reference.Generate(i, 100 * t + i, count_of(t, i)),
+          outputs[t][static_cast<size_t>(i)]);
+    }
+  }
+}
+
+// The generator holds the table of its latest call's shape: 39,680 slots
+// of 9 bytes (0.34 MiB) at largep's shape, none after a call over the cap.
+TEST(ProfileGradientGeneratorHeapTest, HoldsASmallTableOrNone) {
+  const ProfileGradientGenerator generator(4'000'000, 2024);
+  const double before = testing::HeapMiB();
+  EXPECT_FALSE(generator.Generate(0, 0, kTabulated).empty());
+  const double tabulated = testing::HeapMiB() - before;
+  // Sanitizer allocators report no heap (HeapMiB reads 0), so there only
+  // the upper bounds are checked, and they hold trivially.
+  if (before > 0) {
+    EXPECT_GT(tabulated, 0.3);
+  }
+  EXPECT_LE(tabulated, 0.5);
+  EXPECT_FALSE(generator.Generate(0, 0, kOverCap).empty());
+  EXPECT_LT(testing::HeapMiB() - before, 0.05);
 }
 
 }  // namespace

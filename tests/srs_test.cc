@@ -6,6 +6,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/random.h"
+#include "sparse/block_partition.h"
 #include "sparse/topk.h"
 #include "test_util.h"
 
@@ -163,33 +165,100 @@ TEST(SrsTest, BandwidthMatchesTableOne) {
   }
 }
 
-TEST(SrsTest, SparseEntryPointMatchesDense) {
-  const int p = 6;
-  const size_t n = 600;
-  const size_t k = 60;
-  std::vector<std::vector<float>> grads;
+// Runs both entry points on `grads` (one per rank) and expects the same
+// block and the same local discards on every rank. The dense entry point
+// selects every block of the dense gradient and never splits a candidate
+// list, so it is an independent reference for the sparse one's split.
+void ExpectSparseEntryPointMatchesDense(
+    const std::vector<std::vector<float>>& grads, size_t k) {
+  const int p = static_cast<int>(grads.size());
+  const size_t n = grads[0].size();
+  std::vector<std::vector<float>> dense_residuals(grads.size());
+  std::vector<std::vector<float>> sparse_residuals(grads.size());
+  auto run = [&](bool sparse, std::vector<std::vector<float>>* residuals) {
+    return RunOnCluster<SparseVector>(p, [&](Comm& comm) {
+      const auto rank = static_cast<size_t>(comm.rank());
+      ResidualStore store(n, ResidualMode::kLocal);
+      SrsOptions options;
+      options.k = k;
+      SparseVector block =
+          sparse ? SparReduceScatterOnSparse(
+                       comm, CommGroup::World(comm),
+                       SparseVector::FromDense(grads[rank]), n, options,
+                       &store)
+                 : SparReduceScatter(comm, CommGroup::World(comm),
+                                     grads[rank], options, &store);
+      (*residuals)[rank].assign(store.dense().begin(), store.dense().end());
+      return block;
+    });
+  };
+  const std::vector<SparseVector> dense_run = run(false, &dense_residuals);
+  const std::vector<SparseVector> sparse_run = run(true, &sparse_residuals);
   for (int r = 0; r < p; ++r) {
-    grads.push_back(RandomGradient(n, 55 + static_cast<uint64_t>(r)));
+    const auto rank = static_cast<size_t>(r);
+    EXPECT_EQ(dense_run[rank], sparse_run[rank]) << "rank " << r;
+    EXPECT_EQ(dense_residuals[rank], sparse_residuals[rank]) << "rank " << r;
   }
-  auto dense_run = RunOnCluster<SparseVector>(p, [&](Comm& comm) {
-    SrsOptions options;
-    options.k = k;
-    return SparReduceScatter(comm, CommGroup::World(comm),
-                             grads[static_cast<size_t>(comm.rank())],
-                             options, nullptr);
-  });
-  auto sparse_run = RunOnCluster<SparseVector>(p, [&](Comm& comm) {
-    SrsOptions options;
-    options.k = k;
-    const SparseVector candidates = SparseVector::FromDense(
-        grads[static_cast<size_t>(comm.rank())]);
-    return SparReduceScatterOnSparse(comm, CommGroup::World(comm),
-                                     candidates, n, options, nullptr);
-  });
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(dense_run[static_cast<size_t>(r)],
-              sparse_run[static_cast<size_t>(r)])
-        << "rank " << r;
+}
+
+// Where a rank's non-zeros may sit, relative to its own block.
+enum class Support { kOwnBlockEmpty, kBelowOwnBlock, kOneBlock, kNone };
+
+// About 40% of the entries of the blocks `support` allows, 0 elsewhere.
+std::vector<float> MostlyZeroGradient(Support support, int rank, int p,
+                                      size_t n, uint64_t seed) {
+  const BlockPartition partition(n, p);
+  Rng rng(seed);
+  std::vector<float> grad(n, 0.0f);
+  for (size_t i = 0; i < n; ++i) {
+    const int b = partition.BlockOf(static_cast<GradIndex>(i));
+    bool allowed = false;
+    switch (support) {
+      case Support::kOwnBlockEmpty:
+        allowed = b != rank;
+        break;
+      case Support::kBelowOwnBlock:  // the split wraps to index 0
+        allowed = b < rank;
+        break;
+      case Support::kOneBlock:
+        allowed = b == (2 * rank + 1) % p;
+        break;
+      case Support::kNone:
+        break;
+    }
+    if (allowed && rng.NextDouble() < 0.4) {
+      grad[i] = static_cast<float>(rng.NextGaussian());
+    }
+  }
+  return grad;
+}
+
+TEST(SrsTest, SparseEntryPointMatchesDense) {
+  {
+    const int p = 6;
+    std::vector<std::vector<float>> grads;
+    for (int r = 0; r < p; ++r) {
+      grads.push_back(RandomGradient(600, 55 + static_cast<uint64_t>(r)));
+    }
+    ExpectSparseEntryPointMatchesDense(grads, /*k=*/60);
+  }
+  // n = 20P + 7 leaves the last block short; at P = 33 its width of 21
+  // leaves block 32 empty, so rank 32's own block starts at n.
+  for (int p : {5, 12, 33}) {
+    const size_t n = 20 * static_cast<size_t>(p) + 7;
+    for (Support support : {Support::kOwnBlockEmpty, Support::kBelowOwnBlock,
+                            Support::kOneBlock, Support::kNone}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "P=" << p << " support=" << static_cast<int>(support));
+      std::vector<std::vector<float>> grads;
+      for (int r = 0; r < p; ++r) {
+        grads.push_back(MostlyZeroGradient(
+            support, r, p, n, 1000 * static_cast<uint64_t>(p) +
+                                  static_cast<uint64_t>(r)));
+      }
+      // Three entries per block: most non-empty blocks are cut.
+      ExpectSparseEntryPointMatchesDense(grads, 3 * static_cast<size_t>(p));
+    }
   }
 }
 
