@@ -1,4 +1,4 @@
-// Ablation of SparDL design choices called out in DESIGN.md:
+// Ablation of two SparDL design choices:
 //  (1) the §III-B "Optimization for SRS" (sparsify lazily, only the next
 //      outgoing bag) vs eager re-sparsification after every summation —
 //      same wire volume, fewer top-k passes, lower wall-clock time;
@@ -87,7 +87,7 @@ void BruckVsRecursiveDoubling(const bench::HarnessArgs& args) {
     SPARDL_CHECK_OK(cluster.Run([&](Comm& comm) {
       SparseVector mine;
       mine.PushBack(static_cast<GradIndex>(comm.rank()), 1.0f);
-      BruckAllGather(comm, CommGroup::World(comm), std::move(mine));
+      BruckAllGather(comm, CommGroup::World(comm), PartList(std::move(mine)));
     }));
     bench::ObserveRun(cluster, StrFormat("bruck P=%d", p));
     table.AddRow({StrFormat("%d", p),

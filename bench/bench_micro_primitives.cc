@@ -238,9 +238,9 @@ void BM_BruckAllGatherWallTime(benchmark::State& state) {
   Cluster cluster(p, CostModel::Free());
   for (auto _ : state) {
     cluster.Run([&](Comm& comm) {
+      const uint64_t seed = static_cast<uint64_t>(comm.rank());
       BruckAllGather(comm, CommGroup::World(comm),
-                     RandomSparse(1 << 16, 1 << 10,
-                                  static_cast<uint64_t>(comm.rank())));
+                     PartList(RandomSparse(1 << 16, 1 << 10, seed)));
     });
   }
 }

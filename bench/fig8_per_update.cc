@@ -63,6 +63,6 @@ int spardl::bench::RunFig8PerUpdate(const HarnessArgs& args) {
       "Ok-Topk best baseline but still behind SparDL; TopkA/TopkDSA 4-7x "
       "behind. (The paper measures TopkDSA slowest of the four; in the "
       "pure alpha-beta model its ordering vs TopkA depends on support "
-      "overlap — see EXPERIMENTS.md note 1.)\n");
+      "overlap.)\n");
   return 0;
 }

@@ -29,7 +29,7 @@ int spardl::bench::RunFig9Convergence(const HarnessArgs& args) {
       args.TopologyOr(std::nullopt, workers);
   std::printf(
       "== Fig. 9: convergence vs simulated training time, %d workers ==\n"
-      "(Synthetic counterparts of the paper's tasks; see DESIGN.md.)\n",
+      "(Synthetic counterparts of the paper's tasks.)\n",
       workers);
   if (fabric.has_value()) {
     std::printf("Fabric: %s\n", fabric->Describe().c_str());

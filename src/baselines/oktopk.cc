@@ -128,12 +128,12 @@ SparseVector OkTopk::Core(Comm& comm, SparseVector local) {
     my_region = std::move(kept);
   }
 
-  // Phase C: chunk sizes, then the uneven-chunk all-gather.
-  (void)BruckAllGatherCounts(comm, world,
-                             static_cast<uint32_t>(my_region.size()));
-  const GatheredParts gathered =
-      BruckAllGather(comm, world, std::move(my_region));
-  SparseVector final_gradient = ConcatDisjoint(gathered.parts);
+  // Phase C: chunk sizes, then the uneven-chunk all-gather. Every list
+  // carries its entry counts, so the size exchange only charges the wire:
+  // one word per member, as an empty part declared at 1 word.
+  (void)BruckAllGather(comm, world, PartList(SparseVector(), 1));
+  SparseVector final_gradient = ConcatDisjoint(
+      BruckAllGather(comm, world, PartList(std::move(my_region))));
 
   // Phase D: periodic region rebalancing from the (replicated) support.
   ++iteration_;

@@ -9,12 +9,13 @@ namespace spardl {
 SparseVector TopkAllGather::Core(Comm& comm, SparseVector local) {
   const CommGroup world = CommGroup::World(comm);
   const int p = comm.size();
-  const GatheredParts gathered =
+  PartList mine(std::move(local));
+  const PartList gathered =
       (p & (p - 1)) == 0
-          ? RecursiveDoublingAllGather(comm, world, std::move(local))
-          : BruckAllGather(comm, world, std::move(local));
+          ? RecursiveDoublingAllGather(comm, world, std::move(mine))
+          : BruckAllGather(comm, world, std::move(mine));
   // Fixed rank-order summation keeps every replica bit-identical.
-  return SumAll(gathered.parts);
+  return SumAll(gathered);
 }
 
 }  // namespace spardl

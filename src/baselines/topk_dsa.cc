@@ -40,14 +40,10 @@ SparseVector TopkDsa::Core(Comm& comm, SparseVector local) {
 
   // Phase 2: all-gather of the (possibly dense-ish) regions. A region
   // whose COO encoding exceeds its dense width ships as dense words.
-  const BlockPartition& partition = partition_;
-  const PartWireWords wire_cost =
-      [&partition](const SparseVector& part, int position) -> size_t {
-    return std::min(part.WireWords(), partition.BlockSize(position));
-  };
-  const GatheredParts gathered =
-      BruckAllGather(comm, world, std::move(my_region), &wire_cost);
-  return ConcatDisjoint(gathered.parts);
+  const size_t wire_words =
+      std::min(my_region.WireWords(), partition_.BlockSize(rank));
+  return ConcatDisjoint(
+      BruckAllGather(comm, world, PartList(std::move(my_region), wire_words)));
 }
 
 }  // namespace spardl

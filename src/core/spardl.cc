@@ -82,28 +82,25 @@ SparseVector SparDL::Synchronize(Comm& comm, const CommGroup& team_group,
   // Optional value quantization of the block every other worker will
   // receive. Deterministic, so replicas stay identical; the error is
   // credited to residuals (1/d weight when SAG replicated the block).
-  std::optional<PartWireWords> wire_cost;
   if (config_.value_bits != 32) {
     SparseVector quantization_error;
     QuantizeDequantize(&block, config_.value_bits, &quantization_error);
     const float scale =
         1.0f / static_cast<float>(resolved_sag_ ? config_.num_teams : 1);
     residuals_.AddCommDiscard(quantization_error, scale);
-    const int bits = config_.value_bits;
-    wire_cost = [bits](const SparseVector& part, int) {
-      return QuantizedWireWords(part.size(), bits);
-    };
   }
+  const size_t wire_words =
+      QuantizedWireWords(block.size(), config_.value_bits);
 
   // Final intra-team Bruck all-gather; blocks have disjoint ascending
   // ranges, so concatenation yields the global gradient.
-  GatheredParts gathered;
+  PartList gathered;
   {
     TraceScope scope(comm, Phase::kAllGather, "allgather");
-    gathered = BruckAllGather(comm, team_group, std::move(block),
-                              wire_cost.has_value() ? &*wire_cost : nullptr);
+    gathered = BruckAllGather(comm, team_group,
+                              PartList(std::move(block), wire_words));
   }
-  SparseVector final_gradient = ConcatDisjoint(gathered.parts);
+  SparseVector final_gradient = ConcatDisjoint(gathered);
   {
     TraceScope scope(comm, Phase::kResidual, "residual-update");
     residuals_.FinishIteration(final_gradient);

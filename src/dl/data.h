@@ -28,7 +28,7 @@ enum class TaskMetric {
 /// workers see disjoint i.i.d. shards, mirroring data-parallel S-SGD.
 ///
 /// These stand in for the paper's CIFAR/House/IMDB/PTB datasets (offline
-/// reproduction): same task *types*, synthetic generators — see DESIGN.md.
+/// reproduction): same task *types*, synthetic generators.
 class Dataset {
  public:
   virtual ~Dataset() = default;

@@ -72,8 +72,8 @@ class Comm {
 
   /// Sends `payload` to `dst`. Never blocks. `words_override`, when
   /// non-zero, replaces the payload's natural wire size — used to model
-  /// alternative encodings (e.g. TopkDSA shipping a densified block as
-  /// `width` dense words instead of `2 * nnz` COO words).
+  /// alternative encodings (e.g. SRS shipping a bag of quantized blocks
+  /// at `QuantizedWireWords` instead of `2 * nnz` COO words each).
   void Send(int dst, Payload payload, int tag = 0,
             size_t words_override = 0) {
     SPARDL_DCHECK(dst != rank_) << "self-send";

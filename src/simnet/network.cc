@@ -38,16 +38,9 @@ size_t PayloadWords(const Payload& payload) {
       return words;
     }
     size_t operator()(const PartList& parts) const {
-      size_t words = 0;
-      parts.ForEach(
-          [&words](const SparseVector& p) { words += p.WireWords(); });
-      return words;
+      return parts.wire_words();
     }
     size_t operator()(const std::vector<float>& v) const { return v.size(); }
-    size_t operator()(const std::vector<uint32_t>& v) const {
-      return v.size();
-    }
-    size_t operator()(double) const { return 1; }
     size_t operator()(int64_t) const { return 1; }
   };
   return std::visit(Visitor{}, payload);

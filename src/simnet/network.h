@@ -29,11 +29,11 @@ class ProtocolChecker;
 /// A closed variant (rather than opaque bytes) keeps the simulator type-safe
 /// and avoids serialisation costs that would pollute wall-clock timing; the
 /// wire size is still charged from the logical encoding (COO entry = 2
-/// words, dense float = 1 word). A `PartList` is charged as the parts it
-/// lists, though its parts are shared, not copied.
-using Payload =
-    std::variant<SparseVector, std::vector<SparseVector>, PartList,
-                 std::vector<float>, std::vector<uint32_t>, double, int64_t>;
+/// words, dense float = 1 word, a token 1 word). A `PartList` is charged
+/// the words its parts' owners declared, though its parts are shared, not
+/// copied; a `std::vector<SparseVector>` carries SRS's bags.
+using Payload = std::variant<SparseVector, std::vector<SparseVector>,
+                             PartList, std::vector<float>, int64_t>;
 
 /// Number of 4-byte wire words `payload` occupies.
 size_t PayloadWords(const Payload& payload);

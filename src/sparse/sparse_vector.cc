@@ -241,37 +241,25 @@ SparseVector SumAll(std::span<const SparseVector* const> inputs) {
   return out;
 }
 
-SparseVector ConcatDisjoint(std::span<const SparseVector* const> parts) {
-  size_t total = 0;
-  for (const SparseVector* p : parts) total += p->size();
-  SparseVector out;
-  out.Reserve(total);
-  for (const SparseVector* p : parts) {
-    // AppendSpan's boundary CHECK is exactly the documented interleave
-    // check (each part's internal order is already an invariant), and it
-    // survives NDEBUG builds where a per-entry DCHECK compiles out.
-    out.AppendSpan(p->indices(), p->values());
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<const SparseVector*> Pointers(std::span<const SparseVector> xs) {
-  std::vector<const SparseVector*> pointers;
-  pointers.reserve(xs.size());
-  for (const SparseVector& x : xs) pointers.push_back(&x);
-  return pointers;
-}
-
-}  // namespace
-
 SparseVector SumAll(std::span<const SparseVector> inputs) {
-  return SumAll(Pointers(inputs));
+  std::vector<const SparseVector*> pointers;
+  pointers.reserve(inputs.size());
+  for (const SparseVector& x : inputs) pointers.push_back(&x);
+  return SumAll(pointers);
 }
 
 SparseVector ConcatDisjoint(std::span<const SparseVector> parts) {
-  return ConcatDisjoint(Pointers(parts));
+  size_t total = 0;
+  for (const SparseVector& p : parts) total += p.size();
+  SparseVector out;
+  out.Reserve(total);
+  for (const SparseVector& p : parts) {
+    // AppendSpan's boundary CHECK is exactly the documented interleave
+    // check (each part's internal order is already an invariant), and it
+    // survives NDEBUG builds where a per-entry DCHECK compiles out.
+    out.AppendSpan(p.indices(), p.values());
+  }
+  return out;
 }
 
 }  // namespace spardl

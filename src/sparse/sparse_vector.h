@@ -140,7 +140,8 @@ void MergeSumInPlace(SparseVector* acc, const SparseVector& x,
 /// up to 1,024 bitmap words, so a very sparse call over a wide span pays
 /// that overhead once per window. Empty stretches cost nothing, and the
 /// scratch is a fixed 264 KiB whatever the span. Takes the inputs by
-/// pointer, as a sparse all-gather hands them over.
+/// pointer: the overload below and the `PartList` one (`part_list.h`),
+/// which sums what a sparse all-gather returns, both feed it.
 SparseVector SumAll(std::span<const SparseVector* const> inputs);
 
 /// `SumAll` over inputs stored side by side.
@@ -148,9 +149,6 @@ SparseVector SumAll(std::span<const SparseVector> inputs);
 
 /// Concatenates vectors whose index ranges are disjoint and ascending in
 /// the given order. CHECK-fails if ranges interleave.
-SparseVector ConcatDisjoint(std::span<const SparseVector* const> parts);
-
-/// `ConcatDisjoint` over parts stored side by side.
 SparseVector ConcatDisjoint(std::span<const SparseVector> parts);
 
 }  // namespace spardl

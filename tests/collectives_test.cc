@@ -18,6 +18,7 @@ namespace spardl {
 namespace {
 
 using ::spardl::testing::HeapMiB;
+using ::spardl::testing::PartsOf;
 using ::spardl::testing::RunOnCluster;
 
 SparseVector RankVector(int rank) {
@@ -28,31 +29,45 @@ SparseVector RankVector(int rank) {
   return v;
 }
 
+// The sweeps' parts: every third rank contributes an empty one.
+SparseVector SweepPart(int rank) {
+  return rank % 3 == 2 ? SparseVector() : RankVector(rank);
+}
+
 class AllGatherSweep : public ::testing::TestWithParam<int> {};
 
-// Every worker lists every part by position, and all of them list the
-// same copy of each part.
-void ExpectAllPartsInOrder(const std::vector<GatheredParts>& results) {
+// Every worker lists all P parts in position order, its figures add up
+// over them, and all workers list the same copy of each part.
+void ExpectAllPartsInOrder(const std::vector<PartList>& results) {
   const int p = static_cast<int>(results.size());
+  std::vector<SparseVector> non_empty;
+  size_t entries = 0;
+  for (int j = 0; j < p; ++j) {
+    if (!SweepPart(j).empty()) non_empty.push_back(SweepPart(j));
+    entries += SweepPart(j).size();
+  }
+  const std::vector<const SparseVector*> first = PartsOf(results[0]);
   for (int rank = 0; rank < p; ++rank) {
-    const GatheredParts& gathered = results[static_cast<size_t>(rank)];
-    ASSERT_EQ(gathered.parts.size(), static_cast<size_t>(p));
-    EXPECT_EQ(gathered.list.size(), static_cast<size_t>(p));
-    for (int j = 0; j < p; ++j) {
-      const SparseVector* part = gathered.parts[static_cast<size_t>(j)];
-      EXPECT_EQ(*part, RankVector(j))
-          << "P=" << p << " rank=" << rank << " part=" << j;
-      EXPECT_EQ(part, results[0].parts[static_cast<size_t>(j)])
-          << "P=" << p << " rank=" << rank << " part=" << j;
+    const PartList& gathered = results[static_cast<size_t>(rank)];
+    EXPECT_EQ(gathered.size(), static_cast<size_t>(p));
+    EXPECT_EQ(gathered.entries(), entries);
+    EXPECT_EQ(gathered.wire_words(), 2 * entries);
+    const std::vector<const SparseVector*> parts = PartsOf(gathered);
+    ASSERT_EQ(parts.size(), non_empty.size()) << "P=" << p;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      EXPECT_EQ(*parts[i], non_empty[i])
+          << "P=" << p << " rank=" << rank << " part=" << i;
+      EXPECT_EQ(parts[i], first[i])
+          << "P=" << p << " rank=" << rank << " part=" << i;
     }
   }
 }
 
 TEST_P(AllGatherSweep, BruckGathersAllPartsInOrder) {
   const int p = GetParam();
-  ExpectAllPartsInOrder(RunOnCluster<GatheredParts>(p, [](Comm& comm) {
+  ExpectAllPartsInOrder(RunOnCluster<PartList>(p, [](Comm& comm) {
     return BruckAllGather(comm, CommGroup::World(comm),
-                          RankVector(comm.rank()));
+                          PartList(SweepPart(comm.rank())));
   }));
 }
 
@@ -64,9 +79,9 @@ class RecursiveDoublingSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RecursiveDoublingSweep, MatchesBruckSemantics) {
   const int p = GetParam();
-  ExpectAllPartsInOrder(RunOnCluster<GatheredParts>(p, [](Comm& comm) {
+  ExpectAllPartsInOrder(RunOnCluster<PartList>(p, [](Comm& comm) {
     return RecursiveDoublingAllGather(comm, CommGroup::World(comm),
-                                      RankVector(comm.rank()));
+                                      PartList(SweepPart(comm.rank())));
   }));
 }
 
@@ -77,7 +92,8 @@ TEST(BruckAllGatherTest, LatencyIsCeilLog2Rounds) {
   for (int p : {2, 3, 5, 8, 14}) {
     Cluster cluster(p, CostModel::Ethernet());
     cluster.Run([](Comm& comm) {
-      BruckAllGather(comm, CommGroup::World(comm), RankVector(comm.rank()));
+      BruckAllGather(comm, CommGroup::World(comm),
+                     PartList(RankVector(comm.rank())));
     });
     const int expected_rounds = SrsBagLayout::NumSteps(p);
     EXPECT_EQ(cluster.MaxMessagesReceived(),
@@ -92,7 +108,8 @@ TEST(BruckAllGatherTest, BandwidthIsOtherPartsOnce) {
   for (int p : {2, 3, 5, 8, 14}) {
     Cluster cluster(p, CostModel::Ethernet());
     cluster.Run([](Comm& comm) {
-      BruckAllGather(comm, CommGroup::World(comm), RankVector(comm.rank()));
+      BruckAllGather(comm, CommGroup::World(comm),
+                     PartList(RankVector(comm.rank())));
     });
     for (int r = 0; r < p; ++r) {
       EXPECT_EQ(cluster.comm(r).stats().words_received,
@@ -102,51 +119,47 @@ TEST(BruckAllGatherTest, BandwidthIsOtherPartsOnce) {
   }
 }
 
-// The wire-cost hook sees each forwarded part with its group position, in
-// send order: at the step with distance D a worker at position r sends
-// the parts of r, r + 1, ..., r + min(D, P - D) - 1 (mod P). Every worker
-// then receives what the hook charged for the P - 1 other parts.
-TEST(BruckAllGatherTest, WireCostHookSeesEveryForwardedPart) {
-  const auto words_of = [](const SparseVector& part, int position) {
-    return part.WireWords() + 3 * static_cast<size_t>(position);
+// A part is charged the words its owner declared wherever it is
+// forwarded, so every worker receives the declared words of the P - 1
+// other parts and lists each position's words in its place. Every third
+// part is empty and declared at 1 word, as Ok-Topk's size exchange
+// declares its parts.
+TEST(BruckAllGatherTest, ChargesEachPartItsDeclaredWords) {
+  const auto declared = [](int position) {
+    return position % 3 == 2 ? size_t{1}
+                             : 5 + 3 * static_cast<size_t>(position);
   };
   for (int p : {3, 5, 6, 7, 12}) {
-    std::vector<std::vector<int>> seen(static_cast<size_t>(p));
+    std::vector<PartList> results(static_cast<size_t>(p));
     Cluster cluster(p, CostModel::Ethernet());
     cluster.Run([&](Comm& comm) {
-      std::vector<int>& positions = seen[static_cast<size_t>(comm.rank())];
-      const PartWireWords hook = [&](const SparseVector& part,
-                                     int position) {
-        EXPECT_EQ(part, RankVector(position)) << "position " << position;
-        positions.push_back(position);
-        return words_of(part, position);
-      };
-      BruckAllGather(comm, CommGroup::World(comm), RankVector(comm.rank()),
-                     &hook);
+      const int rank = comm.rank();
+      results[static_cast<size_t>(rank)] =
+          BruckAllGather(comm, CommGroup::World(comm),
+                         PartList(SweepPart(rank), declared(rank)));
     });
     size_t all_words = 0;
-    for (int q = 0; q < p; ++q) all_words += words_of(RankVector(q), q);
+    for (int q = 0; q < p; ++q) all_words += declared(q);
     for (int r = 0; r < p; ++r) {
-      std::vector<int> expected;
-      for (int distance = 1; distance < p; distance *= 2) {
-        for (int j = 0; j < std::min(distance, p - distance); ++j) {
-          expected.push_back((r + j) % p);
-        }
+      const PartList& gathered = results[static_cast<size_t>(r)];
+      EXPECT_EQ(gathered.wire_words(), all_words);
+      for (int j = 0; j < p; ++j) {
+        EXPECT_EQ(gathered.Slice(static_cast<size_t>(j), 1).wire_words(),
+                  declared(j))
+            << "P=" << p << " rank=" << r << " position=" << j;
       }
-      EXPECT_EQ(seen[static_cast<size_t>(r)], expected)
-          << "P=" << p << " rank=" << r;
       EXPECT_EQ(cluster.comm(r).stats().words_received,
-                all_words - words_of(RankVector(r), r))
+                all_words - declared(r))
           << "P=" << p << " rank=" << r;
     }
   }
 }
 
 // After an all-gather every worker lists all P parts, but the group holds
-// each part once: what stays is P parts, O(P log P) list nodes and each
-// worker's P part pointers (8 MiB at P = 1024). A copy of every part on
-// every worker, P^2 copies of a 4-entry part (a 48-byte header and two
-// 16-byte arrays each), would hold about 110 MiB.
+// each part once: what stays is P parts and O(P log P) list nodes, under
+// 2 MiB at P = 1024. A copy of every part on every worker, P^2 copies of
+// a 4-entry part (a 48-byte header and two 16-byte arrays each), would
+// hold about 110 MiB, and a P-entry pointer vector on every worker 8 MiB.
 TEST(AllGatherHeapTest, GroupOfP1024HoldsEachPartOnce) {
   constexpr int kWorkers = 1024;
   const auto four_entries = [](int rank) {
@@ -157,31 +170,17 @@ TEST(AllGatherHeapTest, GroupOfP1024HoldsEachPartOnce) {
   for (const bool bruck : {true, false}) {
     SCOPED_TRACE(bruck ? "Bruck" : "recursive doubling");
     Cluster cluster(kWorkers, CostModel::Free());
-    std::vector<GatheredParts> held(kWorkers);
+    std::vector<PartList> held(kWorkers);
     const double before = HeapMiB();
     cluster.Run([&](Comm& comm) {
       const CommGroup world = CommGroup::World(comm);
-      SparseVector mine = four_entries(comm.rank());
+      PartList mine(four_entries(comm.rank()));
       held[static_cast<size_t>(comm.rank())] =
           bruck ? BruckAllGather(comm, world, std::move(mine))
                 : RecursiveDoublingAllGather(comm, world, std::move(mine));
     });
-    EXPECT_LT(HeapMiB() - before, 16.0);
-    EXPECT_EQ(*held[kWorkers - 1].parts[0], four_entries(0));
-  }
-}
-
-TEST(BruckAllGatherCountsTest, GathersScalars) {
-  const int p = 6;
-  auto results = RunOnCluster<std::vector<uint32_t>>(p, [](Comm& comm) {
-    return BruckAllGatherCounts(comm, CommGroup::World(comm),
-                                static_cast<uint32_t>(comm.rank() * 10));
-  });
-  for (int rank = 0; rank < p; ++rank) {
-    for (int j = 0; j < p; ++j) {
-      EXPECT_EQ(results[static_cast<size_t>(rank)][static_cast<size_t>(j)],
-                static_cast<uint32_t>(j * 10));
-    }
+    EXPECT_LT(HeapMiB() - before, 4.0);
+    EXPECT_EQ(*PartsOf(held[kWorkers - 1])[0], four_entries(0));
   }
 }
 

@@ -21,8 +21,6 @@ using ::spardl::testing::HeapMiB;
 TEST(PayloadWordsTest, CountsEveryVariant) {
   EXPECT_EQ(PayloadWords(Payload(SparseVector({1, 2}, {1.0f, 2.0f}))), 4u);
   EXPECT_EQ(PayloadWords(Payload(std::vector<float>{1, 2, 3})), 3u);
-  EXPECT_EQ(PayloadWords(Payload(std::vector<uint32_t>{7})), 1u);
-  EXPECT_EQ(PayloadWords(Payload(3.5)), 1u);
   EXPECT_EQ(PayloadWords(Payload(int64_t{9})), 1u);
   std::vector<SparseVector> parts;
   parts.push_back(SparseVector({1}, {1.0f}));
@@ -30,17 +28,20 @@ TEST(PayloadWordsTest, CountsEveryVariant) {
   EXPECT_EQ(PayloadWords(Payload(parts)), 6u);
 }
 
-// A part list is charged as the parts it lists, and a prefix only for its
-// first `count` parts, even where it ends inside a join's tail list.
+// A part list is charged the words its parts' owners declared: the COO
+// encoding unless a leaf declares otherwise, and a slice only for the
+// parts it lists, even where it ends inside a join's tail list.
 TEST(PayloadWordsTest, ChargesTheListedParts) {
   const PartList one(SparseVector({1}, {1.0f}));                  // 2 words
-  const PartList two(SparseVector({2, 3}, {1.0f, 2.0f}));         // 4
+  const PartList two(SparseVector({2, 3}, {1.0f, 2.0f}), 3);      // 3
   const PartList three(SparseVector({4, 5, 6}, {1.0f, 2.0f, 3.0f}));  // 6
-  const PartList all(one, PartList(two, three));
+  const PartList empty(SparseVector(), 1);                        // 1
+  const PartList all(one, PartList(two, PartList(three, empty)));
   EXPECT_EQ(PayloadWords(Payload(all)), 12u);
-  EXPECT_EQ(PayloadWords(Payload(all.Prefix(2))), 6u);
-  EXPECT_EQ(PayloadWords(Payload(all.Prefix(1))), 2u);
-  EXPECT_EQ(PayloadWords(Payload(PartList(all.Prefix(2), three))), 12u);
+  EXPECT_EQ(PayloadWords(Payload(all.Slice(0, 2))), 5u);
+  EXPECT_EQ(PayloadWords(Payload(all.Slice(1, 2))), 9u);
+  EXPECT_EQ(PayloadWords(Payload(all.Slice(3, 1))), 1u);
+  EXPECT_EQ(PayloadWords(Payload(PartList(all.Slice(0, 2), three))), 11u);
   EXPECT_EQ(PayloadWords(Payload(PartList())), 0u);
 }
 

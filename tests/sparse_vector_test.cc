@@ -5,9 +5,12 @@
 #include <vector>
 
 #include "sparse/part_list.h"
+#include "test_util.h"
 
 namespace spardl {
 namespace {
+
+using ::spardl::testing::PartsOf;
 
 SparseVector Make(std::vector<GradIndex> idx, std::vector<float> val) {
   return SparseVector(std::move(idx), std::move(val));
@@ -203,8 +206,9 @@ TEST(ConcatDisjointTest, PreservesOrder) {
   SparseVector out = ConcatDisjoint(parts);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.index(3), 6u);
-  const std::vector<const SparseVector*> pointers = {&parts[0], &parts[1]};
-  EXPECT_EQ(ConcatDisjoint(pointers), out);
+  const PartList empty{SparseVector()};
+  const PartList list(PartList(parts[0]), PartList(empty, PartList(parts[1])));
+  EXPECT_EQ(ConcatDisjoint(list), out);
 }
 
 TEST(ConcatDisjointTest, SkipsEmptyParts) {
@@ -218,32 +222,59 @@ TEST(ConcatDisjointTest, DiesOnInterleavedRanges) {
   EXPECT_DEATH(ConcatDisjoint(parts), "");
 }
 
-// Joins and prefixes list parts in order and never copy one: every list
-// that lists a part lists the same object.
+// Joins and slices list parts in order and never copy one: every list
+// that lists a part lists the same object. Every (begin, count) slice of
+// a 7-part list with empty parts, declared words and joins of uneven
+// depth is checked against a brute-force walk of the parts.
 TEST(PartListTest, ListsInOrderAndSharesParts) {
-  const auto addresses = [](const PartList& list) {
-    std::vector<const SparseVector*> out;
-    list.ForEach([&out](const SparseVector& part) { out.push_back(&part); });
-    return out;
-  };
-  const PartList a(Make({1}, {1.0f}));
-  const PartList b(Make({2}, {2.0f}));
-  const PartList c(Make({3}, {3.0f}));
-  const PartList bc(b, c);
-  const PartList abc(a, bc);
-  ASSERT_EQ(abc.size(), 3u);
-  const std::vector<const SparseVector*> parts = addresses(abc);
-  EXPECT_EQ(*parts[0], Make({1}, {1.0f}));
-  EXPECT_EQ(*parts[2], Make({3}, {3.0f}));
-  EXPECT_EQ(parts[0], addresses(a)[0]);
-  EXPECT_EQ(parts[1], addresses(b)[0]);
-  // A prefix that ends inside the tail list.
-  EXPECT_EQ(addresses(abc.Prefix(2)),
-            (std::vector<const SparseVector*>{parts[0], parts[1]}));
-  EXPECT_EQ(addresses(PartList(abc.Prefix(1), abc)),
-            (std::vector<const SparseVector*>{parts[0], parts[0], parts[1],
-                                              parts[2]}));
-  EXPECT_EQ(abc.Prefix(0).size(), 0u);
+  const std::vector<SparseVector> parts = {
+      Make({1}, {1.0f}), SparseVector(), Make({3, 4}, {3.0f, 4.0f}),
+      Make({5}, {5.0f}), SparseVector(), Make({7}, {7.0f}),
+      Make({8, 9, 10}, {8.0f, 9.0f, 10.0f})};
+  // Part 2 declares fewer words than its COO encoding, and empty part 4
+  // declares one; the rest are charged as COO.
+  const std::vector<size_t> words = {2, 0, 3, 2, 1, 2, 6};
+  std::vector<PartList> leaves;
+  std::vector<const SparseVector*> at;  // each part's address, or null
+  for (size_t i = 0; i < parts.size(); ++i) {
+    leaves.push_back(words[i] == parts[i].WireWords()
+                         ? PartList(parts[i])
+                         : PartList(parts[i], words[i]));
+    const std::vector<const SparseVector*> leaf = PartsOf(leaves.back());
+    at.push_back(leaf.empty() ? nullptr : leaf[0]);
+    if (at.back() != nullptr) {
+      EXPECT_EQ(*at.back(), parts[i]);
+    }
+  }
+  // ((0 1) ((2 3) 4)) (5 6)
+  const PartList list(
+      PartList(PartList(leaves[0], leaves[1]),
+               PartList(PartList(leaves[2], leaves[3]), leaves[4])),
+      PartList(leaves[5], leaves[6]));
+  ASSERT_EQ(list.size(), parts.size());
+  for (size_t begin = 0; begin <= parts.size(); ++begin) {
+    for (size_t count = 0; begin + count <= parts.size(); ++count) {
+      std::vector<const SparseVector*> visited;
+      size_t entries = 0;
+      size_t wire_words = 0;
+      for (size_t i = begin; i < begin + count; ++i) {
+        if (at[i] != nullptr) visited.push_back(at[i]);
+        entries += parts[i].size();
+        wire_words += words[i];
+      }
+      const PartList slice = list.Slice(begin, count);
+      EXPECT_EQ(slice.size(), count) << begin << "+" << count;
+      EXPECT_EQ(PartsOf(slice), visited) << begin << "+" << count;
+      EXPECT_EQ(slice.entries(), entries) << begin << "+" << count;
+      EXPECT_EQ(slice.wire_words(), wire_words) << begin << "+" << count;
+    }
+  }
+  // Bruck's rotation: the list from part 3 on, then its first three.
+  const PartList rotated(list.Slice(3, 4), list.Slice(0, 3));
+  EXPECT_EQ(PartsOf(rotated), (std::vector<const SparseVector*>{
+                                  at[3], at[5], at[6], at[0], at[2]}));
+  EXPECT_EQ(rotated.entries(), list.entries());
+  EXPECT_EQ(rotated.wire_words(), list.wire_words());
   EXPECT_EQ(PartList(PartList(), PartList()).size(), 0u);
 }
 

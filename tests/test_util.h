@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "core/sparse_allreduce.h"
 #include "simnet/cluster.h"
+#include "sparse/part_list.h"
 #include "sparse/sparse_vector.h"
 
 namespace spardl {
@@ -56,6 +57,13 @@ class ScopedScheduleSeed {
  private:
   const uint64_t previous_;
 };
+
+/// The non-empty parts `list` visits, by address, in list order.
+inline std::vector<const SparseVector*> PartsOf(const PartList& list) {
+  std::vector<const SparseVector*> parts;
+  list.ForEach([&parts](const SparseVector& part) { parts.push_back(&part); });
+  return parts;
+}
 
 /// Heap bytes in use (arena plus mmap'd blocks), in MiB.
 inline double HeapMiB() {

@@ -13,10 +13,12 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "dl/grad_profile.h"
+#include "sparse/part_list.h"
 #include "sparse/topk.h"
 
 namespace spardl {
@@ -364,13 +366,20 @@ TEST(RadixSelectPropertyTest, DenseAdversarialBlocks) {
 // ---------------------------------------------------------------------------
 // SumAll: windowed dense accumulation vs pairwise reference.
 
-// SumAll through both entry points: the inputs side by side, and pointers
-// to them as the all-gathers hand them over. Both must give the same bits.
+// SumAll through every entry point: the inputs side by side, pointers to
+// them, and a part list as the all-gathers hand them over, with an empty
+// part before each input. All must give the same bits.
 SparseVector SumAllBoth(std::span<const SparseVector> inputs) {
   std::vector<const SparseVector*> pointers;
-  for (const SparseVector& x : inputs) pointers.push_back(&x);
+  PartList list;
+  for (const SparseVector& x : inputs) {
+    pointers.push_back(&x);
+    list = PartList(std::move(list), PartList(PartList(SparseVector()),
+                                              PartList(x)));
+  }
   SparseVector by_value = SumAll(inputs);
   EXPECT_BIT_IDENTICAL(SumAll(pointers), by_value) << "by pointer";
+  EXPECT_BIT_IDENTICAL(SumAll(list), by_value) << "by list";
   return by_value;
 }
 
