@@ -155,6 +155,53 @@ TEST(BruckAllGatherTest, ChargesEachPartItsDeclaredWords) {
   }
 }
 
+// Ok-Topk's chunk sizes. Its size exchange gathers an empty part declared
+// at 1 word from every worker, which costs what a gather of one scalar
+// each would: ceil(log2 P) messages and P - 1 words per worker. The data
+// all-gather that follows lists every position's entry count.
+TEST(BruckAllGatherTest, GathersChunkSizes) {
+  const auto chunk = [](int rank) {
+    SparseVector v;
+    for (int i = 0; i < rank % 4; ++i) {
+      v.PushBack(static_cast<GradIndex>(4 * rank + i), 1.0f);
+    }
+    return v;
+  };
+  for (int p : {2, 3, 5, 6, 8, 14}) {
+    std::vector<PartList> sizes(static_cast<size_t>(p));
+    Cluster cluster(p, CostModel::Ethernet());
+    cluster.Run([&](Comm& comm) {
+      sizes[static_cast<size_t>(comm.rank())] = BruckAllGather(
+          comm, CommGroup::World(comm), PartList(SparseVector(), 1));
+    });
+    const std::vector<PartList> chunks =
+        RunOnCluster<PartList>(p, [&](Comm& comm) {
+          return BruckAllGather(comm, CommGroup::World(comm),
+                                PartList(chunk(comm.rank())));
+        });
+    for (int r = 0; r < p; ++r) {
+      const PartList& exchanged = sizes[static_cast<size_t>(r)];
+      EXPECT_EQ(exchanged.size(), static_cast<size_t>(p)) << "P=" << p;
+      EXPECT_EQ(exchanged.entries(), 0u) << "P=" << p;
+      EXPECT_EQ(exchanged.wire_words(), static_cast<size_t>(p)) << "P=" << p;
+      EXPECT_TRUE(PartsOf(exchanged).empty()) << "P=" << p;
+      EXPECT_EQ(cluster.comm(r).stats().messages_received,
+                static_cast<uint64_t>(SrsBagLayout::NumSteps(p)))
+          << "P=" << p << " rank=" << r;
+      EXPECT_EQ(cluster.comm(r).stats().words_received,
+                static_cast<uint64_t>(p - 1))
+          << "P=" << p << " rank=" << r;
+      for (int j = 0; j < p; ++j) {
+        EXPECT_EQ(chunks[static_cast<size_t>(r)]
+                      .Slice(static_cast<size_t>(j), 1)
+                      .entries(),
+                  chunk(j).size())
+            << "P=" << p << " rank=" << r << " position=" << j;
+      }
+    }
+  }
+}
+
 // After an all-gather every worker lists all P parts, but the group holds
 // each part once: what stays is P parts and O(P log P) list nodes, under
 // 2 MiB at P = 1024. A copy of every part on every worker, P^2 copies of
